@@ -33,6 +33,7 @@ from .search import (
     model_to_json,
 )
 from .simulate import (
+    BUILTIN_NAMES,
     RNG_ALGORITHM,
     DeletionPlan,
     builtin_spec,
@@ -181,7 +182,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.spec in ("M1", "M2", "M3", "M4"):
+    if args.spec in BUILTIN_NAMES:
         spec = builtin_spec(args.spec)
     else:
         spec = load_spec(args.spec)
@@ -218,7 +219,7 @@ def _arc_difference(learned, generating) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.spec in ("M1", "M2", "M3", "M4"):
+    if args.spec in BUILTIN_NAMES:
         spec = builtin_spec(args.spec, n=args.n)
     else:
         spec = load_spec(args.spec).with_overrides(n=args.n)

@@ -6,16 +6,18 @@ its child and/or at least one parent entry is missing; such a case
 contributes one possible completion to every (parent configuration,
 child state) cell its observed family entries are consistent with.
 
-The tally runs in a single pass that first aggregates identical family
-patterns, then expands each distinct pattern once.  Pattern expansion is
-bounded by the family's joint cardinality, so the cost is essentially
-independent of how many entries are missing.  Count rows are allocated
-lazily per parent configuration actually touched by the data.
+The tally first aggregates identical family patterns, then expands each
+distinct pattern once, with numpy: every missing parent repeats the
+pattern's rows across its states.  Pattern expansion is bounded by the
+family's joint cardinality, so the cost is essentially independent of how
+many entries are missing.  Counts are dense int64 arrays over all q parent
+configurations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,70 +104,53 @@ class CountTable:
     parent_obs[j]  cases fully observed on all parents (child irrelevant)
     parent_comp[j] cases missing >= 1 parent entry, observed parents
                    consistent with configuration j
+
+    Each is a dense int64 array, (q, c) or (q,); the accessors return the
+    arrays (or row views of them), not copies.
     """
 
     context: ParentContext
     n_total: int
-    incomplete_cases: int = 0
-    parent_incomplete_cases: int = 0
-    _obs: dict[int, np.ndarray] = field(default_factory=dict)
-    _comp: dict[int, np.ndarray] = field(default_factory=dict)
-    _parent_obs: dict[int, int] = field(default_factory=dict)
-    _parent_comp: dict[int, int] = field(default_factory=dict)
+    incomplete_cases: int
+    parent_incomplete_cases: int
+    _obs: np.ndarray
+    _comp: np.ndarray
+    _parent_obs: np.ndarray
+    _parent_comp: np.ndarray
 
     def obs_row(self, j: int) -> np.ndarray:
-        row = self._obs.get(j)
-        if row is None:
-            return np.zeros(self.context.child_cardinality, dtype=np.int64)
-        return row
+        return self._obs[j]
 
     def comp_row(self, j: int) -> np.ndarray:
-        row = self._comp.get(j)
-        if row is None:
-            return np.zeros(self.context.child_cardinality, dtype=np.int64)
-        return row
+        return self._comp[j]
 
     def obs(self, j: int, k: int) -> int:
-        return int(self.obs_row(j)[k])
+        return int(self._obs[j, k])
 
     def comp(self, j: int, k: int) -> int:
-        return int(self.comp_row(j)[k])
+        return int(self._comp[j, k])
 
     def parent_obs(self, j: int) -> int:
-        return self._parent_obs.get(j, 0)
+        return int(self._parent_obs[j])
 
     def parent_comp(self, j: int) -> int:
-        return self._parent_comp.get(j, 0)
+        return int(self._parent_comp[j])
 
     @property
     def is_complete(self) -> bool:
         return self.incomplete_cases == 0
 
     def obs_matrix(self) -> np.ndarray:
-        q, c = self.context.n_configs, self.context.child_cardinality
-        out = np.zeros((q, c), dtype=np.int64)
-        for j, row in self._obs.items():
-            out[j] = row
-        return out
+        return self._obs
 
     def comp_matrix(self) -> np.ndarray:
-        q, c = self.context.n_configs, self.context.child_cardinality
-        out = np.zeros((q, c), dtype=np.int64)
-        for j, row in self._comp.items():
-            out[j] = row
-        return out
+        return self._comp
 
     def parent_obs_vector(self) -> np.ndarray:
-        out = np.zeros(self.context.n_configs, dtype=np.int64)
-        for j, m in self._parent_obs.items():
-            out[j] = m
-        return out
+        return self._parent_obs
 
     def parent_comp_vector(self) -> np.ndarray:
-        out = np.zeros(self.context.n_configs, dtype=np.int64)
-        for j, m in self._parent_comp.items():
-            out[j] = m
-        return out
+        return self._parent_comp
 
 
 def _parent_strides(ctx: ParentContext) -> list[int]:
@@ -175,18 +160,16 @@ def _parent_strides(ctx: ParentContext) -> list[int]:
     return strides
 
 
-def _consistent_configs(ctx: ParentContext, parent_entries, strides=None) -> list[int]:
+def _consistent_configs(ctx: ParentContext, parent_entries) -> list[int]:
     """All configuration indices the (possibly missing) parent entries allow.
 
     Built arithmetically: observed entries fix a base index, every missing
     parent fans the running index list out across its states.
     """
-    if strides is None:
-        strides = _parent_strides(ctx)
     base = 0
     fans = []
     for entry, card, stride in zip(
-        parent_entries, ctx.parent_cardinalities, strides
+        parent_entries, ctx.parent_cardinalities, _parent_strides(ctx)
     ):
         if entry == MISSING:
             fans.append((card, stride))
@@ -214,64 +197,75 @@ def enumerate_completions(case, ctx: ParentContext) -> list[tuple[int, int]]:
     return [(j, k) for j in _consistent_configs(ctx, parent_entries) for k in ks]
 
 
+_CODE_LIMIT = np.iinfo(np.int64).max
+
+
+def _bincount(index, weights, length: int) -> np.ndarray:
+    """Integer sums of ``weights`` per index; case counts are far below 2**53,
+    so the float accumulation is exact."""
+    return np.bincount(index, weights=weights, minlength=length).astype(np.int64)
+
+
 def tally(dataset: Dataset, ctx: ParentContext) -> CountTable:
     """Count observed cases and possible completions for one family."""
     family = (ctx.child,) + ctx.parents
     cards = (ctx.child_cardinality,) + ctx.parent_cardinalities
-    c = ctx.child_cardinality
-    table = CountTable(context=ctx, n_total=dataset.n_cases)
-    if dataset.n_cases == 0:
-        return table
+    q, c = ctx.n_configs, ctx.child_cardinality
+    size = math.prod(card + 1 for card in cards)
+    if size > _CODE_LIMIT:
+        raise ValueError(
+            f"the family of {dataset.variables[ctx.child].name} has {size} "
+            "entry patterns, more than a 64-bit code can index"
+        )
 
-    # Encode each case's family columns into one small integer; missing
-    # maps to digit 0 so every pattern, complete or not, gets a code.
+    # Encode each case's family columns into one integer; missing maps to
+    # digit 0 so every pattern, complete or not, gets a code.
     sub = dataset.codes[:, family].astype(np.int64)
     codes = np.zeros(dataset.n_cases, dtype=np.int64)
-    size = 1
     for col, card in zip(sub.T, cards):
         codes = codes * (card + 1) + (col + 1)
-        size *= card + 1
     multiplicity = np.bincount(codes, minlength=size)
+    patterns = np.flatnonzero(multiplicity)
+    m = multiplicity[patterns]
 
-    obs: dict[int, list[int]] = {}
-    comp: dict[int, list[int]] = {}
+    # Decode the distinct patterns (missing back to -1) and locate each at
+    # the configuration its observed parents fix, missing parents at state 0.
+    digits, rest = [], patterns
+    for card in reversed(cards):
+        digits.append(rest % (card + 1) - 1)
+        rest = rest // (card + 1)
+    child, parent_digits = digits[-1], digits[-2::-1]
     strides = _parent_strides(ctx)
-    for code in np.flatnonzero(multiplicity):
-        m = int(multiplicity[code])
-        digits = []
-        rest = int(code)
-        for card in reversed(cards):
-            digits.append(rest % (card + 1) - 1)
-            rest //= card + 1
-        digits.reverse()
-        child_entry, parent_entries = digits[0], digits[1:]
+    config = np.zeros(len(m), dtype=np.int64)
+    parent_missing = np.zeros(len(m), dtype=bool)
+    for d, stride in zip(parent_digits, strides):
+        config += np.maximum(d, 0) * stride
+        parent_missing |= d == MISSING
+    complete = ~parent_missing & (child != MISSING)
 
-        parent_complete = MISSING not in parent_entries
-        configs = _consistent_configs(ctx, parent_entries, strides)
-        if parent_complete:
-            j = configs[0]
-            table._parent_obs[j] = table._parent_obs.get(j, 0) + m
-        else:
-            table.parent_incomplete_cases += m
-            for j in configs:
-                table._parent_comp[j] = table._parent_comp.get(j, 0) + m
+    # Fan every incomplete pattern out across the states of each missing
+    # parent; ``src`` maps expanded rows back to their pattern.
+    src = np.flatnonzero(~complete)
+    j = config[src]
+    for d, card, stride in zip(parent_digits, ctx.parent_cardinalities, strides):
+        fan = d[src] == MISSING
+        src = np.concatenate([src[~fan], np.repeat(src[fan], card)])
+        j = np.concatenate([j[~fan], (j[fan, None] + stride * np.arange(card)).ravel()])
+    w, k = m[src], child[src]
+    known = k != MISSING
+    comp = _bincount(j[known] * c + k[known], w[known], q * c).reshape(q, c)
+    comp += _bincount(j[~known], w[~known], q)[:, None]
+    spread = parent_missing[src]
 
-        if parent_complete and child_entry != MISSING:
-            row = obs.get(configs[0])
-            if row is None:
-                row = obs.setdefault(configs[0], [0] * c)
-            row[child_entry] += m
-        else:
-            table.incomplete_cases += m
-            ks = range(c) if child_entry == MISSING else (child_entry,)
-            for j in configs:
-                row = comp.get(j)
-                if row is None:
-                    row = comp.setdefault(j, [0] * c)
-                for k in ks:
-                    row[k] += m
-    for j, row in obs.items():
-        table._obs[j] = np.asarray(row, dtype=np.int64)
-    for j, row in comp.items():
-        table._comp[j] = np.asarray(row, dtype=np.int64)
-    return table
+    return CountTable(
+        context=ctx,
+        n_total=dataset.n_cases,
+        incomplete_cases=int(m[~complete].sum()),
+        parent_incomplete_cases=int(m[parent_missing].sum()),
+        _obs=_bincount(
+            config[complete] * c + child[complete], m[complete], q * c
+        ).reshape(q, c),
+        _comp=comp,
+        _parent_obs=_bincount(config[~parent_missing], m[~parent_missing], q),
+        _parent_comp=_bincount(j[spread], w[spread], q),
+    )

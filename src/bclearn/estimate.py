@@ -17,6 +17,13 @@ summing to one, exact reduction on complete data, the prior-mean limit
 under total missingness, conservation of total precision) true up to one
 rounding, so downstream checks can compare against closed forms without
 tolerance for accumulation error.
+
+The collapse of a row uses p_k = a_k * S + phi_k * nstar_k / (b + nstar_k)
+with S = sum_l phi_l / (b + nstar_l), over the least common multiple of the
+distinct denominators b + nstar_l.  Counts take few distinct values, so
+that multiple stays small, and a family costs O(n + q) integer operations
+for n cases and q parent configurations, including the collapse of the q
+parent-configuration probabilities behind the precision estimate.
 """
 
 from __future__ import annotations
@@ -112,7 +119,6 @@ class BcCellEstimate:
     p_max: np.ndarray
     alpha_hat: np.ndarray
     dirichlet: np.ndarray
-    renormalized_rows: int = 0
 
 
 def _integer_grid(values) -> tuple[list[int], int]:
@@ -137,26 +143,25 @@ class _FamilyInts:
 
     Hyperparameters are brought onto the grid ``scale`` (1 for the default
     integer priors); counts are multiplied by the same grid so that every
-    derived quantity is an exact integer ratio.
+    derived quantity is an exact integer ratio.  ``rows[j]`` is
+    (a, nstar, b) with a[k] = alpha_k + n_k and b = alpha_j + n_j, all on the
+    grid; ``alpha_sums[j]`` is alpha_j on the grid.
     """
 
     def __init__(self, table: CountTable, prior: PriorSpec):
-        self.table = table
         ctx = table.context
         self.q, self.c = ctx.n_configs, ctx.child_cardinality
         flat, self.scale = _integer_grid(prior.child_alpha.reshape(-1))
-        self.alpha = [
-            flat[j * self.c:(j + 1) * self.c] for j in range(self.q)
-        ]
-
-    def row(self, j: int):
-        """(a, nstar, b) where a[k] = alpha_k + n_k and b = alpha_j + n_j,
-        all on the integer grid."""
-        obs = self.table.obs_row(j)
-        comp = self.table.comp_row(j)
-        a = [self.alpha[j][k] + self.scale * int(obs[k]) for k in range(self.c)]
-        nstar = [self.scale * int(v) for v in comp]
-        return a, nstar, sum(a)
+        scale, c = self.scale, self.c
+        self.alpha_sums = []
+        self.rows = []
+        for j, (obs, comp) in enumerate(
+            zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())
+        ):
+            alpha = flat[j * c:(j + 1) * c]
+            a = [al + scale * n for al, n in zip(alpha, obs)]
+            self.alpha_sums.append(sum(alpha))
+            self.rows.append((a, [scale * n for n in comp], sum(a)))
 
 
 def _normalized_int_row(row) -> tuple[list[int], int]:
@@ -172,26 +177,26 @@ def _collapse_ints(a, nstar, b, phi_num, phi_den) -> tuple[list[int], int]:
     """Collapsed estimates for one configuration as (numerators, denominator).
 
     a[k] is the prior-plus-observed weight of state k, b their sum, nstar[k]
-    the completion count, phi the exactly normalized mixing row.  The mixed
-    lower extremes for state k factor as a_k * sum_{l != k} phi_l/(b+nstar_l),
-    so one cofactor per state serves the whole row; the common denominator
-    is phi_den * prod_l (b + nstar_l).
+    the completion count, phi the exactly normalized mixing row.  Mixing the
+    upper bound (a_k + nstar_k)/(b + nstar_k) with the lower extremes
+    a_k/(b + nstar_l), l != k, gives
+
+        p_k = a_k * S + phi_k * nstar_k / (b + nstar_k),
+        S   = sum_l phi_l / (b + nstar_l),
+
+    put over phi_den * L, where L is the least common multiple of the
+    *distinct* denominators b + nstar_l.  Counts take few distinct values,
+    so L stays small and a row of length q costs O(q) integer operations.
     """
-    c = len(a)
-    if not any(nstar):
-        return list(a), b
-    d = [b + nstar[l] for l in range(c)]
-    product = 1
-    for dl in d:
-        product *= dl
-    cofactor = [product // dl for dl in d]
-    tails = sum(phi_num[l] * cofactor[l] for l in range(c))
+    denominators = [b + n for n in nstar]
+    lcm = math.lcm(*set(denominators))
+    shares = [lcm // d for d in denominators]
+    total = sum(p * s for p, s in zip(phi_num, shares))
     nums = [
-        a[k] * (tails - phi_num[k] * cofactor[k])
-        + phi_num[k] * (a[k] + nstar[k]) * cofactor[k]
-        for k in range(c)
+        a_k * total + p * n * s
+        for a_k, p, n, s in zip(a, phi_num, nstar, shares)
     ]
-    return nums, phi_den * product
+    return nums, phi_den * lcm
 
 
 def _phi_int_rows(ints: _FamilyInts, policy):
@@ -199,11 +204,7 @@ def _phi_int_rows(ints: _FamilyInts, policy):
     if isinstance(policy, CompletionDistribution):
         return [_normalized_int_row(policy.phi[j]) for j in range(ints.q)]
     if policy == "mar":
-        rows = []
-        for j in range(ints.q):
-            a, _, b = ints.row(j)
-            rows.append((a, b))
-        return rows
+        return [(a, b) for a, _, b in ints.rows]
     if policy == "uniform":
         return [([1] * ints.c, ints.c) for _ in range(ints.q)]
     raise EstimateError(f"unknown phi policy {policy!r}")
@@ -213,10 +214,7 @@ def phi_mar(table: CountTable, prior: PriorSpec) -> CompletionDistribution:
     """Completion probabilities assuming the observed part is representative:
     the posterior mean of the child given only fully observed cases."""
     ints = _FamilyInts(table, prior)
-    phi = np.empty((ints.q, ints.c))
-    for j in range(ints.q):
-        a, _, b = ints.row(j)
-        phi[j] = [a_k / b for a_k in a]
+    phi = np.array([[a_k / b for a_k in a] for a, _, b in ints.rows])
     return CompletionDistribution(phi, source="mar")
 
 
@@ -254,8 +252,7 @@ def bounds(table: CountTable, prior: PriorSpec) -> ProbabilityBounds:
     ints = _FamilyInts(table, prior)
     p_max = np.empty((ints.q, ints.c))
     p_lmin = np.empty((ints.q, ints.c, ints.c))
-    for j in range(ints.q):
-        a, nstar, b = ints.row(j)
+    for j, (a, nstar, b) in enumerate(ints.rows):
         for k in range(ints.c):
             p_max[j, k] = (a[k] + nstar[k]) / (b + nstar[k])
             for l in range(ints.c):
@@ -269,8 +266,7 @@ def collapse(table: CountTable, prior: PriorSpec, phi) -> np.ndarray:
     ints = _FamilyInts(table, prior)
     phi_rows = _phi_int_rows(ints, phi)
     p_hat = np.empty((ints.q, ints.c))
-    for j in range(ints.q):
-        a, nstar, b = ints.row(j)
+    for j, (a, nstar, b) in enumerate(ints.rows):
         nums, den = _collapse_ints(a, nstar, b, *phi_rows[j])
         p_hat[j] = [n / den for n in nums]
     return p_hat
@@ -280,8 +276,8 @@ def _parent_p_hat_ints(table: CountTable, prior: PriorSpec, parent_phi=None):
     """Collapsed parent-configuration probabilities as (numerators, den)."""
     q = table.context.n_configs
     beta, scale = _integer_grid(prior.parent_beta)
-    a = [beta[j] + scale * table.parent_obs(j) for j in range(q)]
-    nstar = [scale * table.parent_comp(j) for j in range(q)]
+    a = [b_j + scale * n for b_j, n in zip(beta, table.parent_obs_vector().tolist())]
+    nstar = [scale * n for n in table.parent_comp_vector().tolist()]
     b = sum(a)
     if parent_phi is None:
         phi_num, phi_den = a, b
@@ -296,16 +292,16 @@ def _precision_ints(
     table: CountTable, prior: PriorSpec, parent_phi=None, ints=None
 ):
     """Posterior precision per configuration as (numerators, denominator)."""
-    q = table.context.n_configs
     p_num, p_den = _parent_p_hat_ints(table, prior, parent_phi)
-    spare = table.parent_incomplete_cases
     if ints is None:
         ints = _FamilyInts(table, prior)
     scale = ints.scale
+    spare = scale * table.parent_incomplete_cases
     nums = [
-        (sum(ints.alpha[j]) + scale * table.parent_obs(j)) * p_den
-        + scale * spare * p_num[j]
-        for j in range(q)
+        (alpha + scale * n) * p_den + spare * p
+        for alpha, n, p in zip(
+            ints.alpha_sums, table.parent_obs_vector().tolist(), p_num
+        )
     ]
     return nums, scale * p_den
 
@@ -331,34 +327,22 @@ def bc_estimate(
     """Full per-family estimate: bounds, collapsed means, precision and the
     moment-matched Dirichlet hyperparameters alpha_hat * p_hat."""
     ints = _FamilyInts(table, prior)
-    q, c = ints.q, ints.c
     phi_rows = _phi_int_rows(ints, phi)
     alpha_hat_num, alpha_hat_den = _precision_ints(table, prior, parent_phi, ints)
 
-    p_hat = np.empty((q, c))
-    p_max = np.empty((q, c))
-    p_min = np.empty((q, c))
-    dirichlet = np.empty((q, c))
-    renormalized = 0
-    for j in range(q):
-        a, nstar, b = ints.row(j)
-        nstar_top = max(nstar)
-        nums, den = _collapse_ints(a, nstar, b, *phi_rows[j])
+    p_hat, p_max, p_min, dirichlet = [], [], [], []
+    for (a, nstar, b), phi_row, weight in zip(ints.rows, phi_rows, alpha_hat_num):
+        nums, den = _collapse_ints(a, nstar, b, *phi_row)
+        top = b + max(nstar)
         dir_den = den * alpha_hat_den
-        for k in range(c):
-            p_hat[j, k] = nums[k] / den
-            p_max[j, k] = (a[k] + nstar[k]) / (b + nstar[k])
-            p_min[j, k] = a[k] / (b + nstar_top)
-            dirichlet[j, k] = nums[k] * alpha_hat_num[j] / dir_den
-        drift = abs(p_hat[j].sum() - 1.0)
-        if drift > ROW_SUM_TOLERANCE:
-            p_hat[j] /= p_hat[j].sum()
-            renormalized += 1
+        p_hat.append([n / den for n in nums])
+        p_max.append([(a_k + n) / (b + n) for a_k, n in zip(a, nstar)])
+        p_min.append([a_k / top for a_k in a])
+        dirichlet.append([n * weight / dir_den for n in nums])
     return BcCellEstimate(
-        p_hat=p_hat,
-        p_min=p_min,
-        p_max=p_max,
+        p_hat=np.array(p_hat),
+        p_min=np.array(p_min),
+        p_max=np.array(p_max),
         alpha_hat=np.asarray([n / alpha_hat_den for n in alpha_hat_num]),
-        dirichlet=dirichlet,
-        renormalized_rows=renormalized,
+        dirichlet=np.array(dirichlet),
     )

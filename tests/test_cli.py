@@ -203,6 +203,23 @@ class TestEstimate:
         assert code == 1
 
 
+    def test_pattern_code_overflow_is_validation_error(self, tmp_path, capsys):
+        # 41 binary columns: the family's 3**41 entry patterns overflow int64
+        names = [f"V{i}" for i in range(41)]
+        data = tmp_path / "wide.csv"
+        data.write_text(
+            ",".join(names) + "\n" + ",".join("a" * 41) + "\n"
+            + ",".join("b" * 41) + "\n",
+            encoding="utf-8",
+        )
+        code = run([
+            "estimate", "--data", data, "--child", "V0",
+            "--parents", ",".join(names[1:]),
+        ])
+        assert code == 1
+        assert "64-bit" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
         paths = []

@@ -101,29 +101,34 @@ class TestTallyProperties:
         assert t.comp_matrix().sum() == 0
 
     def test_matches_per_case_fold(self):
-        """The aggregated tally equals routing each case by hand."""
+        """The aggregated tally equals routing each case by hand, on small
+        families and on families of up to 6 ternary parents with several
+        parents missing per case."""
         rng = np.random.default_rng(23)
-        for _ in range(25):
-            d = random_complete(rng, max_vars=4, max_card=3, max_cases=15)
+        for wide in (False, True) * 25:
+            if wide:
+                d = make_dataset((3,) * 7, rng.integers(0, 3, size=(40, 7)))
+            else:
+                d = random_complete(rng, max_vars=4, max_card=3, max_cases=15)
             if d.n_cases == 0:
                 continue
             d = punch_holes(rng, d, int(rng.integers(0, d.codes.size + 1)))
             child = int(rng.integers(d.n_variables))
             others = [i for i in range(d.n_variables) if i != child]
-            parents = sorted(
-                rng.choice(others, size=int(rng.integers(0, len(others) + 1)),
-                           replace=False).tolist()
-            )
+            size = int(rng.integers(3 if wide else 0, len(others) + 1))
+            parents = sorted(rng.choice(others, size=size, replace=False).tolist())
             ctx = ParentContext.for_dataset(d, child, parents)
             q, c = ctx.n_configs, ctx.child_cardinality
             obs = np.zeros((q, c), dtype=int)
             comp = np.zeros((q, c), dtype=int)
-            incomplete = 0
+            parent_obs = np.zeros(q, dtype=int)
+            parent_comp = np.zeros(q, dtype=int)
+            incomplete = parent_incomplete = 0
             for row in d.codes:
-                family_complete = row[child] != MISSING and all(
-                    row[p] != MISSING for p in parents
-                )
+                parents_complete = all(row[p] != MISSING for p in parents)
+                family_complete = parents_complete and row[child] != MISSING
                 cells = enumerate_completions(row, ctx)
+                configs = sorted({j for j, _ in cells})
                 if family_complete:
                     assert len(cells) == 1
                     obs[cells[0]] += 1
@@ -131,16 +136,32 @@ class TestTallyProperties:
                     incomplete += 1
                     for cell in cells:
                         comp[cell] += 1
+                if parents_complete:
+                    assert len(configs) == 1
+                    parent_obs[configs[0]] += 1
+                else:
+                    parent_incomplete += 1
+                    parent_comp[configs] += 1
             t = tally(d, ctx)
             assert np.array_equal(t.obs_matrix(), obs)
             assert np.array_equal(t.comp_matrix(), comp)
+            assert np.array_equal(t.parent_obs_vector(), parent_obs)
+            assert np.array_equal(t.parent_comp_vector(), parent_comp)
             assert t.incomplete_cases == incomplete
+            assert t.parent_incomplete_cases == parent_incomplete
             assert (t.comp_matrix() <= incomplete).all()
             assert t.obs_matrix().sum() + incomplete == d.n_cases
             assert (
                 t.parent_obs_vector().sum() + t.parent_incomplete_cases
                 == d.n_cases
             )
+
+    def test_pattern_code_overflow_is_rejected(self):
+        # 41 binary members: 3**41 entry patterns exceed a 64-bit code
+        d = make_dataset((2,) * 41, [[0] * 41, [1] * 41])
+        ctx = ParentContext.for_dataset(d, 0, tuple(range(1, 41)))
+        with pytest.raises(ValueError, match="64-bit"):
+            tally(d, ctx)
 
     def test_entries_outside_family_are_ignored(self):
         base = make_dataset((2, 2, 2), [[0, 0, 0], [0, 0, 1]])

@@ -17,7 +17,12 @@ from bclearn import (
     precision,
     tally,
 )
-from bclearn.estimate import phi_from_rows
+from bclearn.estimate import (
+    _collapse_ints,
+    _integer_grid,
+    _normalized_int_row,
+    phi_from_rows,
+)
 from helpers import make_dataset, punch_holes, random_complete
 
 
@@ -126,7 +131,65 @@ class TestBounds:
             assert (b.p_max[:, None, :] >= b.p_lmin).all()
 
 
+def collapse_by_product(a, nstar, b, phi_num, phi_den):
+    """Reference collapse over the product of every denominator b + nstar_l.
+
+    The mixed lower extremes for state k factor as
+    a_k * sum_{l != k} phi_l/(b+nstar_l), so one cofactor per state serves
+    the whole row.  Its cost grows with the square of the row length.
+    """
+    c = len(a)
+    if not any(nstar):
+        return list(a), b
+    d = [b + nstar[l] for l in range(c)]
+    product = 1
+    for dl in d:
+        product *= dl
+    cofactor = [product // dl for dl in d]
+    tails = sum(phi_num[l] * cofactor[l] for l in range(c))
+    nums = [
+        a[k] * (tails - phi_num[k] * cofactor[k])
+        + phi_num[k] * (a[k] + nstar[k]) * cofactor[k]
+        for k in range(c)
+    ]
+    return nums, phi_den * product
+
+
 class TestCollapse:
+    def test_lcm_form_equals_product_reference(self):
+        """Same exact rationals as the product-of-denominators form, on rows
+        of length 2-200 with repeated, all-zero and spread-out completion
+        counts, integer and non-integer priors, and MAR, uniform and user phi."""
+        rng = np.random.default_rng(37)
+        for trial in range(300):
+            c = int(rng.integers(2, 201)) if trial % 3 else int(rng.integers(2, 6))
+            priors = [1.0] if trial % 2 else [0.5, 0.25, 2.5, 0.1, 1.0]
+            alpha, scale = _integer_grid(rng.choice(priors, size=c))
+            obs = rng.integers(0, 30, size=c)
+            kind = trial % 4
+            if kind == 0:
+                comp = np.zeros(c, dtype=int)
+            elif kind == 1:
+                comp = rng.choice(rng.integers(0, 50, size=3), size=c)
+            else:
+                comp = rng.integers(0, 10 ** int(rng.integers(1, 5)), size=c)
+            a = [al + scale * int(n) for al, n in zip(alpha, obs)]
+            nstar = [scale * int(n) for n in comp]
+            b = sum(a)
+            policy = trial % 5
+            if policy == 0:
+                phi = ([1] * c, c)
+            elif policy == 1:
+                phi = _normalized_int_row(rng.dirichlet(np.ones(c)))
+            else:
+                phi = (a, b)
+            nums, den = _collapse_ints(a, nstar, b, *phi)
+            ref_nums, ref_den = collapse_by_product(a, nstar, b, *phi)
+            assert [Fraction(n, den) for n in nums] == [
+                Fraction(n, ref_den) for n in ref_nums
+            ]
+            assert sum(nums) == den
+
     def test_complete_data_equals_posterior_mean_exactly(self):
         db = make_dataset((2,), [[0], [0], [0], [1]])
         _, table, prior = family(db, 0, ())
@@ -258,7 +321,6 @@ class TestBcEstimate:
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
             ctx, table, prior = random_family(rng, db)
             est = bc_estimate(table, prior)
-            assert est.renormalized_rows == 0
             assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
             assert (est.p_min <= est.p_hat).all()
             assert (est.p_hat <= est.p_max).all()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bclearn import (
     PriorSpec,
     ScoreError,
     bayes_factor,
+    bc_estimate,
     log_g_bc,
     log_g_exact,
     log_marginal,
@@ -132,6 +134,22 @@ class TestLogGBc:
             parents = tuple(i for i in range(db.n_variables) if i != child)
             table, prior = family(db, child, parents)
             assert math.isfinite(log_g_bc(table, prior).log_g)
+
+
+    def test_ten_ternary_parents_score_within_bound(self):
+        """q = 59049 configurations: the collapse is linear in q, so one
+        family takes seconds.  A cost quadratic in q exhausted memory here."""
+        rng = np.random.default_rng(29)
+        db = make_dataset((3,) * 11, rng.integers(0, 3, size=(1000, 11)))
+        db = punch_holes(rng, db, db.codes.size // 5)
+        start = time.perf_counter()
+        table, prior = family(db, 0, tuple(range(1, 11)))
+        assert table.context.n_configs == 3 ** 10
+        assert math.isfinite(log_g_bc(table, prior).log_g)
+        est = bc_estimate(table, prior)
+        assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
+        # ~3 s on a 2-vCPU Xeon VM; the bound leaves room for slow hosts
+        assert time.perf_counter() - start < 60.0
 
 
 class TestLogMarginal:
