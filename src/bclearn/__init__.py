@@ -8,7 +8,7 @@ a completion-probability vector, and the score uses a moment-matched
 posterior Dirichlet per family.
 """
 
-from .counts import CountTable, ParentContext, enumerate_completions, tally
+from .counts import CountTable, ParentContext, tally
 from .data import (
     MISSING,
     DataError,
@@ -26,21 +26,9 @@ from .estimate import (
     CompletionDistribution,
     EstimateError,
     PriorSpec,
-    ProbabilityBounds,
     bc_estimate,
-    bounds,
-    collapse,
-    phi_mar,
-    phi_uniform,
-    precision,
 )
-from .oracle import (
-    CompletionEnumeration,
-    OracleError,
-    enumerate_datasets,
-    exact_expectation,
-    exact_marginal,
-)
+from .oracle import OracleError, exact_expectation, exact_marginal
 from .score import (
     FamilyScore,
     FamilyScorer,
@@ -84,7 +72,6 @@ __all__ = [
     "MISSING",
     "BcCellEstimate",
     "CompletionDistribution",
-    "CompletionEnumeration",
     "CountTable",
     "DataError",
     "Dataset",
@@ -101,7 +88,6 @@ __all__ = [
     "OrderConstraint",
     "ParentContext",
     "PriorSpec",
-    "ProbabilityBounds",
     "RNG_ALGORITHM",
     "ScoreError",
     "SearchError",
@@ -109,12 +95,8 @@ __all__ = [
     "Variable",
     "bayes_factor",
     "bc_estimate",
-    "bounds",
     "builtin_spec",
-    "collapse",
     "delete_entries",
-    "enumerate_completions",
-    "enumerate_datasets",
     "enumerate_models",
     "exact_expectation",
     "exact_marginal",
@@ -131,9 +113,6 @@ __all__ = [
     "model_from_json",
     "model_to_dot",
     "model_to_json",
-    "phi_mar",
-    "phi_uniform",
-    "precision",
     "sample",
     "save_csv",
     "save_schema",

@@ -31,6 +31,7 @@ from .search import (
     model_from_json,
     model_to_dot,
     model_to_json,
+    score_to_json,
 )
 from .simulate import (
     BUILTIN_NAMES,
@@ -116,16 +117,7 @@ def cmd_score(args) -> int:
     )
     report = {
         "model": model_to_json(model),
-        "total_log_marginal": score.total,
-        "families": [
-            {
-                "child": dataset.variables[f.child].name,
-                "parents": [dataset.variables[p].name for p in f.parents],
-                "log_g": f.log_g,
-                "exact": f.exact,
-            }
-            for f in score.families
-        ],
+        **score_to_json(dataset.variables, score),
     }
     if args.oracle:
         mixture = exact_marginal(
@@ -152,6 +144,7 @@ def cmd_estimate(args) -> int:
     phi = _resolve_phi_policy(args, ctx=ctx, variables=dataset.variables)
     est = bc_estimate(table, prior, phi=phi)
     summary = summarize_missingness(dataset)
+    obs, comp = table.obs_matrix().tolist(), table.comp_matrix().tolist()
     report = {
         "child": args.child,
         "parents": [dataset.variables[p].name for p in ctx.parents],
@@ -159,8 +152,8 @@ def cmd_estimate(args) -> int:
         "configurations": [
             {
                 "config": ctx.config_label(j, dataset.variables),
-                "obs": [int(v) for v in table.obs_row(j)],
-                "comp": [int(v) for v in table.comp_row(j)],
+                "obs": obs[j],
+                "comp": comp[j],
                 "p_hat": [float(v) for v in est.p_hat[j]],
                 "p_min": [float(v) for v in est.p_min[j]],
                 "p_max": [float(v) for v in est.p_max[j]],

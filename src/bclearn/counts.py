@@ -99,14 +99,13 @@ class ParentContext:
 class CountTable:
     """Per-family counts over parent configurations j and child states k.
 
-    obs[j][k]      cases fully observed on child and parents
-    comp[j][k]     incomplete cases consistent with completing to (k, j)
-    parent_obs[j]  cases fully observed on all parents (child irrelevant)
-    parent_comp[j] cases missing >= 1 parent entry, observed parents
-                   consistent with configuration j
+    obs_matrix()[j, k]       cases fully observed on child and parents
+    comp_matrix()[j, k]      incomplete cases consistent with (j, k)
+    parent_obs_vector()[j]   cases fully observed on all parents
+    parent_comp_vector()[j]  cases missing >= 1 parent entry, observed
+                             parents consistent with configuration j
 
-    Each is a dense int64 array, (q, c) or (q,); the accessors return the
-    arrays (or row views of them), not copies.
+    Each is a dense int64 array, (q, c) or (q,), returned without a copy.
     """
 
     context: ParentContext
@@ -117,24 +116,6 @@ class CountTable:
     _comp: np.ndarray
     _parent_obs: np.ndarray
     _parent_comp: np.ndarray
-
-    def obs_row(self, j: int) -> np.ndarray:
-        return self._obs[j]
-
-    def comp_row(self, j: int) -> np.ndarray:
-        return self._comp[j]
-
-    def obs(self, j: int, k: int) -> int:
-        return int(self._obs[j, k])
-
-    def comp(self, j: int, k: int) -> int:
-        return int(self._comp[j, k])
-
-    def parent_obs(self, j: int) -> int:
-        return int(self._parent_obs[j])
-
-    def parent_comp(self, j: int) -> int:
-        return int(self._parent_comp[j])
 
     @property
     def is_complete(self) -> bool:
@@ -158,43 +139,6 @@ def _parent_strides(ctx: ParentContext) -> list[int]:
     for i in range(len(strides) - 2, -1, -1):
         strides[i] = strides[i + 1] * ctx.parent_cardinalities[i + 1]
     return strides
-
-
-def _consistent_configs(ctx: ParentContext, parent_entries) -> list[int]:
-    """All configuration indices the (possibly missing) parent entries allow.
-
-    Built arithmetically: observed entries fix a base index, every missing
-    parent fans the running index list out across its states.
-    """
-    base = 0
-    fans = []
-    for entry, card, stride in zip(
-        parent_entries, ctx.parent_cardinalities, _parent_strides(ctx)
-    ):
-        if entry == MISSING:
-            fans.append((card, stride))
-        else:
-            base += int(entry) * stride
-    indices = [base]
-    for card, stride in fans:
-        indices = [i + s * stride for i in indices for s in range(card)]
-    return indices
-
-
-def enumerate_completions(case, ctx: ParentContext) -> list[tuple[int, int]]:
-    """The (configuration, child state) cells a single case is consistent with.
-
-    ``case`` is a full row of entries; only the family columns are read.
-    A fully observed case yields its single cell.
-    """
-    child_entry = case[ctx.child]
-    parent_entries = [case[p] for p in ctx.parents]
-    ks = (
-        range(ctx.child_cardinality)
-        if child_entry == MISSING
-        else (int(child_entry),)
-    )
-    return [(j, k) for j in _consistent_configs(ctx, parent_entries) for k in ks]
 
 
 _CODE_LIMIT = np.iinfo(np.int64).max

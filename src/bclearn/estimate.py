@@ -1,12 +1,15 @@
 """Bound-and-collapse posterior estimation for one family.
 
-For each parent configuration the observed counts pin down an interval
-of posterior means consistent with the possible completions of the
-incomplete cases: the upper bound assigns every consistent completion
-to the cell itself, each lower extreme assigns them all to one rival
-state.  The interval is then collapsed to a point by mixing the extremes
-with the completion-probability vector phi, and the posterior precision
-is estimated by distributing parent-incomplete cases according to a
+For each parent configuration the observed counts and the completion
+counts give two extreme estimates per cell: the upper one assigns every
+consistent completion of the incomplete cases to the cell itself, the
+lower one assigns the largest completion count of the row to a single
+rival state.  These are the extreme completions of bound-and-collapse, not
+the envelope over completions: spreading the completions over several
+rival states can give a posterior mean below the lower endpoint.  The
+interval is collapsed to a point by mixing the extremes with the
+completion-probability vector phi, and the posterior precision is
+estimated by distributing parent-incomplete cases according to a
 bound-and-collapse estimate of the parent configuration probabilities.
 
 All cell values are exact ratios of integers: hyperparameters are scaled
@@ -76,10 +79,9 @@ class PriorSpec:
 @dataclass(frozen=True)
 class CompletionDistribution:
     """Per-configuration probabilities that an incomplete case completes
-    to each child state.  ``source`` is one of {"mar", "uniform", "user"}."""
+    to each child state, as supplied by the user."""
 
     phi: np.ndarray
-    source: str
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -94,25 +96,18 @@ class CompletionDistribution:
 
 
 @dataclass(frozen=True)
-class ProbabilityBounds:
-    """Upper bounds and the full matrix of per-rival lower extremes.
-
-    ``p_lmin[j, l, k]`` is the probability of state k when every completion
-    consistent with configuration j is assigned to state l; the lower bound
-    is the minimum over l.
-    """
-
-    p_max: np.ndarray
-    p_lmin: np.ndarray
-
-    @property
-    def p_min(self) -> np.ndarray:
-        return self.p_lmin.min(axis=1)
-
-
-@dataclass(frozen=True)
 class BcCellEstimate:
-    """Collapsed estimates, bounds, precision and the matched Dirichlet."""
+    """Collapsed estimates, interval endpoints, precision and the matched
+    Dirichlet, each indexed [configuration, child state].
+
+    ``p_max[j, k]`` is the posterior mean of state k when every completion
+    consistent with configuration j goes to k.  ``p_min[j, k]`` is the
+    bound-and-collapse lower extreme a_k / (b + max_l nstar_l): all of the
+    largest completion count goes to a single state other than k.  ``p_hat``
+    mixes the extremes and lies between them, but these are not the
+    envelope over completions: one that spreads completions over several
+    rival states can give a posterior mean below ``p_min``.
+    """
 
     p_hat: np.ndarray
     p_min: np.ndarray
@@ -210,20 +205,6 @@ def _phi_int_rows(ints: _FamilyInts, policy):
     raise EstimateError(f"unknown phi policy {policy!r}")
 
 
-def phi_mar(table: CountTable, prior: PriorSpec) -> CompletionDistribution:
-    """Completion probabilities assuming the observed part is representative:
-    the posterior mean of the child given only fully observed cases."""
-    ints = _FamilyInts(table, prior)
-    phi = np.array([[a_k / b for a_k in a] for a, _, b in ints.rows])
-    return CompletionDistribution(phi, source="mar")
-
-
-def phi_uniform(ctx: ParentContext) -> CompletionDistribution:
-    """Every completion equally likely: 1/c per state."""
-    q, c = ctx.n_configs, ctx.child_cardinality
-    return CompletionDistribution(np.full((q, c), 1.0 / c), source="uniform")
-
-
 def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
                   variables=None) -> CompletionDistribution:
     """Build a user-supplied phi from {configuration label: probability row}."""
@@ -244,57 +225,28 @@ def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
     extra = set(rows) - seen
     if extra:
         raise EstimateError(f"phi table has unknown configurations: {sorted(extra)}")
-    return CompletionDistribution(phi, source="user")
+    return CompletionDistribution(phi)
 
 
-def bounds(table: CountTable, prior: PriorSpec) -> ProbabilityBounds:
-    """Interval endpoints for every cell of the family."""
-    ints = _FamilyInts(table, prior)
-    p_max = np.empty((ints.q, ints.c))
-    p_lmin = np.empty((ints.q, ints.c, ints.c))
-    for j, (a, nstar, b) in enumerate(ints.rows):
-        for k in range(ints.c):
-            p_max[j, k] = (a[k] + nstar[k]) / (b + nstar[k])
-            for l in range(ints.c):
-                p_lmin[j, l, k] = a[k] / (b + nstar[l])
-    return ProbabilityBounds(p_max=p_max, p_lmin=p_lmin)
-
-
-def collapse(table: CountTable, prior: PriorSpec, phi) -> np.ndarray:
-    """Collapse the bounds to point estimates with completion weights phi
-    (a CompletionDistribution, or "mar"/"uniform")."""
-    ints = _FamilyInts(table, prior)
-    phi_rows = _phi_int_rows(ints, phi)
-    p_hat = np.empty((ints.q, ints.c))
-    for j, (a, nstar, b) in enumerate(ints.rows):
-        nums, den = _collapse_ints(a, nstar, b, *phi_rows[j])
-        p_hat[j] = [n / den for n in nums]
-    return p_hat
-
-
-def _parent_p_hat_ints(table: CountTable, prior: PriorSpec, parent_phi=None):
-    """Collapsed parent-configuration probabilities as (numerators, den)."""
-    q = table.context.n_configs
+def _parent_p_hat_ints(table: CountTable, prior: PriorSpec):
+    """Collapsed parent-configuration probabilities as (numerators, den),
+    with the MAR completion row of the parent-configuration Dirichlet."""
     beta, scale = _integer_grid(prior.parent_beta)
     a = [b_j + scale * n for b_j, n in zip(beta, table.parent_obs_vector().tolist())]
     nstar = [scale * n for n in table.parent_comp_vector().tolist()]
     b = sum(a)
-    if parent_phi is None:
-        phi_num, phi_den = a, b
-    else:
-        if len(parent_phi) != q:
-            raise EstimateError("parent phi must have one entry per configuration")
-        phi_num, phi_den = _normalized_int_row(parent_phi)
-    return _collapse_ints(a, nstar, b, phi_num, phi_den)
+    return _collapse_ints(a, nstar, b, a, b)
 
 
-def _precision_ints(
-    table: CountTable, prior: PriorSpec, parent_phi=None, ints=None
-):
-    """Posterior precision per configuration as (numerators, denominator)."""
-    p_num, p_den = _parent_p_hat_ints(table, prior, parent_phi)
-    if ints is None:
-        ints = _FamilyInts(table, prior)
+def _precision_ints(table: CountTable, prior: PriorSpec, ints: _FamilyInts):
+    """Posterior precision per configuration as (numerators, denominator).
+
+    Fully parent-observed cases update their configuration exactly; the
+    remainder is shared out in proportion to the collapsed estimate of the
+    configuration probabilities, so the total precision gained is exactly
+    the number of cases.
+    """
+    p_num, p_den = _parent_p_hat_ints(table, prior)
     scale = ints.scale
     spare = scale * table.parent_incomplete_cases
     nums = [
@@ -306,29 +258,14 @@ def _precision_ints(
     return nums, scale * p_den
 
 
-def precision(table: CountTable, prior: PriorSpec, parent_phi=None) -> np.ndarray:
-    """Estimated posterior precision per parent configuration.
-
-    Fully parent-observed cases update their configuration exactly; the
-    remainder is shared out in proportion to the collapsed estimate of the
-    configuration probabilities, so the total precision gained is exactly
-    the number of cases.
-    """
-    nums, den = _precision_ints(table, prior, parent_phi)
-    return np.asarray([n / den for n in nums])
-
-
-def bc_estimate(
-    table: CountTable,
-    prior: PriorSpec,
-    phi="mar",
-    parent_phi=None,
-) -> BcCellEstimate:
-    """Full per-family estimate: bounds, collapsed means, precision and the
-    moment-matched Dirichlet hyperparameters alpha_hat * p_hat."""
+def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimate:
+    """Full per-family estimate: interval endpoints, collapsed means,
+    precision and the moment-matched Dirichlet hyperparameters
+    alpha_hat * p_hat.  ``phi`` is "mar", "uniform" or a
+    CompletionDistribution."""
     ints = _FamilyInts(table, prior)
     phi_rows = _phi_int_rows(ints, phi)
-    alpha_hat_num, alpha_hat_den = _precision_ints(table, prior, parent_phi, ints)
+    alpha_hat_num, alpha_hat_den = _precision_ints(table, prior, ints)
 
     p_hat, p_max, p_min, dirichlet = [], [], [], []
     for (a, nstar, b), phi_row, weight in zip(ints.rows, phi_rows, alpha_hat_num):

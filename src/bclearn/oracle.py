@@ -5,14 +5,15 @@ of the missing entries, compute the exact complete-data quantities per
 completion with naive per-case loops (independent of the aggregated
 tally path used by the estimators), and mix the results under a chosen
 weighting of completions.  Costs are exponential in the number of
-missing entries, so enumeration is refused beyond a cap.
+missing entries, so enumeration is refused beyond a cap.  The per-case
+``enumerate_completions`` is the reference the aggregated tally is
+checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lgamma
 
@@ -29,68 +30,73 @@ class OracleError(ValueError):
     """Raised when enumeration would exceed the cap or inputs are invalid."""
 
 
-@dataclass(frozen=True)
-class CompletionEnumeration:
-    """All completions of a dataset with their mixture weights."""
-
-    datasets: tuple[Dataset, ...]
-    weights: tuple[float, ...]
-    policy: str
-
-
-def _missing_positions(dataset: Dataset):
-    rows, cols = np.nonzero(dataset.codes == MISSING)
-    return list(zip(rows.tolist(), cols.tolist()))
+def _consistent_configs(ctx: ParentContext, parent_entries) -> list[int]:
+    """All configuration indices the (possibly missing) parent entries allow,
+    the last parent varying fastest."""
+    choices = [
+        range(card) if entry == MISSING else (int(entry),)
+        for entry, card in zip(parent_entries, ctx.parent_cardinalities)
+    ]
+    return [ctx.config_index(states) for states in itertools.product(*choices)]
 
 
-def enumerate_datasets(
-    dataset: Dataset,
-    policy: str = "uniform",
-    phi: dict | None = None,
-    cap: int = DEFAULT_CAP,
-) -> CompletionEnumeration:
-    """Expand every completion of the missing entries.
+def enumerate_completions(case, ctx: ParentContext) -> list[tuple[int, int]]:
+    """The (configuration, child state) cells a single case is consistent with.
 
-    ``policy`` is "uniform" (equal weight per completion) or "phi", where
-    ``phi`` maps variable names to per-state probability vectors and a
-    completion's weight is the product over its filled entries.
+    ``case`` is a full row of entries; only the family columns are read.
+    A fully observed case yields its single cell.  This is the per-case
+    reference for the aggregated ``counts.tally``.
     """
-    positions = _missing_positions(dataset)
-    cards = [dataset.variables[i].cardinality for _, i in positions]
-    n_completions = math.prod(cards)
+    child_entry = case[ctx.child]
+    parent_entries = [case[p] for p in ctx.parents]
+    ks = (
+        range(ctx.child_cardinality)
+        if child_entry == MISSING
+        else (int(child_entry),)
+    )
+    return [(j, k) for j in _consistent_configs(ctx, parent_entries) for k in ks]
+
+
+def _completions(dataset: Dataset, policy="uniform", phi=None, cap=DEFAULT_CAP,
+                 number=float, columns=None):
+    """Yield (codes, weight) for every completion of the missing entries.
+
+    One code matrix is filled in place and yielded each time, so a caller
+    that keeps a completion must copy it.  A completion's weight is the
+    product over its filled entries of 1/cardinality ("uniform") or of the
+    variable's ``phi`` vector entry ("phi"), as ``number`` (float or
+    Fraction), unnormalized.  Only entries in ``columns`` (default: all)
+    are expanded; the cap applies to the completions of the whole dataset.
+    """
+    rows, cols = np.nonzero(dataset.codes == MISSING)
+    n_completions = math.prod(dataset.variables[col].cardinality for col in cols)
     if n_completions > cap:
         raise OracleError(
             f"{n_completions} completions exceeds the enumeration cap {cap}"
         )
-    if policy == "phi":
+    positions = [
+        (row, col) for row, col in zip(rows.tolist(), cols.tolist())
+        if columns is None or col in columns
+    ]
+    variables = [dataset.variables[col] for _, col in positions]
+    if policy == "uniform":
+        tables = [[number(1) / v.cardinality] * v.cardinality for v in variables]
+    elif policy == "phi":
         if phi is None:
             raise OracleError("policy 'phi' needs per-variable probability vectors")
-        tables = []
-        for (_, i), card in zip(positions, cards):
-            name = dataset.variables[i].name
-            if name not in phi or len(phi[name]) != card:
-                raise OracleError(f"phi vector missing or mis-sized for {name!r}")
-            tables.append([float(p) for p in phi[name]])
-    elif policy == "uniform":
-        tables = [[1.0 / card] * card for card in cards]
+        for v in variables:
+            if v.name not in phi or len(phi[v.name]) != v.cardinality:
+                raise OracleError(f"phi vector missing or mis-sized for {v.name!r}")
+        tables = [[number(float(p)) for p in phi[v.name]] for v in variables]
     else:
         raise OracleError(f"unknown weight policy {policy!r}")
-
-    datasets = []
-    weights = []
-    for assignment in itertools.product(*(range(card) for card in cards)):
-        codes = dataset.codes.copy()
-        weight = 1.0
+    codes = dataset.codes.copy()
+    for assignment in itertools.product(*(range(len(t)) for t in tables)):
+        weight = number(1)
         for (row, col), state, table in zip(positions, assignment, tables):
             codes[row, col] = state
             weight *= table[state]
-        datasets.append(Dataset(dataset.variables, codes))
-        weights.append(weight)
-    total = math.fsum(weights)
-    if total <= 0:
-        raise OracleError("completion weights sum to zero")
-    weights = [w / total for w in weights]
-    return CompletionEnumeration(tuple(datasets), tuple(weights), policy)
+        yield codes, weight
 
 
 def _family_counts(codes: np.ndarray, ctx: ParentContext) -> np.ndarray:
@@ -119,41 +125,15 @@ def exact_expectation(
     family weight every family completion identically, so only family
     columns are expanded (the cap still applies to the full dataset).
     """
-    positions = _missing_positions(dataset)
-    cards = [dataset.variables[i].cardinality for _, i in positions]
-    if math.prod(cards) > cap:
-        raise OracleError(
-            f"{math.prod(cards)} completions exceeds the enumeration cap {cap}"
-        )
-    family = {ctx.child, *ctx.parents}
-    in_family = [(pos, card) for pos, card in zip(positions, cards)
-                 if pos[1] in family]
-
-    if policy == "uniform":
-        tables = [[Fraction(1, card)] * card for _, card in in_family]
-    elif policy == "phi":
-        if phi is None:
-            raise OracleError("policy 'phi' needs per-variable probability vectors")
-        tables = []
-        for (_, col), card in in_family:
-            name = dataset.variables[col].name
-            if name not in phi or len(phi[name]) != card:
-                raise OracleError(f"phi vector missing or mis-sized for {name!r}")
-            tables.append([Fraction(float(p)) for p in phi[name]])
-    else:
-        raise OracleError(f"unknown weight policy {policy!r}")
-
     q, c = ctx.n_configs, ctx.child_cardinality
     alpha = [[Fraction(float(a)) for a in row] for row in prior.child_alpha]
     alpha_sums = [sum(row) for row in alpha]
     mixture = [[Fraction(0)] * c for _ in range(q)]
     total_weight = Fraction(0)
-    codes = dataset.codes.copy()
-    for assignment in itertools.product(*(range(card) for _, card in in_family)):
-        weight = Fraction(1)
-        for ((row, col), _), state, table in zip(in_family, assignment, tables):
-            codes[row, col] = state
-            weight *= table[state]
+    for codes, weight in _completions(
+        dataset, policy, phi, cap, number=Fraction,
+        columns={ctx.child, *ctx.parents},
+    ):
         counts = _family_counts(codes, ctx)
         total_weight += weight
         for j in range(q):
@@ -169,24 +149,19 @@ def exact_expectation(
     return out
 
 
-def _log_marginal_complete(dataset: Dataset, model, alpha: float) -> float:
-    """Closed-form log marginal likelihood of a complete dataset, computed
-    with its own counting loop so it can vouch for the main scorer."""
+def _log_marginal_complete(codes: np.ndarray, model, alpha: float) -> float:
+    """Closed-form log marginal likelihood of a complete code matrix,
+    computed with its own counting loop so it can vouch for the main scorer."""
     total = 0.0
-    cards = tuple(v.cardinality for v in model.variables)
-    for child, parents in enumerate(model.parent_sets):
-        ctx = ParentContext(
-            child=child,
-            parents=tuple(parents),
-            child_cardinality=cards[child],
-            parent_cardinalities=tuple(cards[p] for p in parents),
-        )
-        counts = _family_counts(dataset.codes, ctx)
-        alpha_sum = alpha * cards[child]
+    for child in range(len(model.variables)):
+        ctx = model.context(child)
+        counts = _family_counts(codes, ctx)
+        card = ctx.child_cardinality
+        alpha_sum = alpha * card
         for j in range(ctx.n_configs):
             n_j = int(counts[j].sum())
             total += lgamma(alpha_sum) - lgamma(alpha_sum + n_j)
-            for k in range(cards[child]):
+            for k in range(card):
                 total += lgamma(alpha + int(counts[j, k])) - lgamma(alpha)
     return total
 
@@ -201,11 +176,16 @@ def exact_marginal(
 ) -> float:
     """Completion-weighted mixture of the complete-data marginal likelihood.
 
-    Returned on the probability scale; desk-scale inputs only.
+    Returned on the probability scale; desk-scale inputs only.  The float
+    weights are normalized by their ``math.fsum`` before mixing.
     """
-    enumeration = enumerate_datasets(dataset, policy=policy, phi=phi, cap=cap)
-    terms = [
-        weight * math.exp(_log_marginal_complete(completed, model, alpha))
-        for completed, weight in zip(enumeration.datasets, enumeration.weights)
-    ]
-    return math.fsum(terms)
+    weights, likelihoods = [], []
+    for codes, weight in _completions(dataset, policy, phi, cap):
+        weights.append(weight)
+        likelihoods.append(math.exp(_log_marginal_complete(codes, model, alpha)))
+    total = math.fsum(weights)
+    if total <= 0:
+        raise OracleError("completion weights sum to zero")
+    return math.fsum(
+        weight / total * likelihood for weight, likelihood in zip(weights, likelihoods)
+    )

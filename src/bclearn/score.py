@@ -49,10 +49,9 @@ def log_g_exact(table: CountTable, prior: PriorSpec) -> FamilyScore:
         raise ScoreError("exact score requires complete family data")
     ctx = table.context
     total = 0.0
-    for j in range(ctx.n_configs):
+    for j, obs in enumerate(table.obs_matrix()):
         alpha_row = prior.child_alpha[j]
         alpha_sum = float(alpha_row.sum())
-        obs = table.obs_row(j)
         n_j = int(obs.sum())
         total += lgamma(alpha_sum) - lgamma(alpha_sum + n_j)
         for k in range(ctx.child_cardinality):
@@ -62,15 +61,13 @@ def log_g_exact(table: CountTable, prior: PriorSpec) -> FamilyScore:
     return FamilyScore(ctx.child, ctx.parents, total, exact=True)
 
 
-def log_g_bc(
-    table: CountTable, prior: PriorSpec, phi="mar", parent_phi=None
-) -> FamilyScore:
+def log_g_bc(table: CountTable, prior: PriorSpec, phi="mar") -> FamilyScore:
     """Family score under the moment-matched posterior Dirichlet.
 
     Reduces to the exact score when the family data are complete.
     """
     ctx = table.context
-    est = bc_estimate(table, prior, phi=phi, parent_phi=parent_phi)
+    est = bc_estimate(table, prior, phi=phi)
     total = 0.0
     for j in range(ctx.n_configs):
         alpha_row = prior.child_alpha[j]

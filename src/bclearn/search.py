@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counts import ParentContext
 from .data import Dataset, Variable
 from .score import FamilyScorer, ModelScore, ensure_dag
 
@@ -66,6 +67,17 @@ class Model:
         return [
             (self.variables[p].name, self.variables[c].name) for p, c in self.arcs
         ]
+
+    def context(self, child: int) -> ParentContext:
+        """The family of ``child``; its configuration indices and labels
+        are the rows of ``cpts[child]``."""
+        parents = self.parent_sets[child]
+        return ParentContext(
+            child=child,
+            parents=parents,
+            child_cardinality=self.variables[child].cardinality,
+            parent_cardinalities=tuple(self.variables[p].cardinality for p in parents),
+        )
 
 
 @dataclass(frozen=True)
@@ -219,6 +231,22 @@ def model_from_arcs(variables, arcs) -> Model:
     return Model(variables, tuple(tuple(sorted(ps)) for ps in parent_sets))
 
 
+def score_to_json(variables, score: ModelScore) -> dict:
+    """JSON form of a model score: the total and one entry per family."""
+    return {
+        "total_log_marginal": score.total,
+        "families": [
+            {
+                "child": variables[f.child].name,
+                "parents": [variables[p].name for p in f.parents],
+                "log_g": f.log_g,
+                "exact": f.exact,
+            }
+            for f in score.families
+        ],
+    }
+
+
 def model_to_json(model: Model) -> dict:
     """JSON form: variables, arcs, CPT rows keyed by parent-state labels,
     and the score breakdown when present."""
@@ -229,36 +257,16 @@ def model_to_json(model: Model) -> dict:
         "arcs": [[p, c] for p, c in model.named_arcs()],
     }
     if model.cpts is not None:
-        cards = tuple(v.cardinality for v in model.variables)
         cpts = {}
-        for child, parents in enumerate(model.parent_sets):
-            rows = {}
-            for j in range(model.cpts[child].shape[0]):
-                states = []
-                jj = j
-                for card in reversed([cards[p] for p in parents]):
-                    states.append(jj % card)
-                    jj //= card
-                states.reverse()
-                label = ",".join(
-                    model.variables[p].states[s] for p, s in zip(parents, states)
-                )
-                rows[label] = [float(x) for x in model.cpts[child][j]]
-            cpts[model.variables[child].name] = rows
+        for child, cpt in enumerate(model.cpts):
+            ctx = model.context(child)
+            cpts[model.variables[child].name] = {
+                ctx.config_label(j, model.variables): [float(x) for x in row]
+                for j, row in enumerate(cpt)
+            }
         data["cpts"] = cpts
     if model.score is not None:
-        data["score"] = {
-            "total_log_marginal": model.score.total,
-            "families": [
-                {
-                    "child": model.variables[f.child].name,
-                    "parents": [model.variables[p].name for p in f.parents],
-                    "log_g": f.log_g,
-                    "exact": f.exact,
-                }
-                for f in model.score.families
-            ],
-        }
+        data["score"] = score_to_json(model.variables, model.score)
     return data
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import MISSING, Dataset, Variable
 from .score import ensure_dag
-from .search import Model, model_from_arcs
+from .search import Model, model_from_arcs, model_to_json
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng)"
 
@@ -123,24 +123,21 @@ def spec_from_dict(data: dict) -> GenerativeSpec:
         raise SimulateError(f"malformed generative spec: {exc}") from exc
     skeleton = model_from_arcs(variables, arcs)
 
-    cards = tuple(v.cardinality for v in variables)
     cpts = []
-    for child, parents in enumerate(skeleton.parent_sets):
+    for child in range(len(variables)):
+        ctx = skeleton.context(child)
         name = variables[child].name
         if name not in cpt_rows:
             raise SimulateError(f"spec has no CPT for variable {name!r}")
-        q = 1
-        for p in parents:
-            q *= cards[p]
-        table = np.empty((q, cards[child]))
-        for j in range(q):
-            label = _config_label(variables, parents, cards, j)
+        table = np.empty((ctx.n_configs, ctx.child_cardinality))
+        for j in range(ctx.n_configs):
+            label = ctx.config_label(j, variables)
             if label not in cpt_rows[name]:
                 raise SimulateError(
                     f"CPT of {name!r} is missing configuration {label!r}"
                 )
             row = cpt_rows[name][label]
-            if len(row) != cards[child]:
+            if len(row) != ctx.child_cardinality:
                 raise SimulateError(f"CPT row {name!r}[{label!r}] has wrong length")
             table[j] = row
         cpts.append(table)
@@ -150,37 +147,10 @@ def spec_from_dict(data: dict) -> GenerativeSpec:
     )
 
 
-def _config_label(variables, parents, cards, j) -> str:
-    states = []
-    for card in reversed([cards[p] for p in parents]):
-        states.append(j % card)
-        j //= card
-    states.reverse()
-    return ",".join(
-        variables[p].states[s] for p, s in zip(parents, states)
-    )
-
-
 def spec_to_dict(spec: GenerativeSpec) -> dict:
-    model = spec.model
-    cards = tuple(v.cardinality for v in model.variables)
-    cpts = {}
-    for child, parents in enumerate(model.parent_sets):
-        rows = {}
-        for j in range(model.cpts[child].shape[0]):
-            label = _config_label(model.variables, parents, cards, j)
-            rows[label] = [float(x) for x in model.cpts[child][j]]
-        cpts[model.variables[child].name] = rows
-    return {
-        "name": spec.name,
-        "variables": [
-            {"name": v.name, "states": list(v.states)} for v in model.variables
-        ],
-        "arcs": [[p, c] for p, c in model.named_arcs()],
-        "cpts": cpts,
-        "n": spec.n,
-        "seed": spec.seed,
-    }
+    """JSON form read by ``spec_from_dict``: the model JSON, name, n, seed."""
+    return {"name": spec.name, **model_to_json(spec.model),
+            "n": spec.n, "seed": spec.seed}
 
 
 def load_spec(path) -> GenerativeSpec:

@@ -5,6 +5,7 @@ the lines on success; tolerances are fixed here and nowhere else.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from bclearn import (
     PriorSpec,
     bc_estimate,
     builtin_spec,
-    collapse,
     delete_entries,
     enumerate_models,
     exact_expectation,
@@ -26,10 +26,10 @@ from bclearn import (
     log_g_exact,
     log_marginal,
     marginals,
-    phi_mar,
     sample,
     tally,
 )
+from bclearn.estimate import _FamilyInts, _phi_int_rows
 from bclearn.search import Model
 from helpers import five_case_db, make_dataset, punch_holes, random_complete
 
@@ -55,7 +55,7 @@ def test_c01_completion_count_golden_vector():
     db = five_case_db()
     ctx = ParentContext.for_dataset(db, 2, (0, 1))
     t = tally(db, ctx)
-    flat = [t.comp(j, k) for k in (0, 1) for j in range(4)]
+    flat = t.comp_matrix().T.ravel().tolist()
     ok = flat == [2, 2, 2, 2, 2, 1, 1, 0]
     best = min(
         _timed(lambda: tally(db, ctx)) for _ in range(5)
@@ -82,7 +82,7 @@ def test_c02_complete_data_exactness():
         exact = log_g_exact(table, prior).log_g
         rel = abs(bc - exact) / max(1.0, abs(exact))
         worst_rel = max(worst_rel, rel)
-        p_hat = collapse(table, prior, phi_mar(table, prior))
+        p_hat = bc_estimate(table, prior).p_hat
         for j in range(ctx.n_configs):
             obs = [0] * ctx.child_cardinality
             for row in db.codes:
@@ -160,9 +160,8 @@ def test_c04_bound_containment():
             phi = CompletionDistribution(
                 rng.dirichlet(np.ones(ctx.child_cardinality),
                               size=ctx.n_configs),
-                source="user",
             )
-            p_hat = collapse(table, prior, phi)
+            p_hat = bc_estimate(table, prior, phi).p_hat
             if not ((p_hat >= est.p_min).all() and (p_hat <= est.p_max).all()):
                 violations += 1
     elapsed = time.perf_counter() - start
@@ -217,15 +216,21 @@ def test_c06_child_only_missingness_reduction():
         )
         table = tally(db, ctx)
         prior = PriorSpec.uniform(ctx)
-        phi = phi_mar(table, prior)
-        p_hat = collapse(table, prior, phi)
-        for j in range(ctx.n_configs):
-            comp = table.comp_row(j)
-            assert len(set(comp.tolist())) == 1
-            pooled = (1.0 + table.obs_row(j) + phi.phi[j] * int(comp[0])) / (
-                ctx.child_cardinality + table.obs_row(j).sum() + int(comp[0])
-            )
-            worst = max(worst, float(np.abs(p_hat[j] - pooled).max()))
+        phi = [
+            [Fraction(n, den) for n in nums]
+            for nums, den in _phi_int_rows(_FamilyInts(table, prior), "mar")
+        ]
+        p_hat = bc_estimate(table, prior).p_hat
+        for j, (obs, comp) in enumerate(
+            zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())
+        ):
+            assert len(set(comp)) == 1
+            pooled = [
+                (1 + o + p * comp[0]) / (ctx.child_cardinality + sum(obs) + comp[0])
+                for o, p in zip(obs, phi[j])
+            ]
+            gap = np.abs(p_hat[j] - [float(v) for v in pooled]).max()
+            worst = max(worst, float(gap))
     report("c06 child-only reduction", worst <= 1e-12, f"worst abs {worst:.2e}")
 
 

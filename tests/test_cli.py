@@ -4,9 +4,9 @@ import re
 import jsonschema
 import pytest
 
-from bclearn import schemas
 from bclearn.cli import main
 from helpers import FIVE_CASE_CSV
+import schemas
 
 
 def run(argv):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,17 +11,14 @@ from bclearn import (
     ParentContext,
     PriorSpec,
     bc_estimate,
-    bounds,
-    collapse,
-    phi_mar,
-    phi_uniform,
-    precision,
     tally,
 )
 from bclearn.estimate import (
     _collapse_ints,
+    _FamilyInts,
     _integer_grid,
     _normalized_int_row,
+    _phi_int_rows,
     phi_from_rows,
 )
 from helpers import make_dataset, punch_holes, random_complete
@@ -30,6 +28,15 @@ def family(db, child, parents):
     ctx = ParentContext.for_dataset(db, child, parents)
     table = tally(db, ctx)
     return ctx, table, PriorSpec.uniform(ctx)
+
+
+def phi_rows(table, prior, policy):
+    """The phi rows bc_estimate mixes with, as exact Fractions."""
+    ints = _FamilyInts(table, prior)
+    return [
+        [Fraction(n, den) for n in nums]
+        for nums, den in _phi_int_rows(ints, policy)
+    ]
 
 
 def random_family(rng, dataset):
@@ -46,41 +53,35 @@ class TestPhi:
     def test_mar_binary_counts(self):
         db = make_dataset((2,), [[0], [0], [0], [1]])
         _, table, prior = family(db, 0, ())
-        phi = phi_mar(table, prior)
-        assert phi.phi[0].tolist() == [4 / 6, 2 / 6]
-        assert phi.source == "mar"
+        assert phi_rows(table, prior, "mar")[0] == [Fraction(4, 6), Fraction(2, 6)]
 
     def test_mar_without_observations_is_prior_mean(self):
         db = make_dataset((3,), [[MISSING]] * 5)
         _, table, prior = family(db, 0, ())
-        phi = phi_mar(table, prior)
-        assert phi.phi[0].tolist() == [1 / 3, 1 / 3, 1 / 3]
+        assert phi_rows(table, prior, "mar")[0] == [Fraction(1, 3)] * 3
 
     def test_mar_worked_example_config(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
-        phi = phi_mar(table, prior)
-        assert phi.phi[1].tolist() == [1 / 3, 2 / 3]  # configuration (1, 2)
+        phi = phi_rows(table, prior, "mar")
+        assert phi[1] == [Fraction(1, 3), Fraction(2, 3)]  # configuration (1, 2)
 
     @pytest.mark.parametrize("card", [2, 3, 4])
     def test_uniform(self, card):
-        ctx = ParentContext(0, (1,), card, (2,))
-        phi = phi_uniform(ctx)
-        assert phi.phi.shape == (2, card)
-        assert np.allclose(phi.phi, 1.0 / card)
-        np.testing.assert_array_equal(phi.phi, np.full((2, card), 1.0 / card))
+        db = make_dataset((card, 2), [[MISSING, 0], [0, 1]])
+        _, table, prior = family(db, 0, (1,))
+        assert phi_rows(table, prior, "uniform") == [[Fraction(1, card)] * card] * 2
 
     def test_rows_must_be_distributions(self):
         with pytest.raises(EstimateError):
-            CompletionDistribution(np.array([[0.7, 0.2]]), source="user")
+            CompletionDistribution(np.array([[0.7, 0.2]]))
         with pytest.raises(EstimateError):
-            CompletionDistribution(np.array([[1.2, -0.2]]), source="user")
+            CompletionDistribution(np.array([[1.2, -0.2]]))
 
     def test_user_table_by_config_label(self, worked_db):
         ctx, table, prior = family(worked_db, 2, (0, 1))
         rows = {"1,1": [0.9, 0.1], "1,2": [0.5, 0.5],
                 "2,1": [0.5, 0.5], "2,2": [0.2, 0.8]}
         phi = phi_from_rows(ctx, rows, variables=worked_db.variables)
-        assert phi.source == "user"
         assert phi.phi[0].tolist() == [0.9, 0.1]
         with pytest.raises(EstimateError, match="missing configuration"):
             phi_from_rows(ctx, {"1,1": [1.0, 0.0]}, variables=worked_db.variables)
@@ -92,10 +93,10 @@ class TestPhi:
 class TestBounds:
     def test_worked_example_first_config(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
-        b = bounds(table, prior)
-        # configuration (1,1): no observations, completions (2, 2)
+        b = bc_estimate(table, prior)
+        # configuration (1,1): no observations, completions (2, 2); the
+        # lower extreme gives rival state 2 its completions
         assert b.p_max[0, 0] == 0.75
-        assert b.p_lmin[0, 1, 0] == 0.25  # rival state 2 takes its completions
         assert b.p_min[0, 0] == 0.25
 
     def test_complete_data_collapses_to_posterior_mean(self):
@@ -103,19 +104,17 @@ class TestBounds:
         for _ in range(10):
             db = random_complete(rng, max_vars=3, max_cases=30)
             ctx, table, prior = random_family(rng, db)
-            b = bounds(table, prior)
-            for j in range(ctx.n_configs):
-                row = table.obs_row(j)
+            b = bc_estimate(table, prior)
+            for j, row in enumerate(table.obs_matrix()):
                 mean = (1.0 + row) / (ctx.child_cardinality + row.sum())
                 np.testing.assert_array_equal(b.p_max[j], mean)
-                for l in range(ctx.child_cardinality):
-                    np.testing.assert_array_equal(b.p_lmin[j, l], mean)
+                np.testing.assert_array_equal(b.p_min[j], mean)
 
     def test_totally_missing_column(self):
         m = 5
         db = make_dataset((2,), [[MISSING]] * m)
         _, table, prior = family(db, 0, ())
-        b = bounds(table, prior)
+        b = bc_estimate(table, prior)
         assert b.p_max[0].tolist() == [(1 + m) / (2 + m)] * 2
         assert b.p_min[0].tolist() == [1 / (2 + m)] * 2
 
@@ -127,8 +126,25 @@ class TestBounds:
                 continue
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
             ctx, table, prior = random_family(rng, db)
-            b = bounds(table, prior)
-            assert (b.p_max[:, None, :] >= b.p_lmin).all()
+            b = bc_estimate(table, prior)
+            assert (b.p_max >= b.p_min).all()
+
+    def test_lower_endpoint_is_the_bc_extreme_not_the_infimum(self):
+        """Binary parent, ternary child, cases (?, 3) and (?, 1).  For child
+        state 2, completing both cases to one configuration gives the
+        posterior mean 1/5 there, below p_min = 1/4; p_max is the supremum."""
+        db = make_dataset((2, 3), [[MISSING, 2], [MISSING, 0]])
+        _, table, prior = family(db, 1, (0,))
+        b = bc_estimate(table, prior)
+        means = []
+        for j0, j1 in itertools.product(range(2), repeat=2):
+            counts = np.zeros((2, 3))
+            counts[j0, 2] += 1
+            counts[j1, 0] += 1
+            means.append((1 + counts) / (3 + counts.sum(axis=1, keepdims=True)))
+        assert np.min(means, axis=0)[:, 1].tolist() == [0.2, 0.2]
+        assert b.p_min[:, 1].tolist() == [0.25, 0.25]
+        np.testing.assert_array_equal(b.p_max[:, 1], np.max(means, axis=0)[:, 1])
 
 
 def collapse_by_product(a, nstar, b, phi_num, phi_den):
@@ -193,19 +209,19 @@ class TestCollapse:
     def test_complete_data_equals_posterior_mean_exactly(self):
         db = make_dataset((2,), [[0], [0], [0], [1]])
         _, table, prior = family(db, 0, ())
-        p_hat = collapse(table, prior, phi_mar(table, prior))
+        p_hat = bc_estimate(table, prior).p_hat
         assert p_hat[0].tolist() == [(1 + 3) / (2 + 4), (1 + 1) / (2 + 4)]
 
     def test_totally_missing_column_keeps_prior_mean(self):
         for card in (2, 3):
             db = make_dataset((card,), [[MISSING]] * 7)
             _, table, prior = family(db, 0, ())
-            p_hat = collapse(table, prior, phi_mar(table, prior))
+            p_hat = bc_estimate(table, prior).p_hat
             assert p_hat[0].tolist() == [1.0 / card] * card
 
     def test_worked_example_mixes_to_half(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
-        p_hat = collapse(table, prior, phi_mar(table, prior))
+        p_hat = bc_estimate(table, prior).p_hat
         assert p_hat[0, 0] == 0.5  # 0.5 * 1/4 + 0.5 * 3/4
         assert p_hat[1].tolist() == [float(Fraction(11, 30)), float(Fraction(19, 30))]
         assert p_hat[2].tolist() == [float(Fraction(13, 24)), float(Fraction(11, 24))]
@@ -219,15 +235,13 @@ class TestCollapse:
                 continue
             db = punch_holes(rng, db, int(rng.integers(1, db.codes.size + 1)))
             ctx, table, prior = random_family(rng, db)
-            b = bounds(table, prior)
             for _ in range(25):
                 raw = rng.dirichlet(np.ones(ctx.child_cardinality),
                                     size=ctx.n_configs)
-                phi = CompletionDistribution(raw, source="user")
-                p_hat = collapse(table, prior, phi)
-                assert np.abs(p_hat.sum(axis=1) - 1.0).max() <= 1e-12
-                assert (p_hat >= b.p_min).all()
-                assert (p_hat <= b.p_max).all()
+                b = bc_estimate(table, prior, CompletionDistribution(raw))
+                assert np.abs(b.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
+                assert (b.p_hat >= b.p_min).all()
+                assert (b.p_hat <= b.p_max).all()
 
     def test_child_only_missingness_pools_completions(self):
         """With equal completion counts across states the collapse equals
@@ -247,17 +261,18 @@ class TestCollapse:
             ctx, table, prior = family(
                 db, child, tuple(i for i in range(db.n_variables) if i != child)
             )
-            phi = phi_mar(table, prior)
-            p_hat = collapse(table, prior, phi)
-            for j in range(ctx.n_configs):
-                comp = table.comp_row(j)
-                assert len(set(comp.tolist())) == 1
-                n_star = int(comp[0])
-                obs = table.obs_row(j)
-                pooled = (1.0 + obs + phi.phi[j] * n_star) / (
-                    ctx.child_cardinality + obs.sum() + n_star
-                )
-                assert np.abs(p_hat[j] - pooled).max() <= 1e-12
+            phi = phi_rows(table, prior, "mar")
+            p_hat = bc_estimate(table, prior).p_hat
+            for j, (obs, comp) in enumerate(
+                zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())
+            ):
+                assert len(set(comp)) == 1
+                n_star = comp[0]
+                pooled = [
+                    (1 + o + p * n_star) / (ctx.child_cardinality + sum(obs) + n_star)
+                    for o, p in zip(obs, phi[j])
+                ]
+                assert p_hat[j].tolist() == [float(v) for v in pooled]
 
 
 class TestPrecision:
@@ -265,7 +280,7 @@ class TestPrecision:
         rng = np.random.default_rng(12)
         db = random_complete(rng, max_vars=3, max_cases=25)
         ctx, table, prior = random_family(rng, db)
-        alpha_hat = precision(table, prior)
+        alpha_hat = bc_estimate(table, prior).alpha_hat
         expected = ctx.child_cardinality + table.parent_obs_vector()
         np.testing.assert_array_equal(alpha_hat, expected.astype(float))
 
@@ -275,12 +290,12 @@ class TestPrecision:
         rows = [[k % 2, MISSING, MISSING] for k in range(8)]
         db = make_dataset((2, 2, 2), rows)
         _, table, prior = family(db, 0, (1, 2))
-        alpha_hat = precision(table, prior)
+        alpha_hat = bc_estimate(table, prior).alpha_hat
         np.testing.assert_array_equal(alpha_hat, np.full(4, 4.0))
 
     def test_worked_example_total(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
-        alpha_hat = precision(table, prior)
+        alpha_hat = bc_estimate(table, prior).alpha_hat
         expected = [
             float(Fraction(199, 70)),
             float(Fraction(159, 35)),
@@ -298,7 +313,7 @@ class TestPrecision:
                 continue
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
             ctx, table, prior = random_family(rng, db)
-            alpha_hat = precision(table, prior)
+            alpha_hat = bc_estimate(table, prior).alpha_hat
             total_prior = float(prior.child_alpha.sum())
             assert alpha_hat.sum() == pytest.approx(
                 total_prior + db.n_cases, rel=1e-12, abs=1e-9
@@ -308,7 +323,7 @@ class TestPrecision:
     def test_empty_parent_set_absorbs_all_cases(self):
         db = make_dataset((2, 2), [[0, MISSING], [MISSING, 0], [1, 1]])
         _, table, prior = family(db, 0, ())
-        assert precision(table, prior).tolist() == [2.0 + 3.0]
+        assert bc_estimate(table, prior).alpha_hat.tolist() == [2.0 + 3.0]
 
 
 class TestBcEstimate:
@@ -353,7 +368,7 @@ class TestBcEstimate:
                     tuple(v.cardinality for v in db.variables), codes
                 )
                 ctx, table, prior = family(step, child, parents)
-                b = bounds(table, prior)
+                b = bc_estimate(table, prior)
                 width = b.p_max - b.p_min
                 if n_holes == 0:
                     assert np.abs(width).max() == 0.0

@@ -8,14 +8,14 @@ from bclearn import (
     OracleError,
     ParentContext,
     PriorSpec,
-    bounds,
-    enumerate_datasets,
+    bc_estimate,
     exact_expectation,
     exact_marginal,
     log_marginal,
     model_from_arcs,
     tally,
 )
+from bclearn.oracle import _completions
 from helpers import make_dataset, random_incomplete
 
 
@@ -24,56 +24,60 @@ def family(db, child, parents):
     return ctx, PriorSpec.uniform(ctx)
 
 
+def completions(db, **kwargs):
+    """Every completion as (copied code matrix, weight)."""
+    return [(codes.copy(), w) for codes, w in _completions(db, **kwargs)]
+
+
 class TestEnumerateDatasets:
+    """The completion stream shared by exact_expectation and exact_marginal."""
+
     def test_complete_dataset_is_its_own_completion(self):
         db = make_dataset((2, 2), [[0, 1], [1, 0]])
-        enum = enumerate_datasets(db)
-        assert len(enum.datasets) == 1
-        assert enum.weights == (1.0,)
-        assert enum.datasets[0] == db
+        [(codes, weight)] = completions(db)
+        assert weight == 1.0
+        np.testing.assert_array_equal(codes, db.codes)
 
     def test_single_missing_binary_entry(self):
         db = make_dataset((2,), [[MISSING], [0]])
-        enum = enumerate_datasets(db)
-        assert len(enum.datasets) == 2
-        assert enum.weights == (0.5, 0.5)
-        filled = {d.codes[0, 0] for d in enum.datasets}
-        assert filled == {0, 1}
-        for d in enum.datasets:
-            assert d.codes[1, 0] == 0  # observed entries preserved
+        enum = completions(db)
+        assert [w for _, w in enum] == [0.5, 0.5]
+        assert {codes[0, 0] for codes, _ in enum} == {0, 1}
+        for codes, _ in enum:
+            assert codes[1, 0] == 0  # observed entries preserved
 
     def test_worked_example_has_sixty_four(self, worked_db):
-        enum = enumerate_datasets(worked_db)
-        assert len(enum.datasets) == 64
-        assert len({d.codes.tobytes() for d in enum.datasets}) == 64
-        assert math.fsum(enum.weights) == pytest.approx(1.0, abs=1e-15)
+        enum = completions(worked_db)
+        assert len(enum) == 64
+        assert len({codes.tobytes() for codes, _ in enum}) == 64
+        assert (np.stack([codes for codes, _ in enum]) != MISSING).all()
+        assert math.fsum(w for _, w in enum) == pytest.approx(1.0, abs=1e-15)
 
     def test_cap_is_enforced(self, worked_db):
         with pytest.raises(OracleError, match="cap"):
-            enumerate_datasets(worked_db, cap=63)
+            completions(worked_db, cap=63)
 
     def test_phi_policy_weights_are_products(self):
         db = make_dataset((2,), [[MISSING], [MISSING]])
-        enum = enumerate_datasets(db, policy="phi", phi={"X1": [0.8, 0.2]})
-        weight_by_fill = {
-            tuple(d.codes[:, 0].tolist()): w
-            for d, w in zip(enum.datasets, enum.weights)
-        }
+        enum = completions(db, policy="phi", phi={"X1": [0.8, 0.2]})
+        weight_by_fill = {tuple(codes[:, 0].tolist()): w for codes, w in enum}
         assert weight_by_fill[(0, 0)] == pytest.approx(0.64)
         assert weight_by_fill[(0, 1)] == pytest.approx(0.16)
         assert weight_by_fill[(1, 1)] == pytest.approx(0.04)
+        with pytest.raises(OracleError, match="mis-sized"):
+            completions(db, policy="phi", phi={"X1": [1.0]})
 
     def test_uniform_equals_uniform_phi(self, worked_db):
-        uniform = enumerate_datasets(worked_db)
-        via_phi = enumerate_datasets(
+        uniform = completions(worked_db)
+        via_phi = completions(
             worked_db,
             policy="phi",
             phi={name: [0.5, 0.5] for name in ("X1", "X2", "X3")},
         )
-        assert uniform.weights == pytest.approx(via_phi.weights, abs=1e-15)
-        assert [d.codes.tobytes() for d in uniform.datasets] == [
-            d.codes.tobytes() for d in via_phi.datasets
-        ]
+        assert [w for _, w in uniform] == pytest.approx(
+            [w for _, w in via_phi], abs=1e-15
+        )
+        assert [c.tobytes() for c, _ in uniform] == [c.tobytes() for c, _ in via_phi]
 
 
 class TestExactExpectation:
@@ -108,7 +112,7 @@ class TestExactExpectation:
             parents = tuple(i for i in range(db.n_variables) if i != child)
             ctx, prior = family(db, child, parents)
             table = tally(db, ctx)
-            b = bounds(table, prior)
+            b = bc_estimate(table, prior)
             exact = exact_expectation(db, ctx, prior)
             assert (exact >= b.p_min).all()
             assert (exact <= b.p_max).all()

@@ -173,7 +173,7 @@ class TestBuiltinSpecs:
 
         import jsonschema
 
-        from bclearn.schemas import GENERATIVE_SPEC_SCHEMA
+        from schemas import GENERATIVE_SPEC_SCHEMA
 
         for name in ("m1", "m2", "m3", "m4"):
             text = (
