@@ -12,6 +12,14 @@ pattern's rows across its states.  Pattern expansion is bounded by the
 family's joint cardinality, so the cost is essentially independent of how
 many entries are missing.  Counts are dense int64 arrays over all q parent
 configurations.
+
+A case's pattern code packs its family entries as mixed-radix digits
+entry + 1 (missing is digit 0) over the prod(card + 1) possible patterns.
+It is built in place from the dataset's contiguous int16 columns, in the
+narrowest of int16/int32/int64 that holds that product, with the +1 of
+every digit added once as a single constant.  Distinct codes are counted
+with one ``np.bincount``, whose table has a slot for every code up to the
+largest one present.
 """
 
 from __future__ import annotations
@@ -141,7 +149,7 @@ def _parent_strides(ctx: ParentContext) -> list[int]:
     return strides
 
 
-_CODE_LIMIT = np.iinfo(np.int64).max
+_CODE_TYPES = (np.int16, np.int32, np.int64)
 
 
 def _bincount(index, weights, length: int) -> np.ndarray:
@@ -150,25 +158,34 @@ def _bincount(index, weights, length: int) -> np.ndarray:
     return np.bincount(index, weights=weights, minlength=length).astype(np.int64)
 
 
-def tally(dataset: Dataset, ctx: ParentContext) -> CountTable:
-    """Count observed cases and possible completions for one family."""
-    family = (ctx.child,) + ctx.parents
+def _pattern_codes(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
+    """Each case's family pattern code, in the narrowest integer type that
+    holds all prod(card + 1) of them."""
     cards = (ctx.child_cardinality,) + ctx.parent_cardinalities
-    q, c = ctx.n_configs, ctx.child_cardinality
     size = math.prod(card + 1 for card in cards)
-    if size > _CODE_LIMIT:
+    code_type = next((t for t in _CODE_TYPES if size <= np.iinfo(t).max), None)
+    if code_type is None:
         raise ValueError(
             f"the family of {dataset.variables[ctx.child].name} has {size} "
             "entry patterns, more than a 64-bit code can index"
         )
+    # Horner over the raw columns; ``offset`` is the +1 of every digit,
+    # added once at the end.
+    codes = dataset.codes[:, ctx.child].astype(code_type)
+    offset = 1
+    for p, card in zip(ctx.parents, ctx.parent_cardinalities):
+        codes *= card + 1
+        codes += dataset.codes[:, p]
+        offset = offset * (card + 1) + 1
+    codes += offset
+    return codes
 
-    # Encode each case's family columns into one integer; missing maps to
-    # digit 0 so every pattern, complete or not, gets a code.
-    sub = dataset.codes[:, family].astype(np.int64)
-    codes = np.zeros(dataset.n_cases, dtype=np.int64)
-    for col, card in zip(sub.T, cards):
-        codes = codes * (card + 1) + (col + 1)
-    multiplicity = np.bincount(codes, minlength=size)
+
+def tally(dataset: Dataset, ctx: ParentContext) -> CountTable:
+    """Count observed cases and possible completions for one family."""
+    cards = (ctx.child_cardinality,) + ctx.parent_cardinalities
+    q, c = ctx.n_configs, ctx.child_cardinality
+    multiplicity = np.bincount(_pattern_codes(dataset, ctx))
     patterns = np.flatnonzero(multiplicity)
     m = multiplicity[patterns]
 

@@ -2,7 +2,9 @@
 
 A dataset is a rectangular table of state indices over a fixed list of
 variables.  Missing entries are stored as the sentinel ``MISSING`` (-1),
-never as a separate mask, so a row is always a plain integer vector.
+never as a separate mask.  The table is int16 and column-major, so each
+variable's entries are one contiguous vector: counting reads whole
+columns, never a strided gather.
 
 State universes are inferred from a CSV column as the lexicographically
 sorted set of distinct observed values.  An optional JSON schema sidecar
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,16 +50,13 @@ class Variable:
     def cardinality(self) -> int:
         return len(self.states)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.states.index(label)
-        except ValueError:
-            raise DataError(f"{label!r} is not a state of {self.name!r}") from None
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable n-by-I table of state indices, MISSING marking holes."""
+    """Immutable n-by-I table of state indices, MISSING marking holes.
+
+    ``codes`` is a read-only int16 copy in column-major (Fortran) order.
+    """
 
     variables: tuple[Variable, ...]
     codes: np.ndarray = field(repr=False)
@@ -66,7 +66,7 @@ class Dataset:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise DataError("duplicate variable names")
-        codes = np.asarray(self.codes, dtype=np.int16)
+        codes = np.array(self.codes, dtype=np.int16, order="F")
         if codes.ndim != 2 or codes.shape[1] != len(self.variables):
             raise DataError(
                 f"case array must be n x {len(self.variables)}, got {codes.shape}"
@@ -76,7 +76,6 @@ class Dataset:
             bad = (col != MISSING) & ((col < 0) | (col >= v.cardinality))
             if bad.any():
                 raise DataError(f"out-of-range state index in column {v.name!r}")
-        codes = codes.copy()
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
 
@@ -142,6 +141,10 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     cannot be inferred.  A header-only file is a valid empty dataset:
     columns not covered by a schema default to a binary ("1", "2")
     universe, there being no cells to contradict it.
+
+    Every cell is mapped once to its rank among all distinct labels of the
+    file; each column is then translated from label ranks to state indices
+    with a small lookup table.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -158,13 +161,24 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
 
+    # Sorted labels keep each column's observed states in sorted order.
+    labels = sorted(set(chain.from_iterable(body)) | {missing_token})
+    index = {label: t for t, label in enumerate(labels)}
+    ids = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(body)),
+        dtype=np.int32,
+        count=len(body) * len(header),
+    ).reshape(len(body), len(header))
+    del rows, body
+
     variables = []
     for i, name in enumerate(header):
         if schema is not None and name in schema:
             states = [str(s) for s in schema[name]]
         else:
-            observed = sorted({row[i] for row in body if row[i] != missing_token})
-            if not observed and body:
+            present = np.flatnonzero(np.bincount(ids[:, i], minlength=len(labels)))
+            observed = [labels[t] for t in present if t != index[missing_token]]
+            if not observed and len(ids):
                 raise DataError(
                     f"{path}: column {name!r} has uninferable cardinality "
                     "(all values missing and no schema supplied)"
@@ -172,26 +186,33 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
             states = observed if observed else ["1", "2"]
         variables.append(Variable(name, tuple(states)))
 
-    codes = np.full((len(body), len(header)), MISSING, dtype=np.int16)
-    for r, row in enumerate(body):
-        for i, cell in enumerate(row):
-            if cell != missing_token:
-                codes[r, i] = variables[i].index_of(cell)
+    unknown = MISSING - 1
+    codes = np.empty(ids.shape, dtype=np.int16, order="F")
+    for i, v in enumerate(variables):
+        lookup = np.full(len(labels), unknown, dtype=np.int16)
+        for state, label in enumerate(v.states):
+            if label in index:
+                lookup[index[label]] = state
+        lookup[index[missing_token]] = MISSING
+        codes[:, i] = lookup[ids[:, i]]
+    bad = np.argwhere(codes == unknown)
+    if len(bad):
+        r, i = bad[0]
+        raise DataError(f"{labels[ids[r, i]]!r} is not a state of {header[i]!r}")
     return Dataset(tuple(variables), codes)
 
 
 def save_csv(dataset: Dataset, path, missing_token: str = "?") -> None:
     """Write a dataset back to CSV using the variables' state labels."""
+    # MISSING (-1) picks the token appended after each variable's states.
+    columns = [
+        np.array(v.states + (missing_token,), dtype=object)[dataset.codes[:, i]]
+        for i, v in enumerate(dataset.variables)
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([v.name for v in dataset.variables])
-        for row in dataset.codes:
-            writer.writerow(
-                [
-                    missing_token if code == MISSING else dataset.variables[i].states[code]
-                    for i, code in enumerate(row)
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 def save_schema(dataset: Dataset, path) -> None:

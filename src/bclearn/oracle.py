@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from math import lgamma
 
 import numpy as np
 
@@ -58,14 +57,14 @@ def enumerate_completions(case, ctx: ParentContext) -> list[tuple[int, int]]:
 
 
 def _completions(dataset: Dataset, policy="uniform", phi=None, cap=DEFAULT_CAP,
-                 number=float, columns=None):
+                 columns=None):
     """Yield (codes, weight) for every completion of the missing entries.
 
     One code matrix is filled in place and yielded each time, so a caller
     that keeps a completion must copy it.  A completion's weight is the
     product over its filled entries of 1/cardinality ("uniform") or of the
-    variable's ``phi`` vector entry ("phi"), as ``number`` (float or
-    Fraction), unnormalized.  Only entries in ``columns`` (default: all)
+    variable's ``phi`` vector entry ("phi"), as an exact Fraction,
+    unnormalized.  Only entries in ``columns`` (default: all)
     are expanded; the cap applies to the completions of the whole dataset.
     """
     rows, cols = np.nonzero(dataset.codes == MISSING)
@@ -80,19 +79,19 @@ def _completions(dataset: Dataset, policy="uniform", phi=None, cap=DEFAULT_CAP,
     ]
     variables = [dataset.variables[col] for _, col in positions]
     if policy == "uniform":
-        tables = [[number(1) / v.cardinality] * v.cardinality for v in variables]
+        tables = [[Fraction(1, v.cardinality)] * v.cardinality for v in variables]
     elif policy == "phi":
         if phi is None:
             raise OracleError("policy 'phi' needs per-variable probability vectors")
         for v in variables:
             if v.name not in phi or len(phi[v.name]) != v.cardinality:
                 raise OracleError(f"phi vector missing or mis-sized for {v.name!r}")
-        tables = [[number(float(p)) for p in phi[v.name]] for v in variables]
+        tables = [[Fraction(float(p)) for p in phi[v.name]] for v in variables]
     else:
         raise OracleError(f"unknown weight policy {policy!r}")
     codes = dataset.codes.copy()
     for assignment in itertools.product(*(range(len(t)) for t in tables)):
-        weight = number(1)
+        weight = Fraction(1)
         for (row, col), state, table in zip(positions, assignment, tables):
             codes[row, col] = state
             weight *= table[state]
@@ -131,8 +130,7 @@ def exact_expectation(
     mixture = [[Fraction(0)] * c for _ in range(q)]
     total_weight = Fraction(0)
     for codes, weight in _completions(
-        dataset, policy, phi, cap, number=Fraction,
-        columns={ctx.child, *ctx.parents},
+        dataset, policy, phi, cap, columns={ctx.child, *ctx.parents},
     ):
         counts = _family_counts(codes, ctx)
         total_weight += weight
@@ -149,21 +147,29 @@ def exact_expectation(
     return out
 
 
-def _log_marginal_complete(codes: np.ndarray, model, alpha: float) -> float:
-    """Closed-form log marginal likelihood of a complete code matrix,
-    computed with its own counting loop so it can vouch for the main scorer."""
-    total = 0.0
+def _rising(a: int, b: int, n: int) -> int:
+    """b**n Gamma(x + n) / Gamma(x) for x = a/b and a natural n:
+    a (a + b) ... (a + (n - 1) b)."""
+    return math.prod(range(a, a + n * b, b))
+
+
+def _marginal_complete(codes: np.ndarray, model, a: int, b: int) -> Fraction:
+    """Closed-form marginal likelihood of a complete code matrix as an exact
+    rational under alpha = a/b, every Gamma ratio being a rising factorial;
+    computed with its own counting loop so it can vouch for the main scorer.
+
+    A configuration row's b**n factors cancel between its child states and
+    its total, so the likelihood is one ratio of integer products.
+    """
+    numerator = denominator = 1
     for child in range(len(model.variables)):
         ctx = model.context(child)
-        counts = _family_counts(codes, ctx)
-        card = ctx.child_cardinality
-        alpha_sum = alpha * card
-        for j in range(ctx.n_configs):
-            n_j = int(counts[j].sum())
-            total += lgamma(alpha_sum) - lgamma(alpha_sum + n_j)
-            for k in range(card):
-                total += lgamma(alpha + int(counts[j, k])) - lgamma(alpha)
-    return total
+        a_sum = a * ctx.child_cardinality
+        for row in _family_counts(codes, ctx).tolist():
+            denominator *= _rising(a_sum, b, sum(row))
+            for n in row:
+                numerator *= _rising(a, b, n)
+    return Fraction(numerator, denominator)
 
 
 def exact_marginal(
@@ -176,16 +182,14 @@ def exact_marginal(
 ) -> float:
     """Completion-weighted mixture of the complete-data marginal likelihood.
 
-    Returned on the probability scale; desk-scale inputs only.  The float
-    weights are normalized by their ``math.fsum`` before mixing.
+    Returned on the probability scale; desk-scale inputs only.  Weights and
+    likelihoods are exact rationals, so the mixture is rounded once.
     """
-    weights, likelihoods = [], []
+    a, b = Fraction(alpha).as_integer_ratio()
+    total_weight = mixture = Fraction(0)
     for codes, weight in _completions(dataset, policy, phi, cap):
-        weights.append(weight)
-        likelihoods.append(math.exp(_log_marginal_complete(codes, model, alpha)))
-    total = math.fsum(weights)
-    if total <= 0:
+        total_weight += weight
+        mixture += weight * _marginal_complete(codes, model, a, b)
+    if total_weight <= 0:
         raise OracleError("completion weights sum to zero")
-    return math.fsum(
-        weight / total * likelihood for weight, likelihood in zip(weights, likelihoods)
-    )
+    return float(mixture / total_weight)

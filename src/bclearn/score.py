@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lgamma
 
+import numpy as np
+
 from .counts import CountTable, ParentContext, tally
 from .data import Dataset
-from .estimate import PriorSpec, bc_estimate
+from .estimate import BcCellEstimate, PriorSpec, bc_estimate
 
 
 class ScoreError(ValueError):
@@ -61,13 +63,13 @@ def log_g_exact(table: CountTable, prior: PriorSpec) -> FamilyScore:
     return FamilyScore(ctx.child, ctx.parents, total, exact=True)
 
 
-def log_g_bc(table: CountTable, prior: PriorSpec, phi="mar") -> FamilyScore:
-    """Family score under the moment-matched posterior Dirichlet.
+def log_g_bc(table: CountTable, prior: PriorSpec, est: BcCellEstimate) -> FamilyScore:
+    """Family score under the moment-matched posterior Dirichlet of ``est``,
+    the family's ``bc_estimate`` from ``table`` and ``prior``.
 
     Reduces to the exact score when the family data are complete.
     """
     ctx = table.context
-    est = bc_estimate(table, prior, phi=phi)
     total = 0.0
     for j in range(ctx.n_configs):
         alpha_row = prior.child_alpha[j]
@@ -96,7 +98,8 @@ def ensure_dag(parent_sets) -> list[int]:
 
 class FamilyScorer:
     """Scores (child, parent set) families over one dataset, with a memo
-    cache keyed by the sorted parent set so identical queries are free."""
+    cache keyed by the sorted parent set so identical queries are free.
+    Each family's CPT point estimate is memoised with its score."""
 
     def __init__(
         self,
@@ -111,31 +114,31 @@ class FamilyScorer:
         self.alpha = alpha
         self.beta = beta
         self.phi_policy = phi_policy
-        self._cache: dict[tuple[int, tuple[int, ...]], FamilyScore] = {}
-
-    def _context(self, child: int, parents) -> ParentContext:
-        return ParentContext.for_dataset(self.dataset, child, tuple(sorted(parents)))
+        self._cache: dict[
+            tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
+        ] = {}
 
     def prior_for(self, ctx: ParentContext) -> PriorSpec:
         return PriorSpec.uniform(ctx, alpha=self.alpha, beta=self.beta)
 
-    def score(self, child: int, parents) -> FamilyScore:
+    def _family(self, child: int, parents) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        ctx = self._context(child, key[1])
-        table = tally(self.dataset, ctx)
-        result = log_g_bc(table, self.prior_for(ctx), phi=self.phi_policy)
-        self._cache[key] = result
-        return result
+        if cached is None:
+            ctx = ParentContext.for_dataset(self.dataset, child, key[1])
+            table = tally(self.dataset, ctx)
+            prior = self.prior_for(ctx)
+            est = bc_estimate(table, prior, phi=self.phi_policy)
+            cached = log_g_bc(table, prior, est), est.p_hat
+            self._cache[key] = cached
+        return cached
 
-    def estimate(self, child: int, parents):
-        """(ParentContext, CountTable, BcCellEstimate) for CPT extraction."""
-        ctx = self._context(child, parents)
-        table = tally(self.dataset, ctx)
-        est = bc_estimate(table, self.prior_for(ctx), phi=self.phi_policy)
-        return ctx, table, est
+    def score(self, child: int, parents) -> FamilyScore:
+        return self._family(child, parents)[0]
+
+    def estimate(self, child: int, parents) -> np.ndarray:
+        """The family's (q, c) CPT point estimate, ``bc_estimate().p_hat``."""
+        return self._family(child, parents)[1]
 
 
 def log_marginal(

@@ -115,14 +115,14 @@ def _finalize(dataset: Dataset, parent_sets, scorer: FamilyScorer) -> Model:
     families = tuple(
         scorer.score(child, parents) for child, parents in enumerate(parent_sets)
     )
-    cpts = []
-    for child, parents in enumerate(parent_sets):
-        _, _, est = scorer.estimate(child, parents)
-        cpts.append(est.p_hat)
+    cpts = tuple(
+        scorer.estimate(child, parents)
+        for child, parents in enumerate(parent_sets)
+    )
     return Model(
         variables=dataset.variables,
         parent_sets=tuple(parent_sets),
-        cpts=tuple(cpts),
+        cpts=cpts,
         score=ModelScore(families),
     )
 

@@ -78,7 +78,7 @@ def test_c02_complete_data_exactness():
     for _ in range(200):
         db = random_complete(rng, max_vars=4, max_card=3, max_cases=50)
         ctx, table, prior = random_family(rng, db)
-        bc = log_g_bc(table, prior).log_g
+        bc = log_g_bc(table, prior, bc_estimate(table, prior)).log_g
         exact = log_g_exact(table, prior).log_g
         rel = abs(bc - exact) / max(1.0, abs(exact))
         worst_rel = max(worst_rel, rel)

@@ -1,15 +1,60 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from bclearn import MISSING, ParentContext, tally
+from bclearn.counts import _pattern_codes
 from bclearn.oracle import enumerate_completions
 from helpers import make_dataset, punch_holes, random_complete
 
 
 def worked_context(db):
     return ParentContext.for_dataset(db, child=2, parents=(0, 1))
+
+
+def assert_matches_per_case_fold(d, ctx):
+    """``tally`` equals routing each case of ``d`` by hand through
+    ``enumerate_completions``."""
+    child, parents = ctx.child, ctx.parents
+    q, c = ctx.n_configs, ctx.child_cardinality
+    obs = np.zeros((q, c), dtype=int)
+    comp = np.zeros((q, c), dtype=int)
+    parent_obs = np.zeros(q, dtype=int)
+    parent_comp = np.zeros(q, dtype=int)
+    incomplete = parent_incomplete = 0
+    for row in d.codes:
+        parents_complete = all(row[p] != MISSING for p in parents)
+        family_complete = parents_complete and row[child] != MISSING
+        cells = enumerate_completions(row, ctx)
+        configs = sorted({j for j, _ in cells})
+        if family_complete:
+            assert len(cells) == 1
+            obs[cells[0]] += 1
+        else:
+            incomplete += 1
+            for cell in cells:
+                comp[cell] += 1
+        if parents_complete:
+            assert len(configs) == 1
+            parent_obs[configs[0]] += 1
+        else:
+            parent_incomplete += 1
+            parent_comp[configs] += 1
+    t = tally(d, ctx)
+    assert np.array_equal(t.obs_matrix(), obs)
+    assert np.array_equal(t.comp_matrix(), comp)
+    assert np.array_equal(t.parent_obs_vector(), parent_obs)
+    assert np.array_equal(t.parent_comp_vector(), parent_comp)
+    assert t.incomplete_cases == incomplete
+    assert t.parent_incomplete_cases == parent_incomplete
+    assert (t.comp_matrix() <= incomplete).all()
+    assert t.obs_matrix().sum() + incomplete == d.n_cases
+    assert (
+        t.parent_obs_vector().sum() + t.parent_incomplete_cases
+        == d.n_cases
+    )
 
 
 class TestWorkedExample:
@@ -113,44 +158,46 @@ class TestTallyProperties:
             others = [i for i in range(d.n_variables) if i != child]
             size = int(rng.integers(3 if wide else 0, len(others) + 1))
             parents = sorted(rng.choice(others, size=size, replace=False).tolist())
-            ctx = ParentContext.for_dataset(d, child, parents)
-            q, c = ctx.n_configs, ctx.child_cardinality
-            obs = np.zeros((q, c), dtype=int)
-            comp = np.zeros((q, c), dtype=int)
-            parent_obs = np.zeros(q, dtype=int)
-            parent_comp = np.zeros(q, dtype=int)
-            incomplete = parent_incomplete = 0
-            for row in d.codes:
-                parents_complete = all(row[p] != MISSING for p in parents)
-                family_complete = parents_complete and row[child] != MISSING
-                cells = enumerate_completions(row, ctx)
-                configs = sorted({j for j, _ in cells})
-                if family_complete:
-                    assert len(cells) == 1
-                    obs[cells[0]] += 1
-                else:
-                    incomplete += 1
-                    for cell in cells:
-                        comp[cell] += 1
-                if parents_complete:
-                    assert len(configs) == 1
-                    parent_obs[configs[0]] += 1
-                else:
-                    parent_incomplete += 1
-                    parent_comp[configs] += 1
-            t = tally(d, ctx)
-            assert np.array_equal(t.obs_matrix(), obs)
-            assert np.array_equal(t.comp_matrix(), comp)
-            assert np.array_equal(t.parent_obs_vector(), parent_obs)
-            assert np.array_equal(t.parent_comp_vector(), parent_comp)
-            assert t.incomplete_cases == incomplete
-            assert t.parent_incomplete_cases == parent_incomplete
-            assert (t.comp_matrix() <= incomplete).all()
-            assert t.obs_matrix().sum() + incomplete == d.n_cases
-            assert (
-                t.parent_obs_vector().sum() + t.parent_incomplete_cases
-                == d.n_cases
-            )
+            assert_matches_per_case_fold(d, ParentContext.for_dataset(d, child, parents))
+
+    @pytest.mark.parametrize(
+        "cards, code_type",
+        [
+            ((6, 30, 150), np.int16),  # 7 * 31 * 151 = 2**15 - 1 patterns
+            ((7,) + (3,) * 6, np.int32),  # 8 * 4**6 = 2**15
+            ((3, 3) + (2,) * 17, np.int32),  # 4**2 * 3**17 < 2**31
+            ((2,) * 20, np.int64),  # 3**20 > 2**31
+        ],
+    )
+    def test_matches_per_case_fold_either_side_of_code_widths(
+        self, cards, code_type
+    ):
+        rng = np.random.default_rng(len(cards))
+        rows = np.column_stack([rng.integers(0, card, size=12) for card in cards])
+        rows[1:][rng.random((11, len(cards))) < 0.15] = MISSING
+        rows[0] = np.array(cards) - 1  # the largest code, prod(card+1) - 1
+        d = make_dataset(cards, rows)
+        ctx = ParentContext.for_dataset(d, 0, tuple(range(1, len(cards))))
+        codes = _pattern_codes(d, ctx)
+        expected = []
+        for row in rows.tolist():
+            code = 0
+            for entry, card in zip(row, cards):
+                code = code * (card + 1) + entry + 1
+            expected.append(code)
+        assert codes.dtype == code_type
+        assert codes.tolist() == expected
+        assert expected[0] == math.prod(card + 1 for card in cards) - 1
+
+        # ``bincount`` has a slot for every code up to the largest present:
+        # above 2**20 patterns, the leading members are missing in every case
+        # so the codes stay below 2**20 while their type stays as wide.
+        lead, slots = len(cards), 1
+        while lead and slots * (cards[lead - 1] + 1) <= 2**20:
+            lead -= 1
+            slots *= cards[lead] + 1
+        rows[:, :lead] = MISSING
+        assert_matches_per_case_fold(make_dataset(cards, rows), ctx)
 
     def test_pattern_code_overflow_is_rejected(self):
         # 41 binary members: 3**41 entry patterns exceed a 64-bit code

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -34,6 +36,28 @@ class TestLoadCsv:
         d = load_csv(path)
         assert d.n_cases == 0
         assert d.n_variables == 2
+        assert d.codes.shape == (0, 2)
+        assert all(v.states == ("1", "2") for v in d.variables)
+        d = load_csv(path, schema={"B": ["x", "y", "z"]})
+        assert d.variables[1].states == ("x", "y", "z")
+
+    def test_quoted_cells_and_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(
+            b'A,"B, b"\r\n"x,1","say ""hi"""\r\ny,?\r\n"x,1",plain\r\n'
+        )
+        d = load_csv(path)
+        assert [v.name for v in d.variables] == ["A", "B, b"]
+        assert d.variables[0].states == ("x,1", "y")
+        assert d.variables[1].states == ("plain", 'say "hi"')
+        assert d.codes.tolist() == [[0, 1], [1, MISSING], [0, 0]]
+
+    def test_schema_state_equal_to_missing_token_reads_as_missing(self, tmp_path):
+        path = tmp_path / "token.csv"
+        path.write_text("X1,X2\n?,a\nx,?\nx,b\n", encoding="utf-8")
+        d = load_csv(path, schema={"X1": ["?", "x"]})
+        assert d.variables[0].states == ("?", "x")
+        assert d.codes.tolist() == [[MISSING, 0], [1, MISSING], [1, 1]]
 
     def test_all_missing_column_rejected_without_schema(self, tmp_path):
         path = tmp_path / "holes.csv"
@@ -62,6 +86,12 @@ class TestLoadCsv:
         path = tmp_path / "ragged.csv"
         path.write_text("X1,X2\n1\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 2"):
+            load_csv(path)
+
+    def test_ragged_row_reports_its_one_based_row_number(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("X1,X2\n1,2\n2,1\n1,2,1\n2,2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 4 has 3 cells, expected 2"):
             load_csv(path)
 
     def test_states_sorted_lexicographically(self, tmp_path):
@@ -99,6 +129,21 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(path, schema={"X1": ["a", "b"]})
 
+    def test_first_value_outside_schema_in_row_major_order_is_named(self, tmp_path):
+        # column by column, 'late' in X1 would come before 'early' in X2
+        path = tmp_path / "bad.csv"
+        path.write_text("X1,X2\na,early\nlate,b\n", encoding="utf-8")
+        schema = {"X1": ["a", "b"], "X2": ["a", "b"]}
+        with pytest.raises(DataError, match="^'early' is not a state of 'X2'$"):
+            load_csv(path, schema=schema)
+
+    def test_codes_are_column_major_and_read_only(self, worked_csv):
+        d = load_csv(worked_csv)
+        assert d.codes.dtype == np.int16
+        assert d.codes.flags.f_contiguous
+        assert not d.codes.flags.c_contiguous
+        assert not d.codes.flags.writeable
+
 
 class TestRoundTrip:
     def test_random_datasets_round_trip_with_schema(self, tmp_path):
@@ -134,6 +179,31 @@ class TestRoundTrip:
             path = tmp_path / f"nr{trial}.csv"
             save_csv(original, path)
             assert load_csv(path) == original
+
+
+    def test_labels_that_need_quoting_round_trip_byte_for_byte(self, tmp_path):
+        original = Dataset(
+            (
+                Variable("A,1", ("x,y", 'q"uote', "line\nbreak")),
+                Variable("B", (" lead", "trail ", "")),
+            ),
+            np.array([[0, 2], [1, MISSING], [2, 0], [MISSING, 1]], dtype=np.int16),
+        )
+        csv_path = tmp_path / "quoting.csv"
+        schema_path = tmp_path / "quoting.schema.json"
+        save_csv(original, csv_path)
+        save_schema(original, schema_path)
+        assert load_csv(csv_path, schema=load_schema(schema_path)) == original
+        # the same bytes as writing the rows one by one
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow([v.name for v in original.variables])
+        for row in original.codes.tolist():
+            writer.writerow(
+                ["?" if s == MISSING else v.states[s]
+                 for v, s in zip(original.variables, row)]
+            )
+        assert csv_path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestSummarizeMissingness:

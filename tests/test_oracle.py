@@ -135,12 +135,11 @@ class TestExactMarginal:
             assert mixture == pytest.approx(closed, rel=1e-9)
 
     def test_collider_mixture_regression_constant(self, worked_db):
-        # frozen from scripts/compute_pins.py: exactly 23/2073600
+        # frozen from scripts/compute_pins.py: exactly 23/2073600, one rounding
         model = model_from_arcs(
             worked_db.variables, [("X1", "X3"), ("X2", "X3")]
         )
-        mixture = exact_marginal(worked_db, model)
-        assert mixture == pytest.approx(23 / 2073600, rel=1e-12)
+        assert exact_marginal(worked_db, model) == 23 / 2073600
 
     def test_single_completion_degenerates_to_exact_score(self):
         db = make_dataset((2,), [[0], [1], [MISSING]])

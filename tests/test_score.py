@@ -102,7 +102,7 @@ class TestLogGBc:
             child = int(rng.integers(db.n_variables))
             parents = tuple(i for i in range(db.n_variables) if i != child)
             table, prior = family(db, child, parents)
-            bc = log_g_bc(table, prior)
+            bc = log_g_bc(table, prior, bc_estimate(table, prior))
             exact = log_g_exact(table, prior)
             assert bc.log_g == exact.log_g
             assert bc.exact
@@ -112,14 +112,14 @@ class TestLogGBc:
         # posterior hyperparameters are (3, 3), so g = 1*2*2/120
         db = make_dataset((2,), [[MISSING]] * 4)
         table, prior = family(db, 0, ())
-        fs = log_g_bc(table, prior)
+        fs = log_g_bc(table, prior, bc_estimate(table, prior))
         assert not fs.exact
         assert fs.log_g == pytest.approx(math.log(4 / 120), rel=1e-12)
 
     def test_worked_example_regression_constant(self, worked_db):
         # frozen from scripts/compute_pins.py (independent recomputation)
         table, prior = family(worked_db, 2, (0, 1))
-        fs = log_g_bc(table, prior)
+        fs = log_g_bc(table, prior, bc_estimate(table, prior))
         assert fs.log_g == pytest.approx(-4.21104918384956, rel=1e-12)
         assert not fs.exact
 
@@ -133,7 +133,8 @@ class TestLogGBc:
             child = int(rng.integers(db.n_variables))
             parents = tuple(i for i in range(db.n_variables) if i != child)
             table, prior = family(db, child, parents)
-            assert math.isfinite(log_g_bc(table, prior).log_g)
+            est = bc_estimate(table, prior)
+            assert math.isfinite(log_g_bc(table, prior, est).log_g)
 
 
     def test_ten_ternary_parents_score_within_bound(self):
@@ -145,8 +146,8 @@ class TestLogGBc:
         start = time.perf_counter()
         table, prior = family(db, 0, tuple(range(1, 11)))
         assert table.context.n_configs == 3 ** 10
-        assert math.isfinite(log_g_bc(table, prior).log_g)
         est = bc_estimate(table, prior)
+        assert math.isfinite(log_g_bc(table, prior, est).log_g)
         assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
         # ~3 s on a 2-vCPU Xeon VM; the bound leaves room for slow hosts
         assert time.perf_counter() - start < 60.0

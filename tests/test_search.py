@@ -3,12 +3,19 @@ import json
 import numpy as np
 import pytest
 
+import bclearn.score
 from bclearn import (
     MISSING,
+    DeletionPlan,
     Model,
     OrderConstraint,
+    ParentContext,
+    PriorSpec,
     ScoreError,
     SearchError,
+    bc_estimate,
+    builtin_spec,
+    delete_entries,
     enumerate_models,
     joint_distribution,
     k2_bc,
@@ -18,6 +25,8 @@ from bclearn import (
     model_from_json,
     model_to_dot,
     model_to_json,
+    sample,
+    tally,
 )
 from helpers import make_dataset, punch_holes, random_complete
 
@@ -106,6 +115,33 @@ class TestK2:
                 reduced[child] = tuple(p for p in reduced[child] if p != parent)
                 weaker = Model(db.variables, tuple(reduced))
                 assert log_marginal(weaker, db).total <= total
+
+    def test_each_distinct_family_is_tallied_and_estimated_once(self, monkeypatch):
+        # M4 at n = 10,000 with 40% deleted, seeded as `simulate --seed 0`
+        sample_seed, delete_seed = np.random.SeedSequence(0).spawn(2)
+        db = delete_entries(
+            sample(builtin_spec("M4", seed=sample_seed)),
+            DeletionPlan(0.4, seed=delete_seed),
+        )
+        calls = {"tally": 0, "bc_estimate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                bclearn.score, name, counted(name, getattr(bclearn.score, name))
+            )
+        model = k2_bc(db, order_for(db))
+        assert calls == {"tally": 24, "bc_estimate": 24}
+        monkeypatch.undo()
+        for child, parents in enumerate(model.parent_sets):
+            ctx = ParentContext.for_dataset(db, child, parents)
+            fresh = bc_estimate(tally(db, ctx), PriorSpec.uniform(ctx))
+            assert np.array_equal(model.cpts[child], fresh.p_hat)
 
 
 class TestEnumerateModels:

@@ -117,6 +117,16 @@ class TestDeleteEntries:
         with pytest.raises(SimulateError):
             DeletionPlan(1.5, seed=0)
 
+    def test_seeded_positions_are_row_major(self):
+        db = make_dataset((3, 3, 3), np.arange(12).reshape(4, 3) % 3)
+        holey = delete_entries(db, DeletionPlan(0.5, seed=5))
+        assert holey.codes.tolist() == [
+            [0, MISSING, MISSING],
+            [MISSING, MISSING, 2],
+            [0, 1, 2],
+            [MISSING, 1, MISSING],
+        ]
+
     def test_original_is_untouched(self):
         d = sample(builtin_spec("M1", n=20, seed=3))
         before = d.codes.copy()
