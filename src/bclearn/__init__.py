@@ -36,7 +36,6 @@ from .score import (
     ScoreError,
     bayes_factor,
     log_g_bc,
-    log_g_exact,
     log_marginal,
 )
 from .search import (
@@ -106,7 +105,6 @@ __all__ = [
     "load_schema",
     "load_spec",
     "log_g_bc",
-    "log_g_exact",
     "log_marginal",
     "marginals",
     "model_from_arcs",

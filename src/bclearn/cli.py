@@ -140,7 +140,7 @@ def cmd_estimate(args) -> int:
     parents = [dataset.variable_index(n) for n in _split_names(args.parents or "")]
     ctx = ParentContext.for_dataset(dataset, child, sorted(parents))
     table = tally(dataset, ctx)
-    prior = PriorSpec.uniform(ctx, alpha=args.alpha, beta=args.beta)
+    prior = PriorSpec(args.alpha, args.beta)
     phi = _resolve_phi_policy(args, ctx=ctx, variables=dataset.variables)
     est = bc_estimate(table, prior, phi=phi)
     summary = summarize_missingness(dataset)
@@ -328,9 +328,11 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--missing-token", default="?")
         p.add_argument("--alpha", type=float, default=1.0,
-                       help="per-cell Dirichlet weight (default 1)")
+                       help="Dirichlet weight on every cell of every family "
+                            "(default 1)")
         p.add_argument("--beta", type=float, default=1.0,
-                       help="per-configuration parent Dirichlet weight (default 1)")
+                       help="Dirichlet weight on every parent configuration of every "
+                            "family (default 1)")
         p.add_argument("--phi", default="mar",
                        help="completion distribution: mar, uniform, or a JSON file")
 

@@ -11,10 +11,12 @@ interval is collapsed to a point by mixing the extremes with the
 completion-probability vector phi, and the posterior precision is
 estimated by distributing parent-incomplete cases according to a
 bound-and-collapse estimate of the parent configuration probabilities.
+The prior is one uniform Dirichlet per family: weight alpha on every
+cell and, for the precision estimate, beta on every parent configuration.
 
-All cell values are exact ratios of integers: hyperparameters are scaled
-to a common integer grid (floats convert exactly), counts are integers,
-and each output is produced by a single correctly rounded integer
+All cell values are exact ratios of integers: alpha and beta are written
+as integer ratios (floats convert exactly), counts are put on the same
+grid, and each output is produced by a single correctly rounded integer
 division.  This keeps the algebraic identities of the method (rows
 summing to one, exact reduction on complete data, the prior-mean limit
 under total missingness, conservation of total precision) true up to one
@@ -48,32 +50,25 @@ class EstimateError(ValueError):
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Dirichlet hyperparameters for the child cells and parent configurations.
+    """Dirichlet hyperparameters shared by every family.
 
-    ``child_alpha[j][k]`` weights imaginary cases per cell; ``parent_beta[j]``
-    is a separate Dirichlet over parent configurations used only for the
-    precision estimate.  All values must be strictly positive.
+    ``alpha`` weights imaginary cases per (configuration, child state) cell;
+    ``beta`` weights each parent configuration in a separate Dirichlet over
+    parent configurations, used only for the precision estimate.  Both must
+    be finite and strictly positive.
     """
 
-    child_alpha: np.ndarray
-    parent_beta: np.ndarray
+    alpha: float = 1.0
+    beta: float = 1.0
 
     def __post_init__(self):
-        alpha = np.asarray(self.child_alpha, dtype=float)
-        beta = np.asarray(self.parent_beta, dtype=float)
-        if alpha.ndim != 2 or beta.ndim != 1 or alpha.shape[0] != beta.shape[0]:
-            raise EstimateError("child_alpha must be (q, c) and parent_beta (q,)")
-        if not (alpha > 0).all() or not (beta > 0).all():
-            raise EstimateError("hyperparameters must be strictly positive")
-        object.__setattr__(self, "child_alpha", alpha)
-        object.__setattr__(self, "parent_beta", beta)
-
-    @classmethod
-    def uniform(
-        cls, ctx: ParentContext, alpha: float = 1.0, beta: float = 1.0
-    ) -> "PriorSpec":
-        q, c = ctx.n_configs, ctx.child_cardinality
-        return cls(np.full((q, c), alpha), np.full(q, beta))
+        for name in ("alpha", "beta"):
+            value = float(getattr(self, name))
+            if not (0.0 < value < math.inf):
+                raise EstimateError(
+                    f"{name} must be finite and strictly positive, got {value!r}"
+                )
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -116,52 +111,33 @@ class BcCellEstimate:
     dirichlet: np.ndarray
 
 
-def _integer_grid(values) -> tuple[list[int], int]:
-    """Represent floats exactly as integers over one common denominator."""
-    out = []
-    for v in values:
-        f = float(v)
-        if not f.is_integer():
-            break
-        out.append(int(f))
-    else:
-        return out, 1
-    fractions = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
-    scale = 1
-    for f in fractions:
-        scale = scale * f.denominator // math.gcd(scale, f.denominator)
-    return [int(f * scale) for f in fractions], scale
-
-
 class _FamilyInts:
-    """Integer view of one family's priors and counts.
+    """Integer view of one family's prior and counts.
 
-    Hyperparameters are brought onto the grid ``scale`` (1 for the default
-    integer priors); counts are multiplied by the same grid so that every
-    derived quantity is an exact integer ratio.  ``rows[j]`` is
-    (a, nstar, b) with a[k] = alpha_k + n_k and b = alpha_j + n_j, all on the
-    grid; ``alpha_sums[j]`` is alpha_j on the grid.
+    alpha is written a/scale in lowest terms (scale is 1 for an integer
+    alpha); counts are multiplied by the same grid so that every derived
+    quantity is an exact integer ratio.  ``rows[j]`` is (a, nstar, b) with
+    a[k] = alpha + n_k and b = c * alpha + n_j, all on the grid;
+    ``alpha_sum`` is c * alpha on the grid.
     """
 
     def __init__(self, table: CountTable, prior: PriorSpec):
         ctx = table.context
         self.q, self.c = ctx.n_configs, ctx.child_cardinality
-        flat, self.scale = _integer_grid(prior.child_alpha.reshape(-1))
-        scale, c = self.scale, self.c
-        self.alpha_sums = []
+        alpha, self.scale = prior.alpha.as_integer_ratio()
+        scale = self.scale
+        self.alpha_sum = self.c * alpha
         self.rows = []
-        for j, (obs, comp) in enumerate(
-            zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())
-        ):
-            alpha = flat[j * c:(j + 1) * c]
-            a = [al + scale * n for al, n in zip(alpha, obs)]
-            self.alpha_sums.append(sum(alpha))
+        for obs, comp in zip(table.obs_matrix().tolist(), table.comp_matrix().tolist()):
+            a = [alpha + scale * n for n in obs]
             self.rows.append((a, [scale * n for n in comp], sum(a)))
 
 
 def _normalized_int_row(row) -> tuple[list[int], int]:
     """Exactly normalized probability row as integers over its own sum."""
-    nums, _ = _integer_grid(row)
+    fractions = [Fraction(float(v)) for v in row]
+    lcm = math.lcm(*(f.denominator for f in fractions))
+    nums = [f.numerator * (lcm // f.denominator) for f in fractions]
     total = sum(nums)
     if total <= 0 or any(n < 0 for n in nums):
         raise EstimateError("cannot normalize row to a probability vector")
@@ -231,8 +207,8 @@ def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
 def _parent_p_hat_ints(table: CountTable, prior: PriorSpec):
     """Collapsed parent-configuration probabilities as (numerators, den),
     with the MAR completion row of the parent-configuration Dirichlet."""
-    beta, scale = _integer_grid(prior.parent_beta)
-    a = [b_j + scale * n for b_j, n in zip(beta, table.parent_obs_vector().tolist())]
+    beta, scale = prior.beta.as_integer_ratio()
+    a = [beta + scale * n for n in table.parent_obs_vector().tolist()]
     nstar = [scale * n for n in table.parent_comp_vector().tolist()]
     b = sum(a)
     return _collapse_ints(a, nstar, b, a, b)
@@ -250,10 +226,8 @@ def _precision_ints(table: CountTable, prior: PriorSpec, ints: _FamilyInts):
     scale = ints.scale
     spare = scale * table.parent_incomplete_cases
     nums = [
-        (alpha + scale * n) * p_den + spare * p
-        for alpha, n, p in zip(
-            ints.alpha_sums, table.parent_obs_vector().tolist(), p_num
-        )
+        (ints.alpha_sum + scale * n) * p_den + spare * p
+        for n, p in zip(table.parent_obs_vector().tolist(), p_num)
     ]
     return nums, scale * p_den
 

@@ -7,7 +7,8 @@ tally path used by the estimators), and mix the results under a chosen
 weighting of completions.  Costs are exponential in the number of
 missing entries, so enumeration is refused beyond a cap.  The per-case
 ``enumerate_completions`` is the reference the aggregated tally is
-checked against.
+checked against, and ``log_g_exact``, the closed-form score of a complete
+family, the reference for the estimated score.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counts import ParentContext
+from .counts import CountTable, ParentContext
 from .data import MISSING, Dataset
 from .estimate import PriorSpec
 
@@ -125,8 +126,8 @@ def exact_expectation(
     columns are expanded (the cap still applies to the full dataset).
     """
     q, c = ctx.n_configs, ctx.child_cardinality
-    alpha = [[Fraction(float(a)) for a in row] for row in prior.child_alpha]
-    alpha_sums = [sum(row) for row in alpha]
+    alpha = Fraction(prior.alpha)
+    alpha_sum = c * alpha
     mixture = [[Fraction(0)] * c for _ in range(q)]
     total_weight = Fraction(0)
     for codes, weight in _completions(
@@ -137,14 +138,30 @@ def exact_expectation(
         for j in range(q):
             n_j = int(counts[j].sum())
             for k in range(c):
-                mixture[j][k] += weight * (alpha[j][k] + int(counts[j, k])) / (
-                    alpha_sums[j] + n_j
+                mixture[j][k] += weight * (alpha + int(counts[j, k])) / (
+                    alpha_sum + n_j
                 )
     out = np.empty((q, c))
     for j in range(q):
         for k in range(c):
             out[j, k] = float(mixture[j][k] / total_weight)
     return out
+
+
+def log_g_exact(table: CountTable, prior: PriorSpec) -> float:
+    """Closed-form log score of a family with complete data, the value
+    ``score.log_g_bc`` must reproduce there; every lgamma argument is an
+    exact rational rounded once."""
+    if not table.is_complete:
+        raise OracleError("exact score requires complete family data")
+    alpha = Fraction(prior.alpha)
+    alpha_sum = table.context.child_cardinality * alpha
+    total = 0.0
+    for row in table.obs_matrix().tolist():
+        total += math.lgamma(alpha_sum) - math.lgamma(alpha_sum + sum(row))
+        for n in row:
+            total += math.lgamma(alpha + n) - math.lgamma(alpha)
+    return total
 
 
 def _rising(a: int, b: int, n: int) -> int:

@@ -1,11 +1,12 @@
 """Log marginal-likelihood scores for families and whole models.
 
 The local family score is the Gamma-function ratio of posterior to prior
-Dirichlet normalizers.  With complete family data the posterior counts
-are known and the score is exact; with incomplete data the posterior is
-replaced by the moment-matched Dirichlet built from the bound-and-collapse
-estimates, whose hyperparameters for a complete family reduce to the exact
-posterior counts, so both paths agree there.
+Dirichlet normalizers, under one uniform prior shared by every family
+(weight alpha per cell, c * alpha per configuration of a c-state child).
+The posterior is the moment-matched Dirichlet built from the
+bound-and-collapse estimates, whose hyperparameters for a complete family
+reduce to the exact posterior counts, so the score is then the closed
+form (``oracle.log_g_exact`` is that closed form, kept as the reference).
 
 Scores are computed and kept in natural-log space throughout: the raw
 products underflow by a thousand cases.
@@ -44,25 +45,6 @@ class ModelScore:
         return sum(f.log_g for f in self.families)
 
 
-def log_g_exact(table: CountTable, prior: PriorSpec) -> FamilyScore:
-    """Closed-form family score; only defined when no incomplete case
-    touches the family."""
-    if not table.is_complete:
-        raise ScoreError("exact score requires complete family data")
-    ctx = table.context
-    total = 0.0
-    for j, obs in enumerate(table.obs_matrix()):
-        alpha_row = prior.child_alpha[j]
-        alpha_sum = float(alpha_row.sum())
-        n_j = int(obs.sum())
-        total += lgamma(alpha_sum) - lgamma(alpha_sum + n_j)
-        for k in range(ctx.child_cardinality):
-            total += lgamma(float(alpha_row[k]) + int(obs[k])) - lgamma(
-                float(alpha_row[k])
-            )
-    return FamilyScore(ctx.child, ctx.parents, total, exact=True)
-
-
 def log_g_bc(table: CountTable, prior: PriorSpec, est: BcCellEstimate) -> FamilyScore:
     """Family score under the moment-matched posterior Dirichlet of ``est``,
     the family's ``bc_estimate`` from ``table`` and ``prior``.
@@ -70,12 +52,13 @@ def log_g_bc(table: CountTable, prior: PriorSpec, est: BcCellEstimate) -> Family
     Reduces to the exact score when the family data are complete.
     """
     ctx = table.context
+    lg_alpha = lgamma(prior.alpha)
+    lg_alpha_sum = lgamma(ctx.child_cardinality * prior.alpha)
     total = 0.0
-    for j in range(ctx.n_configs):
-        alpha_row = prior.child_alpha[j]
-        total += lgamma(float(alpha_row.sum())) - lgamma(float(est.alpha_hat[j]))
-        for k in range(ctx.child_cardinality):
-            total += lgamma(float(est.dirichlet[j, k])) - lgamma(float(alpha_row[k]))
+    for alpha_hat, row in zip(est.alpha_hat.tolist(), est.dirichlet.tolist()):
+        total += lg_alpha_sum - lgamma(alpha_hat)
+        for weight in row:
+            total += lgamma(weight) - lg_alpha
     return FamilyScore(ctx.child, ctx.parents, total, exact=table.is_complete)
 
 
@@ -111,15 +94,11 @@ class FamilyScorer:
         if phi_policy not in ("mar", "uniform"):
             raise ScoreError(f"unknown phi policy {phi_policy!r} for scoring")
         self.dataset = dataset
-        self.alpha = alpha
-        self.beta = beta
+        self.prior = PriorSpec(alpha, beta)
         self.phi_policy = phi_policy
         self._cache: dict[
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
-
-    def prior_for(self, ctx: ParentContext) -> PriorSpec:
-        return PriorSpec.uniform(ctx, alpha=self.alpha, beta=self.beta)
 
     def _family(self, child: int, parents) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
@@ -127,9 +106,8 @@ class FamilyScorer:
         if cached is None:
             ctx = ParentContext.for_dataset(self.dataset, child, key[1])
             table = tally(self.dataset, ctx)
-            prior = self.prior_for(ctx)
-            est = bc_estimate(table, prior, phi=self.phi_policy)
-            cached = log_g_bc(table, prior, est), est.p_hat
+            est = bc_estimate(table, self.prior, phi=self.phi_policy)
+            cached = log_g_bc(table, self.prior, est), est.p_hat
             self._cache[key] = cached
         return cached
 

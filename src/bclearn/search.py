@@ -133,12 +133,10 @@ def k2_bc(
     alpha: float = 1.0,
     beta: float = 1.0,
     phi: str = "mar",
-    scorer: FamilyScorer | None = None,
 ) -> Model:
     """Greedy parent selection per node, driven by the estimated family score."""
     order.validate(dataset.n_variables)
-    if scorer is None:
-        scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
+    scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
     parent_sets: list[tuple[int, ...]] = [()] * dataset.n_variables
     for position, child in enumerate(order.order):
         predecessors = order.order[:position]

@@ -65,17 +65,17 @@ class GenerativeSpec:
 
 @dataclass(frozen=True)
 class DeletionPlan:
-    """Delete a fraction of all entries, uniformly without replacement."""
+    """Delete a fraction of all entries, uniformly without replacement.
+
+    Entries are drawn across the whole case-by-variable matrix (the one
+    deletion scheme), so missingness is completely at random."""
 
     fraction: float
     seed: int | None = None
-    mode: str = "entrywise-uniform"
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise SimulateError("deletion fraction must lie in [0, 1]")
-        if self.mode != "entrywise-uniform":
-            raise SimulateError(f"unknown deletion mode {self.mode!r}")
 
 
 def sample(spec: GenerativeSpec) -> Dataset:

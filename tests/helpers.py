@@ -36,6 +36,11 @@ def five_case_db() -> Dataset:
     )
 
 
+# (alpha, beta) pairs for seeded tests: integer and fractional grids, with
+# each value appearing once as alpha and once as beta.
+PRIORS = ((1.0, 1.0), (0.5, 2.5), (0.1, 0.5), (2.5, 0.1))
+
+
 FIVE_CASE_CSV = "X1,X2,X3\n1,2,2\n2,?,1\n?,1,2\n?,?,1\n1,?,?\n"
 
 

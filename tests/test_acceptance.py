@@ -23,15 +23,15 @@ from bclearn import (
     exact_expectation,
     k2_bc,
     log_g_bc,
-    log_g_exact,
     log_marginal,
     marginals,
     sample,
     tally,
 )
 from bclearn.estimate import _FamilyInts, _phi_int_rows
+from bclearn.oracle import log_g_exact
 from bclearn.search import Model
-from helpers import five_case_db, make_dataset, punch_holes, random_complete
+from helpers import PRIORS, five_case_db, make_dataset, punch_holes, random_complete
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -48,7 +48,7 @@ def random_family(rng, dataset):
                    replace=False).tolist()
     )
     ctx = ParentContext.for_dataset(dataset, child, parents)
-    return ctx, tally(dataset, ctx), PriorSpec.uniform(ctx)
+    return ctx, tally(dataset, ctx), PriorSpec()
 
 
 def test_c01_completion_count_golden_vector():
@@ -79,7 +79,7 @@ def test_c02_complete_data_exactness():
         db = random_complete(rng, max_vars=4, max_card=3, max_cases=50)
         ctx, table, prior = random_family(rng, db)
         bc = log_g_bc(table, prior, bc_estimate(table, prior)).log_g
-        exact = log_g_exact(table, prior).log_g
+        exact = log_g_exact(table, prior)
         rel = abs(bc - exact) / max(1.0, abs(exact))
         worst_rel = max(worst_rel, rel)
         p_hat = bc_estimate(table, prior).p_hat
@@ -179,7 +179,7 @@ def test_c05_limit_behaviors():
         db = make_dataset(cards, np.full((n, len(cards)), MISSING))
         ctx = ParentContext.for_dataset(db, 0, parents)
         table = tally(db, ctx)
-        prior = PriorSpec.uniform(ctx)
+        prior = PriorSpec()
         est = bc_estimate(table, prior)
         c = ctx.child_cardinality
         prior_mean = [1.0 / c] * c
@@ -215,7 +215,7 @@ def test_c06_child_only_missingness_reduction():
             db, child, [i for i in range(db.n_variables) if i != child]
         )
         table = tally(db, ctx)
-        prior = PriorSpec.uniform(ctx)
+        prior = PriorSpec()
         phi = [
             [Fraction(n, den) for n in nums]
             for nums, den in _phi_int_rows(_FamilyInts(table, prior), "mar")
@@ -242,10 +242,11 @@ def test_c07_precision_conservation():
         if db.codes.size == 0:
             continue
         db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
-        ctx, table, prior = random_family(rng, db)
-        est = bc_estimate(table, prior)
-        expected = float(prior.child_alpha.sum()) + db.n_cases
-        worst = max(worst, abs(float(est.alpha_hat.sum()) - expected))
+        ctx, table, _ = random_family(rng, db)
+        for alpha, beta in PRIORS:
+            est = bc_estimate(table, PriorSpec(alpha, beta))
+            expected = ctx.n_configs * ctx.child_cardinality * alpha + db.n_cases
+            worst = max(worst, abs(float(est.alpha_hat.sum()) - expected))
     report("c07 precision conservation", worst <= 1e-9, f"worst abs {worst:.2e}")
 
 

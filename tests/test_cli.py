@@ -330,6 +330,21 @@ class TestBench:
         assert code == 1
 
 
+class TestPriorValidation:
+    @pytest.mark.parametrize("command", [
+        ["learn"], ["estimate", "--child", "X3", "--parents", "X1,X2"],
+    ])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_is_validation_error(
+        self, worked_csv, capsys, command, flag, value
+    ):
+        code = run([command[0], "--data", worked_csv, *command[1:], flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and flag[2:] in err
+
+
 class TestParser:
     def test_missing_subcommand_is_validation_error(self, capsys):
         assert run([]) == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,18 +17,17 @@ from bclearn import (
 from bclearn.estimate import (
     _collapse_ints,
     _FamilyInts,
-    _integer_grid,
     _normalized_int_row,
     _phi_int_rows,
     phi_from_rows,
 )
-from helpers import make_dataset, punch_holes, random_complete
+from helpers import PRIORS, make_dataset, punch_holes, random_complete
 
 
 def family(db, child, parents):
     ctx = ParentContext.for_dataset(db, child, parents)
     table = tally(db, ctx)
-    return ctx, table, PriorSpec.uniform(ctx)
+    return ctx, table, PriorSpec()
 
 
 def phi_rows(table, prior, policy):
@@ -180,7 +180,7 @@ class TestCollapse:
         for trial in range(300):
             c = int(rng.integers(2, 201)) if trial % 3 else int(rng.integers(2, 6))
             priors = [1.0] if trial % 2 else [0.5, 0.25, 2.5, 0.1, 1.0]
-            alpha, scale = _integer_grid(rng.choice(priors, size=c))
+            alpha, scale = float(rng.choice(priors)).as_integer_ratio()
             obs = rng.integers(0, 30, size=c)
             kind = trial % 4
             if kind == 0:
@@ -189,7 +189,7 @@ class TestCollapse:
                 comp = rng.choice(rng.integers(0, 50, size=3), size=c)
             else:
                 comp = rng.integers(0, 10 ** int(rng.integers(1, 5)), size=c)
-            a = [al + scale * int(n) for al, n in zip(alpha, obs)]
+            a = [alpha + scale * int(n) for n in obs]
             nstar = [scale * int(n) for n in comp]
             b = sum(a)
             policy = trial % 5
@@ -293,6 +293,20 @@ class TestPrecision:
         alpha_hat = bc_estimate(table, prior).alpha_hat
         np.testing.assert_array_equal(alpha_hat, np.full(4, 4.0))
 
+    def test_parent_completions_follow_the_beta_posterior(self):
+        # binary child, binary parent seen 3 times as state 1 and once as
+        # state 2, missing twice: equal completion counts pool, so the
+        # configuration estimate is the Dirichlet(beta) posterior mean and
+        # alpha_hat_j = 2 alpha + n_j + 2 (beta + n_j) / (2 beta + 4).
+        rows = [[0, 0], [1, 0], [0, 0], [1, 1], [0, MISSING], [1, MISSING]]
+        db = make_dataset((2, 2), rows)
+        _, table, _ = family(db, 0, (1,))
+        for alpha, beta in PRIORS:
+            a, b = Fraction(alpha), Fraction(beta)
+            expected = [float(2 * a + n + 2 * (b + n) / (2 * b + 4)) for n in (3, 1)]
+            est = bc_estimate(table, PriorSpec(alpha, beta))
+            assert est.alpha_hat.tolist() == expected
+
     def test_worked_example_total(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
         alpha_hat = bc_estimate(table, prior).alpha_hat
@@ -312,13 +326,14 @@ class TestPrecision:
             if db.codes.size == 0:
                 continue
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
-            ctx, table, prior = random_family(rng, db)
-            alpha_hat = bc_estimate(table, prior).alpha_hat
-            total_prior = float(prior.child_alpha.sum())
-            assert alpha_hat.sum() == pytest.approx(
-                total_prior + db.n_cases, rel=1e-12, abs=1e-9
-            )
-            assert (alpha_hat >= prior.child_alpha.sum(axis=1) - 1e-12).all()
+            ctx, table, _ = random_family(rng, db)
+            for alpha, beta in PRIORS:
+                alpha_hat = bc_estimate(table, PriorSpec(alpha, beta)).alpha_hat
+                row_prior = ctx.child_cardinality * alpha
+                assert alpha_hat.sum() == pytest.approx(
+                    ctx.n_configs * row_prior + db.n_cases, rel=1e-12, abs=1e-9
+                )
+                assert (alpha_hat >= row_prior - 1e-12).all()
 
     def test_empty_parent_set_absorbs_all_cases(self):
         db = make_dataset((2, 2), [[0, MISSING], [MISSING, 0], [1, 1]])
@@ -334,22 +349,48 @@ class TestBcEstimate:
             if db.codes.size == 0:
                 continue
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
-            ctx, table, prior = random_family(rng, db)
-            est = bc_estimate(table, prior)
-            assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
-            assert (est.p_min <= est.p_hat).all()
-            assert (est.p_hat <= est.p_max).all()
-            np.testing.assert_allclose(
-                est.dirichlet.sum(axis=1), est.alpha_hat, rtol=1e-12
-            )
+            ctx, table, _ = random_family(rng, db)
+            for alpha, beta in PRIORS:
+                est = bc_estimate(table, PriorSpec(alpha, beta))
+                assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
+                assert (est.p_min <= est.p_hat).all()
+                assert (est.p_hat <= est.p_max).all()
+                np.testing.assert_allclose(
+                    est.dirichlet.sum(axis=1), est.alpha_hat, rtol=1e-12
+                )
 
     def test_complete_data_dirichlet_is_posterior_counts(self):
         rng = np.random.default_rng(15)
         db = random_complete(rng, max_vars=3, max_cases=30)
-        ctx, table, prior = random_family(rng, db)
-        est = bc_estimate(table, prior)
-        expected = 1.0 + table.obs_matrix()
-        np.testing.assert_array_equal(est.dirichlet, expected.astype(float))
+        ctx, table, _ = random_family(rng, db)
+        for alpha, beta in PRIORS:
+            est = bc_estimate(table, PriorSpec(alpha, beta))
+            np.testing.assert_array_equal(est.dirichlet, alpha + table.obs_matrix())
+
+    def test_doubled_cases_under_doubled_prior_give_the_same_estimate(self):
+        """Every grid quantity is homogeneous in (prior, counts): each case
+        twice under (2 alpha, 2 beta) puts the same rows on another grid, so
+        p_hat, p_min and p_max are equal and alpha_hat exactly doubles."""
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            db = random_complete(rng, max_vars=4, max_cases=15)
+            if db.codes.size == 0:
+                continue
+            db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
+            ctx, table, _ = random_family(rng, db)
+            doubled = make_dataset(db.cardinalities, np.vstack([db.codes, db.codes]))
+            doubled_table = tally(doubled, ctx)
+            for alpha, beta in PRIORS:
+                for phi in ("mar", "uniform"):
+                    est = bc_estimate(table, PriorSpec(alpha, beta), phi)
+                    twice = bc_estimate(
+                        doubled_table, PriorSpec(2 * alpha, 2 * beta), phi
+                    )
+                    for field in ("p_hat", "p_min", "p_max"):
+                        np.testing.assert_array_equal(
+                            getattr(twice, field), getattr(est, field)
+                        )
+                    np.testing.assert_array_equal(twice.alpha_hat, 2 * est.alpha_hat)
 
     def test_interval_width_never_shrinks_as_entries_vanish(self):
         rng = np.random.default_rng(16)
@@ -378,8 +419,8 @@ class TestBcEstimate:
                 previous_width = width
 
     def test_rejects_nonpositive_priors(self):
-        ctx = ParentContext(0, (), 2, ())
-        with pytest.raises(EstimateError):
-            PriorSpec(np.array([[1.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(EstimateError):
-            PriorSpec(np.array([[1.0, 1.0]]), np.array([0.0]))
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(EstimateError, match="alpha"):
+                PriorSpec(bad, 1.0)
+            with pytest.raises(EstimateError, match="beta"):
+                PriorSpec(1.0, bad)

@@ -21,7 +21,7 @@ from helpers import make_dataset, random_incomplete
 
 def family(db, child, parents):
     ctx = ParentContext.for_dataset(db, child, parents)
-    return ctx, PriorSpec.uniform(ctx)
+    return ctx, PriorSpec()
 
 
 def completions(db, **kwargs):

@@ -35,7 +35,7 @@ def pins():
 def test_worked_family_score_and_precision_are_bit_identical(pins, worked_db):
     ctx = ParentContext.for_dataset(worked_db, 2, (0, 1))
     table = tally(worked_db, ctx)
-    prior = PriorSpec.uniform(ctx)
+    prior = PriorSpec()
     log_g = float(pins["worked-example family log score (X3 | X1,X2), MAR phi"])
     alpha_hat = ast.literal_eval(pins["alpha_hat per configuration"])
     assert log_g_bc(table, prior, bc_estimate(table, prior)).log_g == log_g

@@ -12,18 +12,18 @@ from bclearn import (
     bayes_factor,
     bc_estimate,
     log_g_bc,
-    log_g_exact,
     log_marginal,
     model_from_arcs,
     tally,
 )
+from bclearn.oracle import OracleError, log_g_exact
 from bclearn.search import Model
-from helpers import make_dataset, punch_holes, random_complete
+from helpers import PRIORS, make_dataset, punch_holes, random_complete
 
 
-def family(db, child, parents, alpha=1.0):
+def family(db, child, parents, alpha=1.0, beta=1.0):
     ctx = ParentContext.for_dataset(db, child, parents)
-    return tally(db, ctx), PriorSpec.uniform(ctx, alpha=alpha)
+    return tally(db, ctx), PriorSpec(alpha, beta)
 
 
 def sequential_predictive_log(dataset, parent_sets, alpha=1.0):
@@ -56,12 +56,12 @@ class TestLogGExact:
     def test_empty_dataset_scores_zero(self):
         db = make_dataset((2,), np.zeros((0, 1), dtype=np.int16))
         table, prior = family(db, 0, ())
-        assert log_g_exact(table, prior).log_g == 0.0
+        assert log_g_exact(table, prior) == 0.0
 
     def test_single_case_is_uniform_predictive(self):
         db = make_dataset((2,), [[0]])
         table, prior = family(db, 0, ())
-        assert log_g_exact(table, prior).log_g == pytest.approx(
+        assert log_g_exact(table, prior) == pytest.approx(
             -math.log(2), rel=1e-12
         )
 
@@ -69,14 +69,14 @@ class TestLogGExact:
         db = make_dataset((2,), [[0], [0]])
         table, prior = family(db, 0, ())
         # sequential predictive: 1/2 * 2/3
-        assert log_g_exact(table, prior).log_g == pytest.approx(
+        assert log_g_exact(table, prior) == pytest.approx(
             math.log(1 / 3), rel=1e-12
         )
 
     def test_refuses_incomplete_family(self):
         db = make_dataset((2,), [[0], [MISSING]])
         table, prior = family(db, 0, ())
-        with pytest.raises(ScoreError, match="complete family"):
+        with pytest.raises(OracleError, match="complete family"):
             log_g_exact(table, prior)
 
     def test_matches_sequential_predictive_on_random_families(self):
@@ -87,7 +87,7 @@ class TestLogGExact:
                 tuple(range(child)) for child in range(db.n_variables)
             )
             by_gamma = sum(
-                log_g_exact(*family(db, child, parents)).log_g
+                log_g_exact(*family(db, child, parents))
                 for child, parents in enumerate(parent_sets)
             )
             by_chain = sequential_predictive_log(db, parent_sets)
@@ -101,11 +101,11 @@ class TestLogGBc:
             db = random_complete(rng, max_vars=3, max_card=3, max_cases=25)
             child = int(rng.integers(db.n_variables))
             parents = tuple(i for i in range(db.n_variables) if i != child)
-            table, prior = family(db, child, parents)
-            bc = log_g_bc(table, prior, bc_estimate(table, prior))
-            exact = log_g_exact(table, prior)
-            assert bc.log_g == exact.log_g
-            assert bc.exact
+            for alpha, beta in PRIORS:
+                table, prior = family(db, child, parents, alpha, beta)
+                bc = log_g_bc(table, prior, bc_estimate(table, prior))
+                assert bc.log_g == log_g_exact(table, prior)
+                assert bc.exact
 
     def test_totally_missing_root_flattens_to_prior_shares(self):
         # four cases of one binary variable, all missing: the matched

@@ -140,7 +140,7 @@ class TestK2:
         monkeypatch.undo()
         for child, parents in enumerate(model.parent_sets):
             ctx = ParentContext.for_dataset(db, child, parents)
-            fresh = bc_estimate(tally(db, ctx), PriorSpec.uniform(ctx))
+            fresh = bc_estimate(tally(db, ctx), PriorSpec())
             assert np.array_equal(model.cpts[child], fresh.p_hat)
 
 
