@@ -25,10 +25,15 @@ tolerance for accumulation error.
 
 The collapse of a row uses p_k = a_k * S + phi_k * nstar_k / (b + nstar_k)
 with S = sum_l phi_l / (b + nstar_l), over the least common multiple of the
-distinct denominators b + nstar_l.  Counts take few distinct values, so
-that multiple stays small, and a family costs O(n + q) integer operations
-for n cases and q parent configurations, including the collapse of the q
-parent-configuration probabilities behind the precision estimate.
+row's denominators b + nstar_l.  Every quantity is one numpy expression
+over the whole (q, c) table on object dtype, whose elements are Python
+ints: nothing overflows and each cell is still one correctly rounded
+division, with no Python loop over configurations.  A row's integers are
+a few machine words long.  Big integers appear only in the precision: the
+q parent-configuration probabilities collapse as one row whose least
+common multiple spans one denominator per distinct parent-completion
+count, so it grows with the missing fraction, and the precision and the
+matched Dirichlet carry it.
 """
 
 from __future__ import annotations
@@ -111,28 +116,6 @@ class BcCellEstimate:
     dirichlet: np.ndarray
 
 
-class _FamilyInts:
-    """Integer view of one family's prior and counts.
-
-    alpha is written a/scale in lowest terms (scale is 1 for an integer
-    alpha); counts are multiplied by the same grid so that every derived
-    quantity is an exact integer ratio.  ``rows[j]`` is (a, nstar, b) with
-    a[k] = alpha + n_k and b = c * alpha + n_j, all on the grid;
-    ``alpha_sum`` is c * alpha on the grid.
-    """
-
-    def __init__(self, table: CountTable, prior: PriorSpec):
-        ctx = table.context
-        self.q, self.c = ctx.n_configs, ctx.child_cardinality
-        alpha, self.scale = prior.alpha.as_integer_ratio()
-        scale = self.scale
-        self.alpha_sum = self.c * alpha
-        self.rows = []
-        for obs, comp in zip(table.obs_matrix().tolist(), table.comp_matrix().tolist()):
-            a = [alpha + scale * n for n in obs]
-            self.rows.append((a, [scale * n for n in comp], sum(a)))
-
-
 def _normalized_int_row(row) -> tuple[list[int], int]:
     """Exactly normalized probability row as integers over its own sum."""
     fractions = [Fraction(float(v)) for v in row]
@@ -144,40 +127,57 @@ def _normalized_int_row(row) -> tuple[list[int], int]:
     return nums, total
 
 
-def _collapse_ints(a, nstar, b, phi_num, phi_den) -> tuple[list[int], int]:
-    """Collapsed estimates for one configuration as (numerators, denominator).
+def _on_grid(weight: float, obs: np.ndarray, comp: np.ndarray):
+    """Prior-plus-observed weights a = w + scale * obs and completion counts
+    nstar = scale * comp on the integer grid of ``weight`` = w / scale in
+    lowest terms, as object arrays of Python ints."""
+    w, scale = weight.as_integer_ratio()
+    return w + scale * obs.astype(object), scale * comp.astype(object)
 
-    a[k] is the prior-plus-observed weight of state k, b their sum, nstar[k]
-    the completion count, phi the exactly normalized mixing row.  Mixing the
-    upper bound (a_k + nstar_k)/(b + nstar_k) with the lower extremes
-    a_k/(b + nstar_l), l != k, gives
+
+def _collapse(a, nstar, b, phi_num, phi_den):
+    """Collapsed estimates of every row as (numerators, denominators).
+
+    a[j, k] is the prior-plus-observed weight of state k in row j, b[j, 0]
+    the row sum, nstar[j, k] the completion count and phi_num[j] /
+    phi_den[j, 0] the exactly normalized mixing row; all are object arrays
+    of Python ints.  Mixing the upper bound (a_k + nstar_k)/(b + nstar_k)
+    with the lower extremes a_k/(b + nstar_l), l != k, gives
 
         p_k = a_k * S + phi_k * nstar_k / (b + nstar_k),
         S   = sum_l phi_l / (b + nstar_l),
 
-    put over phi_den * L, where L is the least common multiple of the
-    *distinct* denominators b + nstar_l.  Counts take few distinct values,
-    so L stays small and a row of length q costs O(q) integer operations.
+    put over phi_den * L, where L is the least common multiple of the row's
+    denominators b + nstar_l.  Each step is one numpy expression over the
+    whole table.  A single long row (the parent configurations behind the
+    precision) takes L over its distinct denominators only.
     """
-    denominators = [b + n for n in nstar]
-    lcm = math.lcm(*set(denominators))
-    shares = [lcm // d for d in denominators]
-    total = sum(p * s for p, s in zip(phi_num, shares))
-    nums = [
-        a_k * total + p * n * s
-        for a_k, p, n, s in zip(a, phi_num, nstar, shares)
-    ]
+    d = b + nstar
+    if len(d) == 1:
+        lcm = np.array([[math.lcm(*set(d[0].tolist()))]], dtype=object)
+    else:
+        lcm = np.lcm.reduce(d, axis=1, keepdims=True)
+    weighted = phi_num * (lcm // d)
+    nums = a * weighted.sum(axis=1, keepdims=True) + weighted * nstar
     return nums, phi_den * lcm
 
 
-def _phi_int_rows(ints: _FamilyInts, policy):
-    """Exactly normalized phi rows as (numerators, denominator) pairs."""
+def _phi_ints(policy, a, b):
+    """Exactly normalized phi rows as (numerators, denominators) arrays
+    shaped like ``a`` and ``b``."""
     if isinstance(policy, CompletionDistribution):
-        return [_normalized_int_row(policy.phi[j]) for j in range(ints.q)]
+        if policy.phi.shape != a.shape:
+            raise EstimateError(
+                f"phi is {policy.phi.shape}, the family needs {a.shape}"
+            )
+        rows = [_normalized_int_row(row) for row in policy.phi]
+        return (np.array([nums for nums, _ in rows], dtype=object),
+                np.array([[den] for _, den in rows], dtype=object))
     if policy == "mar":
-        return [(a, b) for a, _, b in ints.rows]
+        return a, b
     if policy == "uniform":
-        return [([1] * ints.c, ints.c) for _ in range(ints.q)]
+        c = a.shape[1]
+        return np.ones(a.shape, dtype=object), np.full(b.shape, c, dtype=object)
     raise EstimateError(f"unknown phi policy {policy!r}")
 
 
@@ -204,32 +204,30 @@ def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
     return CompletionDistribution(phi)
 
 
-def _parent_p_hat_ints(table: CountTable, prior: PriorSpec):
-    """Collapsed parent-configuration probabilities as (numerators, den),
-    with the MAR completion row of the parent-configuration Dirichlet."""
-    beta, scale = prior.beta.as_integer_ratio()
-    a = [beta + scale * n for n in table.parent_obs_vector().tolist()]
-    nstar = [scale * n for n in table.parent_comp_vector().tolist()]
-    b = sum(a)
-    return _collapse_ints(a, nstar, b, a, b)
-
-
-def _precision_ints(table: CountTable, prior: PriorSpec, ints: _FamilyInts):
+def _precision_ints(table: CountTable, prior: PriorSpec):
     """Posterior precision per configuration as (numerators, denominator).
 
     Fully parent-observed cases update their configuration exactly; the
     remainder is shared out in proportion to the collapsed estimate of the
-    configuration probabilities, so the total precision gained is exactly
-    the number of cases.
+    configuration probabilities, the MAR collapse of one row over the
+    parent configurations under the Dirichlet(beta) prior, so the total
+    precision gained is exactly the number of cases.
     """
-    p_num, p_den = _parent_p_hat_ints(table, prior)
-    scale = ints.scale
+    alpha, scale = prior.alpha.as_integer_ratio()
+    n_obs = table.parent_obs_vector()
+    a, nstar = _on_grid(prior.beta, n_obs[None], table.parent_comp_vector()[None])
+    b = a.sum(axis=1, keepdims=True)
+    p_num, p_den = _collapse(a, nstar, b, a, b)
+    p_num, p_den = p_num[0], p_den[0, 0]
+    row_prior = table.context.child_cardinality * alpha
     spare = scale * table.parent_incomplete_cases
-    nums = [
-        (ints.alpha_sum + scale * n) * p_den + spare * p
-        for n, p in zip(table.parent_obs_vector().tolist(), p_num)
-    ]
+    nums = (row_prior + scale * n_obs.astype(object)) * p_den + spare * p_num
     return nums, scale * p_den
+
+
+def _round(num, den) -> np.ndarray:
+    """Each exact ratio num / den as the nearest float (one rounding)."""
+    return (num / den).astype(float)
 
 
 def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimate:
@@ -237,23 +235,22 @@ def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimat
     precision and the moment-matched Dirichlet hyperparameters
     alpha_hat * p_hat.  ``phi`` is "mar", "uniform" or a
     CompletionDistribution."""
-    ints = _FamilyInts(table, prior)
-    phi_rows = _phi_int_rows(ints, phi)
-    alpha_hat_num, alpha_hat_den = _precision_ints(table, prior, ints)
-
-    p_hat, p_max, p_min, dirichlet = [], [], [], []
-    for (a, nstar, b), phi_row, weight in zip(ints.rows, phi_rows, alpha_hat_num):
-        nums, den = _collapse_ints(a, nstar, b, *phi_row)
-        top = b + max(nstar)
-        dir_den = den * alpha_hat_den
-        p_hat.append([n / den for n in nums])
-        p_max.append([(a_k + n) / (b + n) for a_k, n in zip(a, nstar)])
-        p_min.append([a_k / top for a_k in a])
-        dirichlet.append([n * weight / dir_den for n in nums])
+    a, nstar = _on_grid(prior.alpha, table.obs_matrix(), table.comp_matrix())
+    b = a.sum(axis=1, keepdims=True)
+    nums, den = _collapse(a, nstar, b, *_phi_ints(phi, a, b))
+    ah_num, ah_den = _precision_ints(table, prior)
+    try:
+        alpha_hat = _round(ah_num, ah_den)
+    except OverflowError:
+        # p_hat <= 1, so every other field is at most alpha_hat
+        raise EstimateError(
+            f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
+            "the posterior precision of a configuration exceeds the largest float"
+        ) from None
     return BcCellEstimate(
-        p_hat=np.array(p_hat),
-        p_min=np.array(p_min),
-        p_max=np.array(p_max),
-        alpha_hat=np.asarray([n / alpha_hat_den for n in alpha_hat_num]),
-        dirichlet=np.array(dirichlet),
+        p_hat=_round(nums, den),
+        p_min=_round(a, b + nstar.max(axis=1, keepdims=True)),
+        p_max=_round(a + nstar, b + nstar),
+        alpha_hat=alpha_hat,
+        dirichlet=_round(nums * ah_num[:, None], den * ah_den),
     )

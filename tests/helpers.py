@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from bclearn import MISSING, Dataset, Variable
+from bclearn.estimate import _on_grid, _phi_ints
 
 
 def make_dataset(cards, rows, names=None):
@@ -76,3 +79,13 @@ def random_incomplete(rng, max_vars=3, max_card=3, max_cases=6, max_completions=
             product *= dataset.variables[col].cardinality
         if 1 < product <= max_completions:
             return dataset
+
+
+def phi_rows(table, prior, policy):
+    """The phi rows bc_estimate mixes with, as exact Fractions."""
+    a, _ = _on_grid(prior.alpha, table.obs_matrix(), table.comp_matrix())
+    nums, dens = _phi_ints(policy, a, a.sum(axis=1, keepdims=True))
+    return [
+        [Fraction(n, den) for n in row]
+        for row, (den,) in zip(nums.tolist(), dens.tolist())
+    ]

@@ -5,7 +5,6 @@ the lines on success; tolerances are fixed here and nowhere else.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,10 +27,11 @@ from bclearn import (
     sample,
     tally,
 )
-from bclearn.estimate import _FamilyInts, _phi_int_rows
 from bclearn.oracle import log_g_exact
 from bclearn.search import Model
-from helpers import PRIORS, five_case_db, make_dataset, punch_holes, random_complete
+from helpers import (
+    PRIORS, five_case_db, make_dataset, phi_rows, punch_holes, random_complete,
+)
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -216,10 +216,7 @@ def test_c06_child_only_missingness_reduction():
         )
         table = tally(db, ctx)
         prior = PriorSpec()
-        phi = [
-            [Fraction(n, den) for n in nums]
-            for nums, den in _phi_int_rows(_FamilyInts(table, prior), "mar")
-        ]
+        phi = phi_rows(table, prior, "mar")
         p_hat = bc_estimate(table, prior).p_hat
         for j, (obs, comp) in enumerate(
             zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())

@@ -344,6 +344,32 @@ class TestPriorValidation:
         assert code == 1
         assert err.startswith("error: ") and flag[2:] in err
 
+    @pytest.mark.parametrize("command", [
+        ["learn"], ["estimate", "--child", "X3", "--parents", "X1,X2"],
+    ])
+    def test_precision_above_the_largest_float_is_validation_error(
+        self, worked_csv, capsys, command
+    ):
+        # alpha_hat = c * alpha + n is about 2e308 for the binary child
+        code = run(
+            [command[0], "--data", worked_csv, *command[1:], "--alpha", "1e308"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "alpha=1e+308" in err
+
+    @pytest.mark.parametrize("command", [
+        ["learn"], ["estimate", "--child", "X3", "--parents", "X1,X2"],
+    ])
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "1e300"), ("--beta", "1e308")]
+    )
+    def test_huge_prior_below_the_float_range_still_runs(
+        self, worked_csv, capsys, command, flag, value
+    ):
+        code = run([command[0], "--data", worked_csv, *command[1:], flag, value])
+        assert code == 0, capsys.readouterr().err
+
 
 class TestParser:
     def test_missing_subcommand_is_validation_error(self, capsys):

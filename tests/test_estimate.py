@@ -14,29 +14,16 @@ from bclearn import (
     bc_estimate,
     tally,
 )
-from bclearn.estimate import (
-    _collapse_ints,
-    _FamilyInts,
-    _normalized_int_row,
-    _phi_int_rows,
-    phi_from_rows,
+from bclearn.estimate import _collapse, _normalized_int_row, phi_from_rows
+from helpers import (
+    PRIORS, five_case_db, make_dataset, phi_rows, punch_holes, random_complete,
 )
-from helpers import PRIORS, make_dataset, punch_holes, random_complete
 
 
 def family(db, child, parents):
     ctx = ParentContext.for_dataset(db, child, parents)
     table = tally(db, ctx)
     return ctx, table, PriorSpec()
-
-
-def phi_rows(table, prior, policy):
-    """The phi rows bc_estimate mixes with, as exact Fractions."""
-    ints = _FamilyInts(table, prior)
-    return [
-        [Fraction(n, den) for n in nums]
-        for nums, den in _phi_int_rows(ints, policy)
-    ]
 
 
 def random_family(rng, dataset):
@@ -76,6 +63,13 @@ class TestPhi:
             CompletionDistribution(np.array([[0.7, 0.2]]))
         with pytest.raises(EstimateError):
             CompletionDistribution(np.array([[1.2, -0.2]]))
+
+    def test_user_table_must_match_the_family_shape(self, worked_db):
+        _, table, prior = family(worked_db, 2, (0, 1))
+        for shape in ((1, 2), (4, 3), (5, 2)):
+            phi = CompletionDistribution(np.full(shape, 1.0 / shape[1]))
+            with pytest.raises(EstimateError, match="family needs"):
+                bc_estimate(table, prior, phi)
 
     def test_user_table_by_config_label(self, worked_db):
         ctx, table, prior = family(worked_db, 2, (0, 1))
@@ -171,6 +165,73 @@ def collapse_by_product(a, nstar, b, phi_num, phi_den):
     return nums, phi_den * product
 
 
+def on_grid(value, counts):
+    """value + counts with value = w/scale, as integers w + scale * n."""
+    w, scale = Fraction(value).as_integer_ratio()
+    return [w + scale * n for n in counts], scale
+
+
+def reference_estimate(table, prior, policy):
+    """Every BcCellEstimate field from exact Fractions, each rounded once."""
+    ctx = table.context
+    c = ctx.child_cardinality
+    alpha = Fraction(prior.alpha)
+    parent_obs = table.parent_obs_vector().tolist()
+    # parent-configuration probabilities: the MAR collapse under Dirichlet(beta)
+    pa, beta_scale = on_grid(prior.beta, parent_obs)
+    p_nums, p_den = collapse_by_product(
+        pa, [beta_scale * n for n in table.parent_comp_vector().tolist()],
+        sum(pa), pa, sum(pa),
+    )
+    fields = {f: [] for f in ("p_hat", "p_min", "p_max", "alpha_hat", "dirichlet")}
+    for j, (obs, comp) in enumerate(
+        zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())
+    ):
+        a, scale = on_grid(prior.alpha, obs)
+        nstar = [scale * n for n in comp]
+        b = sum(a)
+        if policy == "mar":
+            phi = (a, b)
+        elif policy == "uniform":
+            phi = ([1] * c, c)
+        else:
+            row = [Fraction(v) for v in policy.phi[j].tolist()]
+            row = [v / sum(row) for v in row]
+            den = math.lcm(*(v.denominator for v in row))
+            phi = ([int(v * den) for v in row], den)
+        nums, den = collapse_by_product(a, nstar, b, *phi)
+        p_hat = [Fraction(n, den) for n in nums]
+        alpha_hat = (
+            c * alpha + parent_obs[j]
+            + table.parent_incomplete_cases * Fraction(p_nums[j], p_den)
+        )
+        fields["p_hat"].append(p_hat)
+        fields["p_max"].append(
+            [(alpha + o + n) / (c * alpha + sum(obs) + n) for o, n in zip(obs, comp)]
+        )
+        fields["p_min"].append(
+            [(alpha + o) / (c * alpha + sum(obs) + max(comp)) for o in obs]
+        )
+        fields["alpha_hat"].append(alpha_hat)
+        fields["dirichlet"].append([p * alpha_hat for p in p_hat])
+    assert all(
+        isinstance(v, Fraction)
+        for values in fields.values() for v in np.ravel(values)
+    )
+    return {
+        name: np.array([float(v) for v in values] if name == "alpha_hat"
+                       else [[float(v) for v in row] for row in values])
+        for name, values in fields.items()
+    }
+
+
+def non_dyadic_phi(rng, ctx):
+    """Rows of small-integer weights over their sum, such as 0.1, 0.2, 0.7:
+    not exact binary fractions, and their floats need not sum to one."""
+    weights = rng.integers(1, 10, size=(ctx.n_configs, ctx.child_cardinality))
+    return CompletionDistribution(weights / weights.sum(axis=1, keepdims=True))
+
+
 class TestCollapse:
     def test_lcm_form_equals_product_reference(self):
         """Same exact rationals as the product-of-denominators form, on rows
@@ -199,12 +260,17 @@ class TestCollapse:
                 phi = _normalized_int_row(rng.dirichlet(np.ones(c)))
             else:
                 phi = (a, b)
-            nums, den = _collapse_ints(a, nstar, b, *phi)
             ref_nums, ref_den = collapse_by_product(a, nstar, b, *phi)
-            assert [Fraction(n, den) for n in nums] == [
-                Fraction(n, ref_den) for n in ref_nums
-            ]
-            assert sum(nums) == den
+            expected = [Fraction(n, ref_den) for n in ref_nums]
+            # one row alone, and the same row twice as a two-row table
+            for rows in (1, 2):
+                nums, den = _collapse(*(
+                    np.array([v if isinstance(v, list) else [v]] * rows, dtype=object)
+                    for v in (a, nstar, b, *phi)
+                ))
+                for row_nums, (row_den,) in zip(nums.tolist(), den.tolist()):
+                    assert [Fraction(n, row_den) for n in row_nums] == expected
+                    assert sum(row_nums) == row_den
 
     def test_complete_data_equals_posterior_mean_exactly(self):
         db = make_dataset((2,), [[0], [0], [0], [1]])
@@ -391,6 +457,35 @@ class TestBcEstimate:
                             getattr(twice, field), getattr(est, field)
                         )
                     np.testing.assert_array_equal(twice.alpha_hat, 2 * est.alpha_hat)
+
+    def test_every_field_matches_the_exact_reference(self):
+        """Each cell of every field is its exact rational rounded once, on
+        seeded random families and on q = 1, fully observed, totally
+        missing child and parent-missing families."""
+        rng = np.random.default_rng(18)
+        fixed = [
+            (make_dataset((3,), [[0], [2], [MISSING], [2]]), 0, ()),
+            (make_dataset((3, 2), [[0, 1], [2, 0], [1, 1], [2, 1]]), 0, (1,)),
+            (make_dataset((2, 3), [[MISSING, k % 3] for k in range(7)]), 0, (1,)),
+            (make_dataset((2, 3, 2), [[0, MISSING, 1], [1, 2, MISSING],
+                                      [1, MISSING, MISSING], [0, 1, 0]]), 0, (1, 2)),
+        ]
+        families = [family(db, child, parents)[:2] for db, child, parents in fixed]
+        families.append(family(five_case_db(), 2, (0, 1))[:2])
+        while len(families) < 30:
+            db = random_complete(rng, max_vars=4, max_card=4, max_cases=25)
+            if db.codes.size == 0:
+                continue
+            db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
+            families.append(random_family(rng, db)[:2])
+        for ctx, table in families:
+            for alpha, beta in PRIORS:
+                prior = PriorSpec(alpha, beta)
+                for phi in ("mar", "uniform", non_dyadic_phi(rng, ctx)):
+                    est = bc_estimate(table, prior, phi)
+                    reference = reference_estimate(table, prior, phi)
+                    for name, expected in reference.items():
+                        np.testing.assert_array_equal(getattr(est, name), expected)
 
     def test_interval_width_never_shrinks_as_entries_vanish(self):
         rng = np.random.default_rng(16)
