@@ -12,6 +12,12 @@ sorted set of distinct observed values.  An optional JSON schema sidecar
 explicitly; this is required when a column is entirely missing and is
 the only way to guarantee CSV round trips for states that never occur
 observed.
+
+``load_csv`` splits a file by one of two paths that give the same
+``Dataset``.  The common file -- no quoting, no blank line, every row as
+wide as the header, body cells of at most 8 bytes -- is tokenised by numpy
+on its bytes, never making a Python object per cell.  Every other file is
+parsed by ``csv.reader``, which also words every error about the layout.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -142,15 +147,141 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     columns not covered by a schema default to a binary ("1", "2")
     universe, there being no cells to contradict it.
 
-    Every cell is mapped once to its rank among all distinct labels of the
-    file; each column is then translated from label ranks to state indices
-    with a small lookup table.
+    The file is first read as bytes.  If it is valid UTF-8 and has no quote
+    character, NUL byte, carriage return outside a CRLF line end or blank
+    line, its header names are unique, every row is as wide as the header
+    and every body cell is at most 8 bytes long, numpy tokenises it.  Any
+    other file is parsed by ``csv.reader`` (RFC 4180 quoting), which also
+    words every error about the file's layout.  Both paths hand each
+    column's sorted distinct labels and per-row label index to the one
+    step below, which fixes the states and codes and words every error
+    about states, so both give the same ``Dataset`` or the same error.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        header, n_cases, columns = _split_bytes(path) or _split_rows(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+    unknown = MISSING - 1
+    variables = []
+    codes = np.empty((n_cases, len(header)), dtype=np.int16, order="F")
+    first_bad = None  # (row, column, label) of the first out-of-schema cell
+    for i, (name, (labels, inverse)) in enumerate(zip(header, columns)):
+        if schema is not None and name in schema:
+            states = [str(s) for s in schema[name]]
+        else:
+            states = [label for label in labels if label != missing_token]
+            if not states and n_cases:
+                raise DataError(
+                    f"{path}: column {name!r} has uninferable cardinality "
+                    "(all values missing and no schema supplied)"
+                )
+            states = states or ["1", "2"]
+        variable = Variable(name, tuple(states))
+        variables.append(variable)
+        state_index = {state: s for s, state in enumerate(variable.states)}
+        lookup = np.array(
+            [
+                MISSING if label == missing_token else state_index.get(label, unknown)
+                for label in labels
+            ],
+            dtype=np.int16,
+        )
+        codes[:, i] = lookup[inverse]
+        if (lookup == unknown).any():
+            r = int(np.argmax(codes[:, i] == unknown))
+            if first_bad is None or r < first_bad[0]:
+                first_bad = (r, i, labels[inverse[r]])
+    if first_bad is not None:
+        _, i, label = first_bad
+        raise DataError(f"{label!r} is not a state of {header[i]!r}")
+    return Dataset(tuple(variables), codes)
+
+
+_BLOCK_ROWS = 4096
+# _KEY_MASKS[k] keeps the first k bytes of a big-endian 8-byte word.
+_KEY_MASKS = np.array(
+    [(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64
+)
+
+
+def _split_bytes(path):
+    """Tokenise an unquoted file with numpy, or return None to defer to csv.
+
+    Each body cell becomes a uint64 key holding its UTF-8 bytes left-aligned
+    and zero-padded, so keys sort as the labels do and the empty cell is 0.
+    Rows are tokenised in blocks, so no per-cell temporary spans the file.
+    Returns ``(header, n_cases, columns)`` with ``columns`` yielding each
+    column's ``(sorted labels, inverse)`` in turn.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw or b'"' in raw or b"\0" in raw:
+        return None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+        if b"\r" in raw:  # a carriage return outside CRLF
+            return None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    if raw.startswith(b"\n") or b"\n\n" in raw:
+        return None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    header_end = raw.index(b"\n")
+    if header_end > csv.field_size_limit():  # csv.reader may refuse a name
+        return None
+    header = raw[:header_end].decode("utf-8").split(",")
+    if len(set(header)) != len(header):
+        return None
+
+    width = len(header)
+    size = len(raw)
+    # 7 zero bytes past the end give the last cell a whole 8-byte word.
+    raw += bytes(7)
+    buf = np.frombuffer(raw, dtype=np.uint8, count=size)
+    words = np.ndarray((size,), dtype=">u8", buffer=raw, strides=(1,))
+    line_ends = np.flatnonzero(buf == ord("\n"))
+    n_cases = len(line_ends) - 1
+    keys = np.empty((n_cases, width), dtype=np.uint64, order="F")
+    for r0 in range(0, n_cases, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n_cases)
+        start, stop = line_ends[r0] + 1, line_ends[r1] + 1
+        block = buf[start:stop]
+        seps = np.flatnonzero((block == ord(",")) | (block == ord("\n"))) + start
+        if len(seps) != (r1 - r0) * width or not np.array_equal(
+            seps[width - 1 :: width], line_ends[r0 + 1 : r1 + 1]
+        ):
+            return None
+        starts = np.concatenate(([start], seps[:-1] + 1))
+        lengths = seps - starts
+        if lengths.max() > 8:
+            return None
+        keys[r0:r1] = (words[starts] & _KEY_MASKS[lengths]).reshape(r1 - r0, width)
+    return header, n_cases, (_key_labels(keys[:, i]) for i in range(width))
+
+
+def _key_labels(keys: np.ndarray):
+    """A column's sorted distinct labels and each row's index into them."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    labels = [
+        key.to_bytes(8, "big").rstrip(b"\0").decode("utf-8")
+        for key in distinct.tolist()
+    ]
+    return labels, inverse
+
+
+def _split_rows(path):
+    """Parse with ``csv.reader``: the path for any file ``_split_bytes`` declines."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file (no header)")
     header = rows[0]
@@ -160,46 +291,12 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     for r, row in enumerate(body):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-
-    # Sorted labels keep each column's observed states in sorted order.
-    labels = sorted(set(chain.from_iterable(body)) | {missing_token})
-    index = {label: t for t, label in enumerate(labels)}
-    ids = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(body)),
-        dtype=np.int32,
-        count=len(body) * len(header),
-    ).reshape(len(body), len(header))
-    del rows, body
-
-    variables = []
-    for i, name in enumerate(header):
-        if schema is not None and name in schema:
-            states = [str(s) for s in schema[name]]
-        else:
-            present = np.flatnonzero(np.bincount(ids[:, i], minlength=len(labels)))
-            observed = [labels[t] for t in present if t != index[missing_token]]
-            if not observed and len(ids):
-                raise DataError(
-                    f"{path}: column {name!r} has uninferable cardinality "
-                    "(all values missing and no schema supplied)"
-                )
-            states = observed if observed else ["1", "2"]
-        variables.append(Variable(name, tuple(states)))
-
-    unknown = MISSING - 1
-    codes = np.empty(ids.shape, dtype=np.int16, order="F")
-    for i, v in enumerate(variables):
-        lookup = np.full(len(labels), unknown, dtype=np.int16)
-        for state, label in enumerate(v.states):
-            if label in index:
-                lookup[index[label]] = state
-        lookup[index[missing_token]] = MISSING
-        codes[:, i] = lookup[ids[:, i]]
-    bad = np.argwhere(codes == unknown)
-    if len(bad):
-        r, i = bad[0]
-        raise DataError(f"{labels[ids[r, i]]!r} is not a state of {header[i]!r}")
-    return Dataset(tuple(variables), codes)
+    columns = (
+        np.unique(np.array([row[i] for row in body], dtype=object),
+                  return_inverse=True)
+        for i in range(len(header))
+    )
+    return header, len(body), columns
 
 
 def save_csv(dataset: Dataset, path, missing_token: str = "?") -> None:

@@ -87,6 +87,13 @@ class TestLearn:
         code = run(["learn", "--data", tmp_path / "nope.csv"])
         assert code == 1
 
+    def test_cell_over_the_csv_field_limit_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("A,B\n1,2\n2," + "x" * 200_000 + "\n", encoding="utf-8")
+        assert run(["learn", "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: line 3: ")
+
     def test_internal_failure_maps_to_code_two(self, worked_csv, monkeypatch):
         import bclearn.cli as cli_module
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,142 @@ class TestLoadCsv:
         assert d.codes.flags.f_contiguous
         assert not d.codes.flags.c_contiguous
         assert not d.codes.flags.writeable
+
+
+def load_or_error(path, **kwargs):
+    """The Dataset load_csv gives, or its error with the file name masked."""
+    try:
+        return load_csv(path, **kwargs)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc).replace(str(path), "<file>")
+
+
+def refuse_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was called")
+
+
+class TestBytePathMatchesCsvReader:
+    """Unquoted files are split by numpy, quoted ones by csv.reader.
+
+    Quoting the first header cell ('"X0"' parses to 'X0') sends the same
+    content down the csv.reader path, so the two results must be equal.
+    """
+
+    # prefixes of each other, digits, multi-byte UTF-8, 0 and 8 bytes long
+    LABELS = ["", "a", "ab", "b", "9", "10", "é", "状態", "é状態", "abcdefgh",
+              "?"]
+
+    def random_file(self, rng):
+        n_rows = int(rng.integers(0, 40))
+        width = int(rng.integers(1, 21))
+        header = [f"X{i}" for i in range(width)]
+        columns = []
+        for _ in range(width):
+            pool = rng.choice(self.LABELS, size=int(rng.integers(2, 6)), replace=False)
+            columns.append(rng.choice(pool, size=n_rows).tolist())
+        rows = [header] + [list(row) for row in zip(*columns)]
+        newline = "\r\n" if rng.random() < 0.5 else "\n"
+        text = newline.join(",".join(row) for row in rows)
+        if rng.random() < 0.7:
+            text += newline
+        schema = None
+        if rng.random() < 0.5:
+            # the observed labels in a shuffled order, sometimes one short
+            schema = {}
+            for name, column in zip(header, columns):
+                states = sorted(set(column) - {"?"} | {"x1", "x2"})
+                rng.shuffle(states)
+                schema[name] = states
+            if rng.random() < 0.2:
+                schema[str(rng.choice(header))].pop(0)
+        return header, columns, text, schema
+
+    def test_random_files_load_the_same_by_both_paths(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(707)
+        loaded = 0
+        for trial in range(300):
+            header, columns, text, schema = self.random_file(rng)
+            plain = tmp_path / f"plain{trial}.csv"
+            quoted = tmp_path / f"quoted{trial}.csv"
+            plain.write_bytes(text.encode("utf-8"))
+            quoted.write_bytes(('"X0"' + text[2:]).encode("utf-8"))
+            kwargs = {"schema": schema}
+            if rng.random() < 0.3:
+                kwargs["missing_token"] = "a"
+            expected = load_or_error(quoted, **kwargs)
+            # a single-column file with an empty cell has a blank line
+            if len(header) > 1 or "" not in columns[0]:
+                monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+            got = load_or_error(plain, **kwargs)
+            monkeypatch.undo()
+            assert got == expected, (trial, text)
+            loaded += isinstance(got, Dataset)
+        assert loaded > 100
+
+    def test_prefix_and_digit_labels_sort_as_strings(self, tmp_path):
+        path = tmp_path / "order.csv"
+        body = ["ab,1", "10,1", "a,1", "9,1", "状態,1", "é,1", ",1", "b,2"]
+        path.write_bytes("\r\n".join(["X,Y"] + body).encode("utf-8"))
+        d = load_csv(path)
+        assert d.variables[0].states == ("", "10", "9", "a", "ab", "b", "é", "状態")
+        assert d.codes[:, 0].tolist() == [4, 1, 3, 2, 7, 6, 0, 5]
+
+
+class TestFilesTheBytePathDeclines:
+    """Each file below goes to csv.reader; its result is the one it always was."""
+
+    def write(self, tmp_path, content: bytes):
+        path = tmp_path / "declined.csv"
+        path.write_bytes(content)
+        return path
+
+    def test_empty_file(self, tmp_path):
+        path = self.write(tmp_path, b"")
+        with pytest.raises(DataError, match="empty file \\(no header\\)$"):
+            load_csv(path)
+
+    def test_nul_byte(self, tmp_path):
+        path = self.write(tmp_path, b"A,B\n1,\x002\n2,1\n")
+        if sys.version_info < (3, 11):
+            with pytest.raises(DataError, match="line 2: line contains NUL"):
+                load_csv(path)
+        else:
+            d = load_csv(path)
+            assert d.variables[1].states == ("\x002", "1")
+            assert d.codes.tolist() == [[0, 0], [1, 1]]
+
+    @pytest.mark.parametrize("content", [b"A,B\n1,2\r2,1\n", b"A,B\n1,2\n2,1\r"])
+    def test_carriage_return_outside_crlf_ends_a_row(self, tmp_path, content):
+        d = load_csv(self.write(tmp_path, content))
+        assert d.codes.tolist() == [[0, 1], [1, 0]]
+
+    def test_cell_longer_than_eight_bytes(self, tmp_path):
+        d = load_csv(self.write(tmp_path, "A,B\n1,2\n2,ééééé\n".encode("utf-8")))
+        assert d.variables[1].states == ("2", "ééééé")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"A,B\n1,2\n\n2,1\n", "row 3 has 0 cells, expected 2"),
+            (b"A,B\r\n1,2\r\n2,1\r\n\r\n", "row 4 has 0 cells, expected 2"),
+            (b"A\n1\n\n2\n", "row 3 has 0 cells, expected 1"),
+            # a blank header line names no variable
+            (b"\nA,B\n", "row 2 has 2 cells, expected 0"),
+        ],
+    )
+    def test_blank_line(self, tmp_path, content, message):
+        with pytest.raises(DataError, match=f"{message}$"):
+            load_csv(self.write(tmp_path, content))
+
+    def test_duplicate_header_before_ragged_rows(self, tmp_path):
+        path = self.write(tmp_path, b"A,A\n1,2,3\n")
+        with pytest.raises(DataError, match="duplicate header names$"):
+            load_csv(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = self.write(tmp_path, b"A,B\n1,\xff\n2,1\n")
+        with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 6"):
+            load_csv(path)
 
 
 class TestRoundTrip:
