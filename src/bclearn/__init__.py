@@ -39,12 +39,9 @@ from .score import (
     log_marginal,
 )
 from .search import (
-    EnumeratedModel,
     Model,
     OrderConstraint,
     SearchError,
-    enumerate_models,
-    joint_distribution,
     k2_bc,
     marginals,
     model_from_arcs,
@@ -75,7 +72,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "DeletionPlan",
-    "EnumeratedModel",
     "EstimateError",
     "FamilyScore",
     "FamilyScorer",
@@ -96,10 +92,8 @@ __all__ = [
     "bc_estimate",
     "builtin_spec",
     "delete_entries",
-    "enumerate_models",
     "exact_expectation",
     "exact_marginal",
-    "joint_distribution",
     "k2_bc",
     "load_csv",
     "load_schema",

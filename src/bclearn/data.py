@@ -23,12 +23,15 @@ parsed by ``csv.reader``, which also words every error about the layout.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MISSING = -1
+# States are indexed by int16 codes, so a variable has at most 2**15 of them.
+MAX_STATES = np.iinfo(np.int16).max + 1
 
 
 class DataError(ValueError):
@@ -47,6 +50,11 @@ class Variable:
         if len(self.states) < 2:
             raise DataError(
                 f"variable {self.name!r} needs >= 2 states, got {len(self.states)}"
+            )
+        if len(self.states) > MAX_STATES:
+            raise DataError(
+                f"variable {self.name!r} has {len(self.states)} states; "
+                f"int16 state codes index at most {MAX_STATES}"
             )
         if len(set(self.states)) != len(self.states):
             raise DataError(f"variable {self.name!r} has duplicate state labels")
@@ -276,12 +284,19 @@ def _key_labels(keys: np.ndarray):
 
 def _split_rows(path):
     """Parse with ``csv.reader``: the path for any file ``_split_bytes`` declines."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})"
+        ) from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file (no header)")
     header = rows[0]

@@ -1,4 +1,4 @@
-"""Brute-force enumeration over all completions of a tiny dataset.
+"""Brute-force references: every completion, every structure, every state.
 
 These routines are desk-scale ground truth: they expand every assignment
 of the missing entries, compute the exact complete-data quantities per
@@ -9,12 +9,18 @@ missing entries, so enumeration is refused beyond a cap.  The per-case
 ``enumerate_completions`` is the reference the aggregated tally is
 checked against, and ``log_g_exact``, the closed-form score of a complete
 family, the reference for the estimated score.
+
+Two more references are exponential in the number of variables:
+``enumerate_models`` scores every structure an order allows, the reference
+for the greedy search, and ``joint_distribution`` multiplies out the full
+joint table, the reference for ``search.marginals``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +28,21 @@ import numpy as np
 from .counts import CountTable, ParentContext
 from .data import MISSING, Dataset
 from .estimate import PriorSpec
+from .score import FamilyScorer, ModelScore
+from .search import Model, OrderConstraint
 
 DEFAULT_CAP = 4096
 
 
 class OracleError(ValueError):
     """Raised when enumeration would exceed the cap or inputs are invalid."""
+
+
+@dataclass(frozen=True)
+class EnumeratedModel:
+    model: Model
+    log_marginal: float
+    posterior: float
 
 
 def _consistent_configs(ctx: ParentContext, parent_entries) -> list[int]:
@@ -210,3 +225,76 @@ def exact_marginal(
     if total_weight <= 0:
         raise OracleError("completion weights sum to zero")
     return float(mixture / total_weight)
+
+
+def enumerate_models(
+    dataset: Dataset,
+    order: OrderConstraint,
+    alpha: float = 1.0,
+    beta: float = 1.0,
+    phi: str = "mar",
+    cap: int = 1024,
+) -> list[EnumeratedModel]:
+    """Score every model consistent with the order, best first, with
+    posterior probabilities under a uniform prior over the enumerated set."""
+    order.validate(dataset.n_variables)
+    n_models = 1
+    for position in range(len(order.order)):
+        n_models *= 2 ** position
+        if n_models > cap:
+            raise OracleError(
+                f"{n_models}+ models consistent with the order exceeds cap {cap}"
+            )
+    scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
+
+    choices_per_child: dict[int, list[tuple[int, ...]]] = {}
+    for position, child in enumerate(order.order):
+        predecessors = order.order[:position]
+        subsets = []
+        for r in range(len(predecessors) + 1):
+            subsets.extend(
+                tuple(sorted(combo))
+                for combo in itertools.combinations(predecessors, r)
+            )
+        choices_per_child[child] = subsets
+
+    children = sorted(choices_per_child)
+    scored = []
+    for combo in itertools.product(*(choices_per_child[c] for c in children)):
+        parent_sets = [()] * dataset.n_variables
+        for child, parents in zip(children, combo):
+            parent_sets[child] = parents
+        families = tuple(
+            scorer.score(child, parents)
+            for child, parents in enumerate(parent_sets)
+        )
+        score = ModelScore(families)
+        model = Model(dataset.variables, tuple(parent_sets), score=score)
+        scored.append((score.total, model))
+
+    best = max(total for total, _ in scored)
+    weights = [math.exp(total - best) for total, _ in scored]
+    normalizer = sum(weights)
+    results = [
+        EnumeratedModel(model, total, weight / normalizer)
+        for (total, model), weight in zip(scored, weights)
+    ]
+    results.sort(key=lambda em: (-em.log_marginal, em.model.arcs))
+    return results
+
+
+def joint_distribution(model: Model) -> np.ndarray:
+    """Exact joint probability table of a fully parameterized model: one
+    product of CPT entries per joint state, in variable order."""
+    if model.cpts is None:
+        raise OracleError("model has no CPTs")
+    cards = tuple(v.cardinality for v in model.variables)
+    contexts = [model.context(child) for child in range(len(cards))]
+    joint = np.zeros(cards)
+    for states in itertools.product(*(range(c) for c in cards)):
+        p = 1.0
+        for ctx, cpt in zip(contexts, model.cpts):
+            j = ctx.config_index([states[parent] for parent in ctx.parents])
+            p *= cpt[j][states[ctx.child]]
+        joint[states] = p
+    return joint

@@ -1,4 +1,4 @@
-"""Order-constrained greedy structure search and exhaustive enumeration.
+"""Order-constrained greedy structure search, model I/O and marginals.
 
 The search requires a total order on the variables: a node's candidate
 parents are exactly its predecessors in the order, which makes every
@@ -10,7 +10,6 @@ equal-scoring candidates go to the candidate earliest in the order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .score import FamilyScorer, ModelScore, ensure_dag
 
 
 class SearchError(ValueError):
-    """Raised for invalid orders or enumeration beyond the cap."""
+    """Raised for invalid orders, structures or models."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,6 @@ class OrderConstraint:
         return constraint
 
 
-@dataclass(frozen=True)
-class EnumeratedModel:
-    model: Model
-    log_marginal: float
-    posterior: float
-
-
 def _finalize(dataset: Dataset, parent_sets, scorer: FamilyScorer) -> Model:
     """Attach CPTs (collapsed estimates) and the model score."""
     families = tuple(
@@ -159,62 +151,6 @@ def k2_bc(
             current = best_score
         parent_sets[child] = tuple(sorted(parents))
     return _finalize(dataset, parent_sets, scorer)
-
-
-def enumerate_models(
-    dataset: Dataset,
-    order: OrderConstraint,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    phi: str = "mar",
-    cap: int = 1024,
-) -> list[EnumeratedModel]:
-    """Score every model consistent with the order, best first, with
-    posterior probabilities under a uniform prior over the enumerated set."""
-    order.validate(dataset.n_variables)
-    n_models = 1
-    for position in range(len(order.order)):
-        n_models *= 2 ** position
-        if n_models > cap:
-            raise SearchError(
-                f"{n_models}+ models consistent with the order exceeds cap {cap}"
-            )
-    scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
-
-    choices_per_child: dict[int, list[tuple[int, ...]]] = {}
-    for position, child in enumerate(order.order):
-        predecessors = order.order[:position]
-        subsets = []
-        for r in range(len(predecessors) + 1):
-            subsets.extend(
-                tuple(sorted(combo))
-                for combo in itertools.combinations(predecessors, r)
-            )
-        choices_per_child[child] = subsets
-
-    children = sorted(choices_per_child)
-    scored = []
-    for combo in itertools.product(*(choices_per_child[c] for c in children)):
-        parent_sets = [()] * dataset.n_variables
-        for child, parents in zip(children, combo):
-            parent_sets[child] = parents
-        families = tuple(
-            scorer.score(child, parents)
-            for child, parents in enumerate(parent_sets)
-        )
-        score = ModelScore(families)
-        model = Model(dataset.variables, tuple(parent_sets), score=score)
-        scored.append((score.total, model))
-
-    best = max(total for total, _ in scored)
-    weights = [math.exp(total - best) for total, _ in scored]
-    normalizer = sum(weights)
-    results = [
-        EnumeratedModel(model, total, weight / normalizer)
-        for (total, model), weight in zip(scored, weights)
-    ]
-    results.sort(key=lambda em: (-em.log_marginal, em.model.arcs))
-    return results
 
 
 def model_from_arcs(variables, arcs) -> Model:
@@ -294,28 +230,33 @@ def model_to_dot(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def joint_distribution(model: Model) -> np.ndarray:
-    """Exact joint probability table of a fully parameterized model."""
-    if model.cpts is None:
-        raise SearchError("model has no CPTs")
-    cards = tuple(v.cardinality for v in model.variables)
-    joint = np.zeros(cards)
-    for states in itertools.product(*(range(c) for c in cards)):
-        p = 1.0
-        for child, parents in enumerate(model.parent_sets):
-            j = 0
-            for parent in parents:
-                j = j * cards[parent] + states[parent]
-            p *= model.cpts[child][j][states[child]]
-        joint[states] = p
-    return joint
+# numpy names einsum's sublist labels by the 52 letters a-z, A-Z.
+MAX_MARGINAL_VARIABLES = 52
 
 
 def marginals(model: Model) -> dict[str, np.ndarray]:
-    """Per-variable marginal distributions implied by the model's CPTs."""
-    joint = joint_distribution(model)
-    out = {}
-    for i, variable in enumerate(model.variables):
-        axes = tuple(a for a in range(len(model.variables)) if a != i)
-        out[variable.name] = joint.sum(axis=axes)
-    return out
+    """Per-variable marginal distributions implied by the model's CPTs.
+
+    Each marginal is one ``np.einsum`` over every CPT by variable
+    elimination, never the joint table.  A CPT's rows are in configuration
+    order with the last parent varying fastest, so it reshapes to a tensor
+    over its parents' states followed by the child's.
+    """
+    if model.cpts is None:
+        raise SearchError("model has no CPTs")
+    n = len(model.variables)
+    if n > MAX_MARGINAL_VARIABLES:
+        raise SearchError(
+            f"marginals are limited to {MAX_MARGINAL_VARIABLES} variables; "
+            f"the model has {n}"
+        )
+    operands = []
+    for child, cpt in enumerate(model.cpts):
+        ctx = model.context(child)
+        shape = (*ctx.parent_cardinalities, ctx.child_cardinality)
+        operands += [cpt.reshape(shape), [*ctx.parents, child]]
+    # copy: with a single CPT, einsum returns a view of it
+    return {
+        variable.name: np.einsum(*operands, [i], optimize="greedy").copy()
+        for i, variable in enumerate(model.variables)
+    }

@@ -1,10 +1,12 @@
 """Shared builders for the test suite."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from bclearn import MISSING, Dataset, Variable
+from bclearn.search import Model
 from bclearn.estimate import _on_grid, _phi_ints
 
 
@@ -79,6 +81,38 @@ def random_incomplete(rng, max_vars=3, max_card=3, max_cases=6, max_completions=
             product *= dataset.variables[col].cardinality
         if 1 < product <= max_completions:
             return dataset
+
+
+def random_network(rng, variables, max_parents=3) -> Model:
+    """Variable i draws up to ``max_parents`` parents among 0..i-1 and one
+    Dirichlet(1) CPT row per parent configuration."""
+    cards = [v.cardinality for v in variables]
+    parent_sets, cpts = [], []
+    for i, card in enumerate(cards):
+        k = int(rng.integers(0, min(i, max_parents) + 1))
+        parents = tuple(sorted(int(p) for p in rng.choice(i, size=k, replace=False)))
+        parent_sets.append(parents)
+        cpts.append(rng.dirichlet(np.ones(card), size=math.prod(cards[p] for p in parents)))
+    return Model(tuple(variables), tuple(parent_sets), cpts=tuple(cpts))
+
+
+def ancestral_submodel(model: Model, i: int) -> Model:
+    """Variable i and its ancestors with their CPTs: a network in its own
+    right whose marginal of variable i is the full network's."""
+    keep = {i}
+    frontier = [i]
+    while frontier:
+        for p in model.parent_sets[frontier.pop()]:
+            if p not in keep:
+                keep.add(p)
+                frontier.append(p)
+    keep = sorted(keep)
+    new_index = {old: new for new, old in enumerate(keep)}
+    return Model(
+        tuple(model.variables[old] for old in keep),
+        tuple(tuple(new_index[p] for p in model.parent_sets[old]) for old in keep),
+        cpts=tuple(model.cpts[old] for old in keep),
+    )
 
 
 def phi_rows(table, prior, policy):

@@ -18,7 +18,6 @@ from bclearn import (
     bc_estimate,
     builtin_spec,
     delete_entries,
-    enumerate_models,
     exact_expectation,
     k2_bc,
     log_g_bc,
@@ -27,7 +26,7 @@ from bclearn import (
     sample,
     tally,
 )
-from bclearn.oracle import log_g_exact
+from bclearn.oracle import enumerate_models, log_g_exact
 from bclearn.search import Model
 from helpers import (
     PRIORS, five_case_db, make_dataset, phi_rows, punch_holes, random_complete,

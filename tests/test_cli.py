@@ -1,11 +1,23 @@
 import json
 import re
+import time
 
 import jsonschema
+import numpy as np
 import pytest
 
+from bclearn import (
+    GenerativeSpec,
+    OrderConstraint,
+    Variable,
+    k2_bc,
+    load_spec,
+    sample,
+    spec_to_dict,
+)
 from bclearn.cli import main
-from helpers import FIVE_CASE_CSV
+from bclearn.oracle import joint_distribution
+from helpers import FIVE_CASE_CSV, ancestral_submodel, random_network
 import schemas
 
 
@@ -93,6 +105,29 @@ class TestLearn:
         assert run(["learn", "--data", data]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: line 3: ")
+
+    def test_invalid_utf8_names_the_file_and_the_byte_offset(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"A,B\n" + b"1,2\n" * 5000 + b"1,\xff\n")
+        assert run(["learn", "--data", data]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: byte 20006 is not valid UTF-8 (invalid start byte)\n"
+        )
+
+    @pytest.mark.parametrize("n_states, code", [(32768, 0), (32769, 1)])
+    def test_more_states_than_int16_codes_is_validation_error(
+        self, tmp_path, capsys, n_states, code
+    ):
+        data = tmp_path / "wide.csv"
+        body = "".join(f"{i},{i % 2}\n" for i in range(n_states))
+        data.write_text("A,B\n" + body, encoding="utf-8")
+        assert run(["learn", "--data", data]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (
+                "error: variable 'A' has 32769 states; "
+                "int16 state codes index at most 32768\n"
+            )
 
     def test_internal_failure_maps_to_code_two(self, worked_csv, monkeypatch):
         import bclearn.cli as cli_module
@@ -329,6 +364,49 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("seed,pct_available,arcs,arc_difference")
         assert len(lines) == 3
+
+    def test_sixteen_variable_network(self, tmp_path):
+        # learn_wide's generating network: a marginal of the full 3**16 joint
+        # took minutes; the oracle below sums joints over at most 9 variables
+        variables = tuple(Variable(f"X{i:02d}", ("0", "1", "2")) for i in range(16))
+        network = random_network(np.random.default_rng(1302), variables)
+        spec_path = tmp_path / "wide.json"
+        spec_path.write_text(json.dumps(spec_to_dict(GenerativeSpec(network, 2000))))
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = run([
+            "bench", "--spec", spec_path, "--n", 2000, "--seeds", "0",
+            "--ladder", "100", "--max-parents", 3, "--out", out,
+        ])
+        assert code == 0
+        assert time.perf_counter() - start <= 30.0
+        row = json.loads(out.read_text())["rows"][0]
+
+        # the learned model as bench learns it: the 100% rung deletes nothing
+        sample_seed, _ = np.random.SeedSequence(0).spawn(2)
+        dataset = sample(load_spec(spec_path).with_overrides(seed=sample_seed))
+        model = k2_bc(dataset, OrderConstraint(tuple(range(16)), max_parents=3))
+        assert [f"{p}->{c}" for p, c in model.named_arcs()] == row["arcs"]
+        for i, v in enumerate(model.variables):
+            sub = ancestral_submodel(model, i)
+            joint = joint_distribution(sub)
+            axis = sub.variables.index(v)
+            others = tuple(a for a in range(joint.ndim) if a != axis)
+            reported = np.array(row["marginals"][v.name])
+            assert np.abs(reported - joint.sum(axis=others)).max() <= 1e-12
+
+    def test_more_variables_than_einsum_labels_is_validation_error(
+        self, tmp_path, capsys
+    ):
+        variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(53))
+        network = random_network(np.random.default_rng(5), variables, max_parents=0)
+        spec_path = tmp_path / "wide.json"
+        spec_path.write_text(json.dumps(spec_to_dict(GenerativeSpec(network, 20))))
+        code = run(["bench", "--spec", spec_path, "--ladder", "100"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: marginals are limited to 52 variables; the model has 53\n"
+        )
 
     def test_bad_ladder_is_validation_error(self, tmp_path):
         code = run([

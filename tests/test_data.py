@@ -278,7 +278,9 @@ class TestFilesTheBytePathDeclines:
 
     def test_invalid_utf8(self, tmp_path):
         path = self.write(tmp_path, b"A,B\n1,\xff\n2,1\n")
-        with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 6"):
+        with pytest.raises(
+            DataError, match=r"byte 6 is not valid UTF-8 \(invalid start byte\)$"
+        ):
             load_csv(path)
 
 

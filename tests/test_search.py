@@ -13,11 +13,10 @@ from bclearn import (
     PriorSpec,
     ScoreError,
     SearchError,
+    Variable,
     bc_estimate,
     builtin_spec,
     delete_entries,
-    enumerate_models,
-    joint_distribution,
     k2_bc,
     log_marginal,
     marginals,
@@ -28,7 +27,8 @@ from bclearn import (
     sample,
     tally,
 )
-from helpers import make_dataset, punch_holes, random_complete
+from bclearn.oracle import OracleError, enumerate_models, joint_distribution
+from helpers import make_dataset, punch_holes, random_complete, random_network
 
 
 def order_for(db, max_parents=None):
@@ -177,7 +177,7 @@ class TestEnumerateModels:
         db = random_complete(rng, max_vars=4, max_card=2, max_cases=5)
         while db.n_variables < 4:
             db = random_complete(rng, max_vars=4, max_card=2, max_cases=5)
-        with pytest.raises(SearchError, match="cap"):
+        with pytest.raises(OracleError, match="cap"):
             enumerate_models(db, order_for(db), cap=7)
 
 
@@ -228,3 +228,39 @@ class TestModelPlumbing:
         margs = marginals(model)
         assert margs["X1"].tolist() == pytest.approx([0.25, 0.75])
         assert margs["X2"][0] == pytest.approx(0.25 * 0.9 + 0.75 * 0.2)
+
+
+class TestMarginals:
+    @staticmethod
+    def assert_matches_oracle_joint(model):
+        joint = joint_distribution(model)
+        margs = marginals(model)
+        for i, v in enumerate(model.variables):
+            others = tuple(a for a in range(joint.ndim) if a != i)
+            assert np.abs(margs[v.name] - joint.sum(axis=others)).max() <= 1e-12
+            assert not np.shares_memory(margs[v.name], model.cpts[i])
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4"])
+    def test_builtin_networks_match_the_oracle_joint(self, name):
+        self.assert_matches_oracle_joint(builtin_spec(name).model)
+
+    def test_random_networks_match_the_oracle_joint(self):
+        rng = np.random.default_rng(808)
+        for _ in range(120):
+            cards = rng.integers(2, 5, size=int(rng.integers(1, 8))).tolist()
+            variables = make_dataset(cards, []).variables
+            self.assert_matches_oracle_joint(random_network(rng, variables))
+
+    def test_einsum_label_limit(self, monkeypatch):
+        def model(n):
+            variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(n))
+            return Model(variables, ((),) * n, cpts=(np.array([[0.25, 0.75]]),) * n)
+
+        assert marginals(model(52))["V51"].tolist() == [0.25, 0.75]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr(np, "einsum", unreachable)
+        with pytest.raises(SearchError, match="limited to 52 variables; the model has 53$"):
+            marginals(model(53))
