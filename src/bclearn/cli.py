@@ -26,6 +26,7 @@ from .oracle import DEFAULT_CAP, exact_expectation, exact_marginal
 from .score import log_marginal
 from .search import (
     OrderConstraint,
+    check_marginal_size,
     k2_bc,
     marginals,
     model_from_json,
@@ -216,6 +217,7 @@ def cmd_bench(args) -> int:
         spec = builtin_spec(args.spec, n=args.n)
     else:
         spec = load_spec(args.spec).with_overrides(n=args.n)
+    check_marginal_size(len(spec.model.variables))
     seeds = [int(s) for s in _split_names(args.seeds)]
     ladder = [int(p) for p in _split_names(args.ladder)]
     for pct in ladder:

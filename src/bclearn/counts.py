@@ -6,20 +6,18 @@ its child and/or at least one parent entry is missing; such a case
 contributes one possible completion to every (parent configuration,
 child state) cell its observed family entries are consistent with.
 
-The tally first aggregates identical family patterns, then expands each
-distinct pattern once, with numpy: every missing parent repeats the
-pattern's rows across its states.  Pattern expansion is bounded by the
-family's joint cardinality, so the cost is essentially independent of how
-many entries are missing.  Counts are dense int64 arrays over all q parent
-configurations.
-
-A case's pattern code packs its family entries as mixed-radix digits
-entry + 1 (missing is digit 0) over the prod(card + 1) possible patterns.
-It is built in place from the dataset's contiguous int16 columns, in the
-narrowest of int16/int32/int64 that holds that product, with the +1 of
-every digit added once as a single constant.  Distinct codes are counted
-with one ``np.bincount``, whose table has a slot for every code up to the
-largest one present.
+The tally is one dense table over the family's prod(card + 1) entry
+patterns, one axis per parent and the child last, where slot 0 of an axis
+means missing and slot s + 1 state s.  A case's pattern code packs its
+entries as mixed-radix digits entry + 1, built in place from the dataset's
+contiguous int16 columns in int16 or int32, and one ``np.bincount`` counts
+the codes into the table.  Slicing slot 0 off every parent axis leaves the
+cases observed on all parents.  Adding each parent axis's slot 0 into every
+state of that axis, one axis at a time (a sum over subsets of the missing
+parents), leaves for each configuration every case consistent with it.
+The cost is the table's size plus one pass over the cases, whatever the
+number of missing entries; every count is int64.  A family with more than
+``MAX_PATTERNS`` entry patterns is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -142,40 +140,30 @@ class CountTable:
         return self._parent_comp
 
 
-def _parent_strides(ctx: ParentContext) -> list[int]:
-    strides = [1] * len(ctx.parent_cardinalities)
-    for i in range(len(strides) - 2, -1, -1):
-        strides[i] = strides[i + 1] * ctx.parent_cardinalities[i + 1]
-    return strides
-
-
-_CODE_TYPES = (np.int16, np.int32, np.int64)
-
-
-def _bincount(index, weights, length: int) -> np.ndarray:
-    """Integer sums of ``weights`` per index; case counts are far below 2**53,
-    so the float accumulation is exact."""
-    return np.bincount(index, weights=weights, minlength=length).astype(np.int64)
+# Every family pattern gets one int64 slot of the dense table: 2**26 slots is
+# 512 MiB.
+MAX_PATTERNS = 2**26
 
 
 def _pattern_codes(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
-    """Each case's family pattern code, in the narrowest integer type that
-    holds all prod(card + 1) of them."""
-    cards = (ctx.child_cardinality,) + ctx.parent_cardinalities
+    """Each case's family pattern code, parents then child as mixed-radix
+    digits entry + 1, in int16 when all prod(card + 1) codes fit, else int32."""
+    members = (*ctx.parents, ctx.child)
+    cards = (*ctx.parent_cardinalities, ctx.child_cardinality)
     size = math.prod(card + 1 for card in cards)
-    code_type = next((t for t in _CODE_TYPES if size <= np.iinfo(t).max), None)
-    if code_type is None:
+    if size > MAX_PATTERNS:
         raise ValueError(
             f"the family of {dataset.variables[ctx.child].name} has {size} "
-            "entry patterns, more than a 64-bit code can index"
+            f"entry patterns, above the limit of {MAX_PATTERNS} (2**26)"
         )
+    code_type = np.int16 if size <= np.iinfo(np.int16).max else np.int32
     # Horner over the raw columns; ``offset`` is the +1 of every digit,
     # added once at the end.
-    codes = dataset.codes[:, ctx.child].astype(code_type)
+    codes = dataset.codes[:, members[0]].astype(code_type)
     offset = 1
-    for p, card in zip(ctx.parents, ctx.parent_cardinalities):
+    for member, card in zip(members[1:], cards[1:]):
         codes *= card + 1
-        codes += dataset.codes[:, p]
+        codes += dataset.codes[:, member]
         offset = offset * (card + 1) + 1
     codes += offset
     return codes
@@ -183,50 +171,27 @@ def _pattern_codes(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
 
 def tally(dataset: Dataset, ctx: ParentContext) -> CountTable:
     """Count observed cases and possible completions for one family."""
-    cards = (ctx.child_cardinality,) + ctx.parent_cardinalities
-    q, c = ctx.n_configs, ctx.child_cardinality
-    multiplicity = np.bincount(_pattern_codes(dataset, ctx))
-    patterns = np.flatnonzero(multiplicity)
-    m = multiplicity[patterns]
-
-    # Decode the distinct patterns (missing back to -1) and locate each at
-    # the configuration its observed parents fix, missing parents at state 0.
-    digits, rest = [], patterns
-    for card in reversed(cards):
-        digits.append(rest % (card + 1) - 1)
-        rest = rest // (card + 1)
-    child, parent_digits = digits[-1], digits[-2::-1]
-    strides = _parent_strides(ctx)
-    config = np.zeros(len(m), dtype=np.int64)
-    parent_missing = np.zeros(len(m), dtype=bool)
-    for d, stride in zip(parent_digits, strides):
-        config += np.maximum(d, 0) * stride
-        parent_missing |= d == MISSING
-    complete = ~parent_missing & (child != MISSING)
-
-    # Fan every incomplete pattern out across the states of each missing
-    # parent; ``src`` maps expanded rows back to their pattern.
-    src = np.flatnonzero(~complete)
-    j = config[src]
-    for d, card, stride in zip(parent_digits, ctx.parent_cardinalities, strides):
-        fan = d[src] == MISSING
-        src = np.concatenate([src[~fan], np.repeat(src[fan], card)])
-        j = np.concatenate([j[~fan], (j[fan, None] + stride * np.arange(card)).ravel()])
-    w, k = m[src], child[src]
-    known = k != MISSING
-    comp = _bincount(j[known] * c + k[known], w[known], q * c).reshape(q, c)
-    comp += _bincount(j[~known], w[~known], q)[:, None]
-    spread = parent_missing[src]
-
+    q, c, k = ctx.n_configs, ctx.child_cardinality, len(ctx.parents)
+    shape = (*(card + 1 for card in ctx.parent_cardinalities), c + 1)
+    codes = _pattern_codes(dataset, ctx)
+    table = np.bincount(codes, minlength=math.prod(shape)).reshape(shape)
+    # Cases observed on every parent, by configuration and child slot.
+    seen = table[(slice(1, None),) * k].reshape(q, c + 1)
+    # Add each parent axis's missing slot into every state of that axis, one
+    # axis at a time: row j then counts every case consistent with j.
+    for axis in range(k):
+        head = (slice(None),) * axis
+        table = table[head + (slice(1, None),)] + table[head + (slice(0, 1),)]
+    consistent = table.reshape(q, c + 1)
+    obs = seen[:, 1:]
+    parent_obs = seen.sum(axis=1)
     return CountTable(
         context=ctx,
         n_total=dataset.n_cases,
-        incomplete_cases=int(m[~complete].sum()),
-        parent_incomplete_cases=int(m[parent_missing].sum()),
-        _obs=_bincount(
-            config[complete] * c + child[complete], m[complete], q * c
-        ).reshape(q, c),
-        _comp=comp,
-        _parent_obs=_bincount(config[~parent_missing], m[~parent_missing], q),
-        _parent_comp=_bincount(j[spread], w[spread], q),
+        incomplete_cases=dataset.n_cases - int(obs.sum()),
+        parent_incomplete_cases=dataset.n_cases - int(parent_obs.sum()),
+        _obs=obs,
+        _comp=consistent[:, 1:] + consistent[:, :1] - obs,
+        _parent_obs=parent_obs,
+        _parent_comp=consistent.sum(axis=1) - parent_obs,
     )

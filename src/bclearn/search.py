@@ -234,29 +234,49 @@ def model_to_dot(model: Model) -> str:
 MAX_MARGINAL_VARIABLES = 52
 
 
+def check_marginal_size(n_variables: int) -> None:
+    """Refuse a model too wide for ``marginals``' einsum labels."""
+    if n_variables > MAX_MARGINAL_VARIABLES:
+        raise SearchError(
+            f"marginals are limited to {MAX_MARGINAL_VARIABLES} variables; "
+            f"the model has {n_variables}"
+        )
+
+
+def _ancestors(parent_sets, i: int) -> list[int]:
+    """``i`` and every variable with a directed path to it, in index order."""
+    seen, stack = {i}, [i]
+    while stack:
+        for p in parent_sets[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return sorted(seen)
+
+
 def marginals(model: Model) -> dict[str, np.ndarray]:
     """Per-variable marginal distributions implied by the model's CPTs.
 
-    Each marginal is one ``np.einsum`` over every CPT by variable
-    elimination, never the joint table.  A CPT's rows are in configuration
-    order with the last parent varying fastest, so it reshapes to a tensor
-    over its parents' states followed by the child's.
+    Each marginal is one ``np.einsum`` over the CPTs of the variable and its
+    ancestors by variable elimination, never the joint table: every other
+    CPT sums to one.  A CPT's rows are in configuration order with the last
+    parent varying fastest, so it reshapes to a tensor over its parents'
+    states followed by the child's.
     """
     if model.cpts is None:
         raise SearchError("model has no CPTs")
-    n = len(model.variables)
-    if n > MAX_MARGINAL_VARIABLES:
-        raise SearchError(
-            f"marginals are limited to {MAX_MARGINAL_VARIABLES} variables; "
-            f"the model has {n}"
-        )
+    check_marginal_size(len(model.variables))
     operands = []
     for child, cpt in enumerate(model.cpts):
         ctx = model.context(child)
         shape = (*ctx.parent_cardinalities, ctx.child_cardinality)
-        operands += [cpt.reshape(shape), [*ctx.parents, child]]
+        operands.append((cpt.reshape(shape), [*ctx.parents, child]))
     # copy: with a single CPT, einsum returns a view of it
     return {
-        variable.name: np.einsum(*operands, [i], optimize="greedy").copy()
+        variable.name: np.einsum(
+            *(x for a in _ancestors(model.parent_sets, i) for x in operands[a]),
+            [i],
+            optimize="greedy",
+        ).copy()
         for i, variable in enumerate(model.variables)
     }

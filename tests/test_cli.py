@@ -246,7 +246,7 @@ class TestEstimate:
 
 
     def test_pattern_code_overflow_is_validation_error(self, tmp_path, capsys):
-        # 41 binary columns: the family's 3**41 entry patterns overflow int64
+        # 41 binary columns: the family's 3**41 entry patterns exceed the cap
         names = [f"V{i}" for i in range(41)]
         data = tmp_path / "wide.csv"
         data.write_text(
@@ -259,7 +259,10 @@ class TestEstimate:
             "--parents", ",".join(names[1:]),
         ])
         assert code == 1
-        assert "64-bit" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: the family of V0 has {3**41} entry patterns, above the "
+            "limit of 67108864 (2**26)\n"
+        )
 
 
 class TestSimulate:
@@ -396,8 +399,12 @@ class TestBench:
             assert np.abs(reported - joint.sum(axis=others)).max() <= 1e-12
 
     def test_more_variables_than_einsum_labels_is_validation_error(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("k2_bc called")
+
+        monkeypatch.setattr("bclearn.cli.k2_bc", unreachable)
         variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(53))
         network = random_network(np.random.default_rng(5), variables, max_parents=0)
         spec_path = tmp_path / "wide.json"

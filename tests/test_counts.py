@@ -43,6 +43,9 @@ def assert_matches_per_case_fold(d, ctx):
             parent_incomplete += 1
             parent_comp[configs] += 1
     t = tally(d, ctx)
+    for counts in (t.obs_matrix(), t.comp_matrix(), t.parent_obs_vector(),
+                   t.parent_comp_vector()):
+        assert counts.dtype == np.int64
     assert np.array_equal(t.obs_matrix(), obs)
     assert np.array_equal(t.comp_matrix(), comp)
     assert np.array_equal(t.parent_obs_vector(), parent_obs)
@@ -165,12 +168,13 @@ class TestTallyProperties:
         [
             ((6, 30, 150), np.int16),  # 7 * 31 * 151 = 2**15 - 1 patterns
             ((7,) + (3,) * 6, np.int32),  # 8 * 4**6 = 2**15
-            ((3, 3) + (2,) * 17, np.int32),  # 4**2 * 3**17 < 2**31
-            ((2,) * 20, np.int64),  # 3**20 > 2**31
+            ((3, 3) + (2,) * 17, None),  # 4**2 * 3**17 > MAX_PATTERNS
+            ((2,) * 20, None),  # 3**20 > MAX_PATTERNS
+            ((3,) * 11, np.int32),  # 4**11 = 2**22, the widest family tested
         ],
     )
     def test_matches_per_case_fold_either_side_of_code_widths(
-        self, cards, code_type
+        self, cards, code_type, monkeypatch
     ):
         rng = np.random.default_rng(len(cards))
         rows = np.column_stack([rng.integers(0, card, size=12) for card in cards])
@@ -178,32 +182,36 @@ class TestTallyProperties:
         rows[0] = np.array(cards) - 1  # the largest code, prod(card+1) - 1
         d = make_dataset(cards, rows)
         ctx = ParentContext.for_dataset(d, 0, tuple(range(1, len(cards))))
+        size = math.prod(card + 1 for card in cards)
+        if code_type is None:
+            # The dense table would take 16-28 GB: refused before allocating.
+            def unreachable(*args, **kwargs):
+                raise AssertionError("bincount called")
+
+            monkeypatch.setattr(np, "bincount", unreachable)
+            with pytest.raises(ValueError, match=f"has {size} entry patterns"):
+                tally(d, ctx)
+            return
         codes = _pattern_codes(d, ctx)
         expected = []
         for row in rows.tolist():
             code = 0
-            for entry, card in zip(row, cards):
+            # the parents' digits first, the child's (column 0) last
+            for entry, card in zip(row[1:] + row[:1], cards[1:] + cards[:1]):
                 code = code * (card + 1) + entry + 1
             expected.append(code)
         assert codes.dtype == code_type
         assert codes.tolist() == expected
-        assert expected[0] == math.prod(card + 1 for card in cards) - 1
-
-        # ``bincount`` has a slot for every code up to the largest present:
-        # above 2**20 patterns, the leading members are missing in every case
-        # so the codes stay below 2**20 while their type stays as wide.
-        lead, slots = len(cards), 1
-        while lead and slots * (cards[lead - 1] + 1) <= 2**20:
-            lead -= 1
-            slots *= cards[lead] + 1
-        rows[:, :lead] = MISSING
-        assert_matches_per_case_fold(make_dataset(cards, rows), ctx)
+        assert expected[0] == size - 1
+        assert_matches_per_case_fold(d, ctx)
 
     def test_pattern_code_overflow_is_rejected(self):
-        # 41 binary members: 3**41 entry patterns exceed a 64-bit code
+        # 41 binary members: 3**41 entry patterns, far above MAX_PATTERNS
         d = make_dataset((2,) * 41, [[0] * 41, [1] * 41])
         ctx = ParentContext.for_dataset(d, 0, tuple(range(1, 41)))
-        with pytest.raises(ValueError, match="64-bit"):
+        with pytest.raises(
+            ValueError, match=f"family of X1 has {3**41} entry patterns"
+        ):
             tally(d, ctx)
 
     def test_entries_outside_family_are_ignored(self):
