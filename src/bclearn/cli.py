@@ -5,7 +5,8 @@ seeds; wall-clock timings are therefore kept out of the primary report
 files (stdout and the optional timings sidecar carry them) so that two
 runs with the same seed produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 validation error, 2 internal invariant violation.
+Exit codes: 0 success, 1 validation error (an unreadable input or unwritable
+output included), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -34,15 +35,7 @@ from .search import (
     model_to_json,
     score_to_json,
 )
-from .simulate import (
-    BUILTIN_NAMES,
-    RNG_ALGORITHM,
-    DeletionPlan,
-    builtin_spec,
-    delete_entries,
-    load_spec,
-    sample,
-)
+from .simulate import RNG_ALGORITHM, DeletionPlan, delete_entries, load_spec, sample
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,26 +69,11 @@ def _order_from_args(dataset, args) -> OrderConstraint:
     return OrderConstraint.from_names(dataset, names, max_parents=args.max_parents)
 
 
-def _resolve_phi_policy(args, ctx=None, variables=None):
-    """mar | uniform | path-to-JSON {config label: probability row}."""
-    policy = args.phi
-    if policy in ("mar", "uniform"):
-        return policy
-    if ctx is None:
-        raise ValueError(
-            "a phi file applies to a single family; use --phi mar|uniform here"
-        )
-    with open(policy, encoding="utf-8") as fh:
-        rows = json.load(fh)
-    return phi_from_rows(ctx, rows, variables=variables)
-
-
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args)
     order = _order_from_args(dataset, args)
-    phi = _resolve_phi_policy(args)
     start = time.perf_counter()
-    model = k2_bc(dataset, order, alpha=args.alpha, beta=args.beta, phi=phi)
+    model = k2_bc(dataset, order, alpha=args.alpha, beta=args.beta, phi=args.phi)
     elapsed = time.perf_counter() - start
     if args.out:
         _write_json(model_to_json(model), args.out)
@@ -142,7 +120,10 @@ def cmd_estimate(args) -> int:
     ctx = ParentContext.for_dataset(dataset, child, sorted(parents))
     table = tally(dataset, ctx)
     prior = PriorSpec(args.alpha, args.beta)
-    phi = _resolve_phi_policy(args, ctx=ctx, variables=dataset.variables)
+    phi = args.phi
+    if phi not in ("mar", "uniform"):
+        with open(phi, encoding="utf-8") as fh:
+            phi = phi_from_rows(ctx, json.load(fh), dataset.variables)
     est = bc_estimate(table, prior, phi=phi)
     summary = summarize_missingness(dataset)
     obs, comp = table.obs_matrix().tolist(), table.comp_matrix().tolist()
@@ -176,10 +157,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.spec in BUILTIN_NAMES:
-        spec = builtin_spec(args.spec)
-    else:
-        spec = load_spec(args.spec)
+    spec = load_spec(args.spec)
     root = np.random.SeedSequence(args.seed)
     sample_seed, delete_seed = root.spawn(2)
     spec = spec.with_overrides(n=args.n, seed=sample_seed)
@@ -213,10 +191,7 @@ def _arc_difference(learned, generating) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.spec in BUILTIN_NAMES:
-        spec = builtin_spec(args.spec, n=args.n)
-    else:
-        spec = load_spec(args.spec).with_overrides(n=args.n)
+    spec = load_spec(args.spec).with_overrides(n=args.n)
     check_marginal_size(len(spec.model.variables))
     seeds = [int(s) for s in _split_names(args.seeds)]
     ladder = [int(p) for p in _split_names(args.ladder)]
@@ -327,8 +302,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bclearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_csv_input(p):
+        p.add_argument("--data", required=True)
+        p.add_argument("--schema")
         p.add_argument("--missing-token", default="?")
+
+    def add_common(p):
         p.add_argument("--alpha", type=float, default=1.0,
                        help="Dirichlet weight on every cell of every family "
                             "(default 1)")
@@ -336,11 +315,11 @@ def build_parser() -> _Parser:
                        help="Dirichlet weight on every parent configuration of every "
                             "family (default 1)")
         p.add_argument("--phi", default="mar",
-                       help="completion distribution: mar, uniform, or a JSON file")
+                       help="completion distribution: mar or uniform; estimate "
+                            "also takes a JSON file of phi rows")
 
     learn = sub.add_parser("learn", help="induce a network from a database")
-    learn.add_argument("--data", required=True)
-    learn.add_argument("--schema")
+    add_csv_input(learn)
     learn.add_argument("--order", help="comma-separated names, ancestors first")
     learn.add_argument("--max-parents", type=int, default=None)
     learn.add_argument("--out")
@@ -349,8 +328,7 @@ def build_parser() -> _Parser:
     learn.set_defaults(func=cmd_learn)
 
     score = sub.add_parser("score", help="score a model against a database")
-    score.add_argument("--data", required=True)
-    score.add_argument("--schema")
+    add_csv_input(score)
     score.add_argument("--model", required=True)
     score.add_argument("--out")
     score.add_argument("--oracle", action="store_true",
@@ -360,8 +338,7 @@ def build_parser() -> _Parser:
     score.set_defaults(func=cmd_score)
 
     estimate = sub.add_parser("estimate", help="estimate one conditional table")
-    estimate.add_argument("--data", required=True)
-    estimate.add_argument("--schema")
+    add_csv_input(estimate)
     estimate.add_argument("--child", required=True)
     estimate.add_argument("--parents", help="comma-separated parent names")
     estimate.add_argument("--out")
@@ -405,7 +382,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

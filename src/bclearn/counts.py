@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MISSING, Dataset
+from .data import Dataset
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,33 @@ class ParentContext:
             j //= card
         return tuple(reversed(states))
 
-    def config_label(self, j: int, variables=None) -> str:
-        """Comma-joined state labels (or indices) of configuration ``j``."""
+    def config_label(self, j: int, variables) -> str:
+        """Comma-joined parent state labels of configuration ``j``."""
         states = self.config_states(j)
-        if variables is None:
-            return ",".join(str(s) for s in states)
         return ",".join(
             variables[p].states[s] for p, s in zip(self.parents, states)
         )
+
+    def table_from_rows(self, rows, variables) -> np.ndarray:
+        """The (q, c) table of a {configuration label: row} mapping, the
+        inverse of ``config_label``: every configuration needs a row of c
+        entries, and a label naming no configuration is refused."""
+        labels = [self.config_label(j, variables) for j in range(self.n_configs)]
+        table = np.empty((self.n_configs, self.child_cardinality))
+        for j, label in enumerate(labels):
+            if label not in rows:
+                raise ValueError(f"missing configuration {label!r}")
+            row = rows[label]
+            if len(row) != self.child_cardinality:
+                raise ValueError(
+                    f"row {label!r} has {len(row)} entries, "
+                    f"expected {self.child_cardinality}"
+                )
+            table[j] = row
+        unknown = set(rows) - set(labels)
+        if unknown:
+            raise ValueError(f"unknown configurations {sorted(unknown)}")
+        return table
 
 
 @dataclass

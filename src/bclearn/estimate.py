@@ -182,26 +182,13 @@ def _phi_ints(policy, a, b):
 
 
 def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
-                  variables=None) -> CompletionDistribution:
+                  variables) -> CompletionDistribution:
     """Build a user-supplied phi from {configuration label: probability row}."""
-    q, c = ctx.n_configs, ctx.child_cardinality
-    phi = np.empty((q, c))
-    seen = set()
-    for j in range(q):
-        label = ctx.config_label(j, variables)
-        if label not in rows:
-            raise EstimateError(f"phi table is missing configuration {label!r}")
-        row = rows[label]
-        if len(row) != c:
-            raise EstimateError(
-                f"phi row for {label!r} has {len(row)} entries, expected {c}"
-            )
-        phi[j] = row
-        seen.add(label)
-    extra = set(rows) - seen
-    if extra:
-        raise EstimateError(f"phi table has unknown configurations: {sorted(extra)}")
-    return CompletionDistribution(phi)
+    try:
+        table = ctx.table_from_rows(rows, variables)
+    except ValueError as exc:
+        raise EstimateError(f"phi table: {exc}") from exc
+    return CompletionDistribution(table)
 
 
 def _precision_ints(table: CountTable, prior: PriorSpec):

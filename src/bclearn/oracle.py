@@ -3,8 +3,8 @@
 These routines are desk-scale ground truth: they expand every assignment
 of the missing entries, compute the exact complete-data quantities per
 completion with naive per-case loops (independent of the aggregated
-tally path used by the estimators), and mix the results under a chosen
-weighting of completions.  Costs are exponential in the number of
+tally path used by the estimators), and average the results over the
+completions, each equally likely.  Costs are exponential in the number of
 missing entries, so enumeration is refused beyond a cap.  The per-case
 ``enumerate_completions`` is the reference the aggregated tally is
 checked against, and ``log_g_exact``, the closed-form score of a complete
@@ -72,16 +72,13 @@ def enumerate_completions(case, ctx: ParentContext) -> list[tuple[int, int]]:
     return [(j, k) for j in _consistent_configs(ctx, parent_entries) for k in ks]
 
 
-def _completions(dataset: Dataset, policy="uniform", phi=None, cap=DEFAULT_CAP,
-                 columns=None):
-    """Yield (codes, weight) for every completion of the missing entries.
+def _completions(dataset: Dataset, cap=DEFAULT_CAP, columns=None):
+    """Yield the code matrix of every completion of the missing entries.
 
     One code matrix is filled in place and yielded each time, so a caller
-    that keeps a completion must copy it.  A completion's weight is the
-    product over its filled entries of 1/cardinality ("uniform") or of the
-    variable's ``phi`` vector entry ("phi"), as an exact Fraction,
-    unnormalized.  Only entries in ``columns`` (default: all)
-    are expanded; the cap applies to the completions of the whole dataset.
+    that keeps a completion must copy it.  Only entries in ``columns``
+    (default: all) are expanded; the cap applies to the completions of the
+    whole dataset.
     """
     rows, cols = np.nonzero(dataset.codes == MISSING)
     n_completions = math.prod(dataset.variables[col].cardinality for col in cols)
@@ -93,25 +90,13 @@ def _completions(dataset: Dataset, policy="uniform", phi=None, cap=DEFAULT_CAP,
         (row, col) for row, col in zip(rows.tolist(), cols.tolist())
         if columns is None or col in columns
     ]
-    variables = [dataset.variables[col] for _, col in positions]
-    if policy == "uniform":
-        tables = [[Fraction(1, v.cardinality)] * v.cardinality for v in variables]
-    elif policy == "phi":
-        if phi is None:
-            raise OracleError("policy 'phi' needs per-variable probability vectors")
-        for v in variables:
-            if v.name not in phi or len(phi[v.name]) != v.cardinality:
-                raise OracleError(f"phi vector missing or mis-sized for {v.name!r}")
-        tables = [[Fraction(float(p)) for p in phi[v.name]] for v in variables]
-    else:
-        raise OracleError(f"unknown weight policy {policy!r}")
     codes = dataset.codes.copy()
-    for assignment in itertools.product(*(range(len(t)) for t in tables)):
-        weight = Fraction(1)
-        for (row, col), state, table in zip(positions, assignment, tables):
+    for assignment in itertools.product(
+        *(range(dataset.variables[col].cardinality) for _, col in positions)
+    ):
+        for (row, col), state in zip(positions, assignment):
             codes[row, col] = state
-            weight *= table[state]
-        yield codes, weight
+        yield codes
 
 
 def _family_counts(codes: np.ndarray, ctx: ParentContext) -> np.ndarray:
@@ -128,38 +113,35 @@ def exact_expectation(
     dataset: Dataset,
     ctx: ParentContext,
     prior: PriorSpec,
-    policy: str = "uniform",
-    phi: dict | None = None,
     cap: int = DEFAULT_CAP,
 ) -> np.ndarray:
-    """Completion-weighted mixture of the exact posterior means per cell.
+    """Mean over completions of the exact posterior means per cell.
 
-    The mixture is accumulated in exact rational arithmetic and rounded
-    to float once per cell, so the result is comparable against interval
-    endpoints without accumulation slack.  Missing entries outside the
-    family weight every family completion identically, so only family
-    columns are expanded (the cap still applies to the full dataset).
+    Under alpha = a/b a cell's posterior mean is (a + b n_jk) / (c a + b n_j):
+    the integer numerators are summed per distinct row total n_j, and each
+    cell's exact rational mean is rounded once, so it compares against
+    interval endpoints without slack.  Only family columns are expanded:
+    entries outside the family repeat every family completion equally often
+    (the cap still applies to the full dataset).
     """
     q, c = ctx.n_configs, ctx.child_cardinality
-    alpha = Fraction(prior.alpha)
-    alpha_sum = c * alpha
-    mixture = [[Fraction(0)] * c for _ in range(q)]
-    total_weight = Fraction(0)
-    for codes, weight in _completions(
-        dataset, policy, phi, cap, columns={ctx.child, *ctx.parents},
-    ):
-        counts = _family_counts(codes, ctx)
-        total_weight += weight
-        for j in range(q):
-            n_j = int(counts[j].sum())
-            for k in range(c):
-                mixture[j][k] += weight * (alpha + int(counts[j, k])) / (
-                    alpha_sum + n_j
-                )
+    a, b = prior.alpha.as_integer_ratio()
+    # numerators[j][n_j][k]: summed a + b n_jk over completions with row total n_j
+    numerators = [{} for _ in range(q)]
+    n_completions = 0
+    for codes in _completions(dataset, cap, columns={ctx.child, *ctx.parents}):
+        n_completions += 1
+        for j, row in enumerate(_family_counts(codes, ctx).tolist()):
+            sums = numerators[j].setdefault(sum(row), [0] * c)
+            for k, n in enumerate(row):
+                sums[k] += a + b * n
     out = np.empty((q, c))
-    for j in range(q):
+    for j, by_total in enumerate(numerators):
         for k in range(c):
-            out[j, k] = float(mixture[j][k] / total_weight)
+            mean = sum(
+                Fraction(sums[k], c * a + b * n_j) for n_j, sums in by_total.items()
+            )
+            out[j, k] = float(mean / n_completions)
     return out
 
 
@@ -208,23 +190,19 @@ def exact_marginal(
     dataset: Dataset,
     model,
     alpha: float = 1.0,
-    policy: str = "uniform",
-    phi: dict | None = None,
     cap: int = DEFAULT_CAP,
 ) -> float:
-    """Completion-weighted mixture of the complete-data marginal likelihood.
+    """Mean over completions of the complete-data marginal likelihood.
 
-    Returned on the probability scale; desk-scale inputs only.  Weights and
-    likelihoods are exact rationals, so the mixture is rounded once.
+    Returned on the probability scale; desk-scale inputs only.  The
+    likelihoods are exact rationals, so the mean is rounded once.
     """
     a, b = Fraction(alpha).as_integer_ratio()
-    total_weight = mixture = Fraction(0)
-    for codes, weight in _completions(dataset, policy, phi, cap):
-        total_weight += weight
-        mixture += weight * _marginal_complete(codes, model, a, b)
-    if total_weight <= 0:
-        raise OracleError("completion weights sum to zero")
-    return float(mixture / total_weight)
+    total, n_completions = Fraction(0), 0
+    for codes in _completions(dataset, cap):
+        total += _marginal_complete(codes, model, a, b)
+        n_completions += 1
+    return float(total / n_completions)
 
 
 def enumerate_models(

@@ -92,7 +92,7 @@ class FamilyScorer:
         phi_policy: str = "mar",
     ):
         if phi_policy not in ("mar", "uniform"):
-            raise ScoreError(f"unknown phi policy {phi_policy!r} for scoring")
+            raise ScoreError(f"score with phi 'mar' or 'uniform', not {phi_policy!r}")
         self.dataset = dataset
         self.prior = PriorSpec(alpha, beta)
         self.phi_policy = phi_policy

@@ -16,9 +16,9 @@ from importlib import resources
 
 import numpy as np
 
-from .data import MISSING, Dataset, Variable
+from .data import MISSING, Dataset
 from .score import ensure_dag
-from .search import Model, model_from_arcs, model_to_json
+from .search import Model, model_from_json, model_to_json
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng)"
 
@@ -110,37 +110,30 @@ def delete_entries(dataset: Dataset, plan: DeletionPlan) -> Dataset:
 
 
 def spec_from_dict(data: dict) -> GenerativeSpec:
-    """Build a generative spec from its JSON form."""
+    """Build a generative spec from its JSON form: a model JSON with a CPT
+    for every variable, each row keyed by its configuration label, plus
+    ``n`` and an optional ``seed`` and ``name``."""
     try:
-        variables = tuple(
-            Variable(v["name"], tuple(str(s) for s in v["states"]))
-            for v in data["variables"]
-        )
-        arcs = [(str(p), str(c)) for p, c in data["arcs"]]
+        skeleton = model_from_json(data)
+        if "arcs" not in data:  # a model JSON may omit them, a spec may not
+            raise KeyError("arcs")
         cpt_rows = data["cpts"]
         n = int(data["n"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SimulateError(f"malformed generative spec: {exc}") from exc
-    skeleton = model_from_arcs(variables, arcs)
-
+    variables = skeleton.variables
     cpts = []
-    for child in range(len(variables)):
+    for child, variable in enumerate(variables):
+        if variable.name not in cpt_rows:
+            raise SimulateError(f"spec has no CPT for variable {variable.name!r}")
         ctx = skeleton.context(child)
-        name = variables[child].name
-        if name not in cpt_rows:
-            raise SimulateError(f"spec has no CPT for variable {name!r}")
-        table = np.empty((ctx.n_configs, ctx.child_cardinality))
-        for j in range(ctx.n_configs):
-            label = ctx.config_label(j, variables)
-            if label not in cpt_rows[name]:
-                raise SimulateError(
-                    f"CPT of {name!r} is missing configuration {label!r}"
-                )
-            row = cpt_rows[name][label]
-            if len(row) != ctx.child_cardinality:
-                raise SimulateError(f"CPT row {name!r}[{label!r}] has wrong length")
-            table[j] = row
-        cpts.append(table)
+        try:
+            cpts.append(ctx.table_from_rows(cpt_rows[variable.name], variables))
+        except ValueError as exc:
+            raise SimulateError(f"CPT of {variable.name!r}: {exc}") from exc
+    unknown = set(cpt_rows) - {v.name for v in variables}
+    if unknown:
+        raise SimulateError(f"spec has CPTs for unknown variables {sorted(unknown)}")
     model = Model(variables, skeleton.parent_sets, cpts=tuple(cpts))
     return GenerativeSpec(
         model=model, n=n, seed=data.get("seed"), name=data.get("name")
@@ -153,8 +146,12 @@ def spec_to_dict(spec: GenerativeSpec) -> dict:
             "n": spec.n, "seed": spec.seed}
 
 
-def load_spec(path) -> GenerativeSpec:
-    with open(path, encoding="utf-8") as fh:
+def load_spec(source) -> GenerativeSpec:
+    """The builtin network named ``source`` (M1..M4), else the spec file at
+    that path."""
+    if source in BUILTIN_NAMES:
+        return builtin_spec(source)
+    with open(source, encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
 
 

@@ -236,13 +236,15 @@ class TestEstimate:
         ])
         assert code == 1
 
-    def test_phi_file_not_usable_for_learn(self, tmp_path, worked_csv):
+    def test_phi_file_not_usable_for_learn(self, tmp_path, worked_csv, capsys):
         phi_path = tmp_path / "phi.json"
         phi_path.write_text("{}")
         code = run([
             "learn", "--data", worked_csv, "--phi", phi_path,
         ])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'mar'" in err and "'uniform'" in err
 
 
     def test_pattern_code_overflow_is_validation_error(self, tmp_path, capsys):
@@ -314,8 +316,26 @@ class TestSimulate:
             "simulate", "--spec", tmp_path / "missing.json",
             "--out", tmp_path / "d.csv",
         ])
-        assert code in (1, 2)
-        assert code == 1 or not (tmp_path / "d.csv").exists()
+        assert code == 1
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["cpts"]["X2"].update({"9": [0.5, 0.5]}),
+        lambda d: d["cpts"].update({"X9": {"": [1.0]}}),
+    ], ids=["unknown-label", "unknown-variable"])
+    def test_spec_with_unknown_labels_is_validation_error(
+        self, tmp_path, capsys, mutate
+    ):
+        from bclearn import builtin_spec
+
+        data = spec_to_dict(builtin_spec("M1"))
+        mutate(data)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        out = tmp_path / "d.csv"
+        assert run(["simulate", "--spec", spec_path, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestBench:
@@ -415,6 +435,14 @@ class TestBench:
             "error: marginals are limited to 52 variables; the model has 53\n"
         )
 
+    def test_missing_token_is_not_a_bench_flag(self, tmp_path):
+        # bench reads and writes no CSV
+        code = run([
+            "bench", "--spec", "M1", "--n", 20, "--seeds", "1", "--ladder", "100",
+            "--missing-token", "x",
+        ])
+        assert code == 1
+
     def test_bad_ladder_is_validation_error(self, tmp_path):
         code = run([
             "bench", "--spec", "M1", "--seeds", "1", "--ladder", "120",
@@ -461,6 +489,32 @@ class TestPriorValidation:
     ):
         code = run([command[0], "--data", worked_csv, *command[1:], flag, value])
         assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--data", "{csv}", "--child", "X3", "--phi", "{nope}"],
+    ["score", "--data", "{csv}", "--model", "{nope}"],
+    ["simulate", "--spec", "{nope}", "--out", "{dir}/d.csv"],
+    ["bench", "--spec", "{nope}", "--seeds", "1", "--ladder", "100"],
+    ["learn", "--data", "{csv}", "--schema", "{nope}"],
+    ["learn", "--data", "{csv}", "--out", "{nodir}/m.json"],
+    ["simulate", "--spec", "M1", "--n", "5", "--out", "{nodir}/z.csv"],
+], ids=[
+    "estimate-phi", "score-model", "simulate-spec", "bench-spec",
+    "learn-schema", "learn-out", "simulate-out",
+])
+def test_unopenable_file_is_validation_error(tmp_path, worked_csv, capsys, argv):
+    paths = {
+        "csv": str(worked_csv),
+        "dir": str(tmp_path),
+        "nope": str(tmp_path / "nope.json"),
+        "nodir": str(tmp_path / "no" / "such" / "dir"),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert paths["nope"] in err or paths["nodir"] in err
 
 
 class TestParser:

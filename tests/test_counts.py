@@ -256,3 +256,14 @@ class TestParentContext:
         ctx = worked_context(worked_db)
         labels = [ctx.config_label(j, worked_db.variables) for j in range(4)]
         assert labels == ["1,1", "1,2", "2,1", "2,2"]
+
+    def test_table_from_rows_inverts_labels(self, worked_db):
+        ctx = worked_context(worked_db)
+        table = np.arange(8.0).reshape(4, 2)
+        rows = {
+            ctx.config_label(j, worked_db.variables): table[j].tolist()
+            for j in reversed(range(4))
+        }
+        np.testing.assert_array_equal(
+            ctx.table_from_rows(rows, worked_db.variables), table
+        )

@@ -25,8 +25,8 @@ def family(db, child, parents):
 
 
 def completions(db, **kwargs):
-    """Every completion as (copied code matrix, weight)."""
-    return [(codes.copy(), w) for codes, w in _completions(db, **kwargs)]
+    """Every completion as a copied code matrix."""
+    return [codes.copy() for codes in _completions(db, **kwargs)]
 
 
 class TestEnumerateDatasets:
@@ -34,50 +34,25 @@ class TestEnumerateDatasets:
 
     def test_complete_dataset_is_its_own_completion(self):
         db = make_dataset((2, 2), [[0, 1], [1, 0]])
-        [(codes, weight)] = completions(db)
-        assert weight == 1.0
+        [codes] = completions(db)
         np.testing.assert_array_equal(codes, db.codes)
 
     def test_single_missing_binary_entry(self):
         db = make_dataset((2,), [[MISSING], [0]])
         enum = completions(db)
-        assert [w for _, w in enum] == [0.5, 0.5]
-        assert {codes[0, 0] for codes, _ in enum} == {0, 1}
-        for codes, _ in enum:
+        assert {codes[0, 0] for codes in enum} == {0, 1}
+        for codes in enum:
             assert codes[1, 0] == 0  # observed entries preserved
 
     def test_worked_example_has_sixty_four(self, worked_db):
         enum = completions(worked_db)
         assert len(enum) == 64
-        assert len({codes.tobytes() for codes, _ in enum}) == 64
-        assert (np.stack([codes for codes, _ in enum]) != MISSING).all()
-        assert math.fsum(w for _, w in enum) == pytest.approx(1.0, abs=1e-15)
+        assert len({codes.tobytes() for codes in enum}) == 64
+        assert (np.stack(enum) != MISSING).all()
 
     def test_cap_is_enforced(self, worked_db):
         with pytest.raises(OracleError, match="cap"):
             completions(worked_db, cap=63)
-
-    def test_phi_policy_weights_are_products(self):
-        db = make_dataset((2,), [[MISSING], [MISSING]])
-        enum = completions(db, policy="phi", phi={"X1": [0.8, 0.2]})
-        weight_by_fill = {tuple(codes[:, 0].tolist()): w for codes, w in enum}
-        assert weight_by_fill[(0, 0)] == pytest.approx(0.64)
-        assert weight_by_fill[(0, 1)] == pytest.approx(0.16)
-        assert weight_by_fill[(1, 1)] == pytest.approx(0.04)
-        with pytest.raises(OracleError, match="mis-sized"):
-            completions(db, policy="phi", phi={"X1": [1.0]})
-
-    def test_uniform_equals_uniform_phi(self, worked_db):
-        uniform = completions(worked_db)
-        via_phi = completions(
-            worked_db,
-            policy="phi",
-            phi={name: [0.5, 0.5] for name in ("X1", "X2", "X3")},
-        )
-        assert [w for _, w in uniform] == pytest.approx(
-            [w for _, w in via_phi], abs=1e-15
-        )
-        assert [c.tobytes() for c, _ in uniform] == [c.tobytes() for c, _ in via_phi]
 
 
 class TestExactExpectation:
@@ -147,14 +122,3 @@ class TestExactMarginal:
         # two completions of one binary hole, averaged
         by_hand = 0.5 * (1 / 2 * 1 / 3 * 2 / 4) + 0.5 * (1 / 2 * 1 / 3 * 2 / 4)
         assert exact_marginal(db, model) == pytest.approx(by_hand, rel=1e-12)
-
-    def test_weight_policies_agree_for_uniform_phi(self, worked_db):
-        model = model_from_arcs(worked_db.variables, [("X2", "X3")])
-        uniform = exact_marginal(worked_db, model)
-        via_phi = exact_marginal(
-            worked_db,
-            model,
-            policy="phi",
-            phi={name: [0.5, 0.5] for name in ("X1", "X2", "X3")},
-        )
-        assert uniform == pytest.approx(via_phi, rel=1e-12)

@@ -169,6 +169,29 @@ class TestBuiltinSpecs:
             spec.with_overrides(seed=2)
         )
 
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda d: d["cpts"]["X2"].pop("1"), "missing configuration '1'"),
+        (lambda d: d["cpts"]["X2"].update({"1": [1.0]}), "has 1 entries"),
+        (lambda d: d.pop("n"), "'n'"),
+        (lambda d: d.pop("variables"), "variable list"),
+        (lambda d: d.pop("arcs"), "'arcs'"),
+        (lambda d: d["arcs"].append(["X1", "X9"]), "unknown variable"),
+        (lambda d: d["cpts"].pop("X3"), "no CPT for variable 'X3'"),
+        (lambda d: d["cpts"]["X2"].update({"9": [0.5, 0.5]}),
+         r"unknown configurations \['9'\]"),
+        (lambda d: d["cpts"].update({"X9": {"": [1.0]}}),
+         r"unknown variables \['X9'\]"),
+    ], ids=[
+        "missing-configuration", "wrong-row-length", "missing-n",
+        "missing-variables", "missing-arcs", "unknown-arc-variable",
+        "missing-cpt", "unknown-label", "unknown-cpt-variable",
+    ])
+    def test_malformed_spec_rejected(self, mutate, match):
+        data = spec_to_dict(builtin_spec("M1"))
+        mutate(data)
+        with pytest.raises(SimulateError, match=match):
+            spec_from_dict(data)
+
     def test_spec_file_round_trip(self, tmp_path):
         import json
 
