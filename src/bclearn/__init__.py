@@ -34,7 +34,6 @@ from .score import (
     FamilyScorer,
     ModelScore,
     ScoreError,
-    bayes_factor,
     log_g_bc,
     log_marginal,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "SearchError",
     "SimulateError",
     "Variable",
-    "bayes_factor",
     "bc_estimate",
     "builtin_spec",
     "delete_entries",

@@ -21,10 +21,17 @@ import traceback
 import numpy as np
 
 from .counts import ParentContext, tally
-from .data import load_csv, load_schema, save_csv, save_schema, summarize_missingness
+from .data import (
+    Dataset,
+    load_csv,
+    load_schema,
+    save_csv,
+    save_schema,
+    summarize_missingness,
+)
 from .estimate import PriorSpec, bc_estimate, phi_from_rows
 from .oracle import DEFAULT_CAP, exact_expectation, exact_marginal
-from .score import log_marginal
+from .score import FamilyScorer, log_marginal
 from .search import (
     OrderConstraint,
     check_marginal_size,
@@ -204,6 +211,12 @@ def cmd_bench(args) -> int:
         _split_names(args.order) if args.order else [v.name for v in variables]
     )
     generating_arcs = set(spec.model.named_arcs())
+    # Refuse a bad order, prior or phi before any sampling, on no cases.
+    no_cases = Dataset(variables, np.empty((0, len(variables))))
+    order = OrderConstraint.from_names(
+        no_cases, order_names, max_parents=args.max_parents
+    )
+    FamilyScorer(no_cases, alpha=args.alpha, beta=args.beta, phi_policy=args.phi)
 
     rows = []
     timings = []
@@ -211,9 +224,6 @@ def cmd_bench(args) -> int:
         root = np.random.SeedSequence(seed)
         sample_seed, delete_seed = root.spawn(2)
         complete = sample(spec.with_overrides(seed=sample_seed))
-        order = OrderConstraint.from_names(
-            complete, order_names, max_parents=args.max_parents
-        )
         for pct in ladder:
             plan = DeletionPlan(fraction=1.0 - pct / 100.0, seed=delete_seed)
             dataset = delete_entries(complete, plan)

@@ -108,6 +108,8 @@ class ParentContext:
             if label not in rows:
                 raise ValueError(f"missing configuration {label!r}")
             row = rows[label]
+            if np.ndim(row) != 1:
+                raise ValueError(f"row {label!r} is not a list of entries: {row!r}")
             if len(row) != self.child_cardinality:
                 raise ValueError(
                     f"row {label!r} has {len(row)} entries, "

@@ -13,11 +13,12 @@ explicitly; this is required when a column is entirely missing and is
 the only way to guarantee CSV round trips for states that never occur
 observed.
 
-``load_csv`` splits a file by one of two paths that give the same
-``Dataset``.  The common file -- no quoting, no blank line, every row as
-wide as the header, body cells of at most 8 bytes -- is tokenised by numpy
-on its bytes, never making a Python object per cell.  Every other file is
-parsed by ``csv.reader``, which also words every error about the layout.
+``load_csv`` turns each body cell into an integer key that sorts as its
+label does, by one of two paths, and labels both paths' keys in one step.
+The common file -- no quoting, no blank line, every row as wide as the
+header, body cells of at most 8 bytes -- is tokenised by numpy on its
+bytes, never making a Python object per cell.  Every other file is parsed
+by ``csv.reader``, which also words every error about the layout.
 """
 
 from __future__ import annotations
@@ -160,26 +161,29 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     line, its header names are unique, every row is as wide as the header
     and every body cell is at most 8 bytes long, numpy tokenises it.  Any
     other file is parsed by ``csv.reader`` (RFC 4180 quoting), which also
-    words every error about the file's layout.  Both paths hand each
-    column's sorted distinct labels and per-row label index to the one
-    step below, which fixes the states and codes and words every error
-    about states, so both give the same ``Dataset`` or the same error.
+    words every error about the file's layout.  Both paths hand an (n, m)
+    array of integer keys that sort within a column as the labels do, and
+    a key-to-label map, to the one step below, which fixes the states and
+    codes and words every error about states, so both paths give the same
+    ``Dataset`` or the same error.
     """
     try:
-        header, n_cases, columns = _split_bytes(path) or _split_rows(path)
+        header, keys, label_of = _split_bytes(path) or _split_rows(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     unknown = MISSING - 1
     variables = []
-    codes = np.empty((n_cases, len(header)), dtype=np.int16, order="F")
+    codes = np.empty(keys.shape, dtype=np.int16, order="F")
     first_bad = None  # (row, column, label) of the first out-of-schema cell
-    for i, (name, (labels, inverse)) in enumerate(zip(header, columns)):
+    for i, name in enumerate(header):
+        distinct, inverse = np.unique(keys[:, i], return_inverse=True)
+        labels = [label_of(key) for key in distinct.tolist()]
         if schema is not None and name in schema:
             states = [str(s) for s in schema[name]]
         else:
             states = [label for label in labels if label != missing_token]
-            if not states and n_cases:
+            if not states and len(keys):
                 raise DataError(
                     f"{path}: column {name!r} has uninferable cardinality "
                     "(all values missing and no schema supplied)"
@@ -219,8 +223,7 @@ def _split_bytes(path):
     Each body cell becomes a uint64 key holding its UTF-8 bytes left-aligned
     and zero-padded, so keys sort as the labels do and the empty cell is 0.
     Rows are tokenised in blocks, so no per-cell temporary spans the file.
-    Returns ``(header, n_cases, columns)`` with ``columns`` yielding each
-    column's ``(sorted labels, inverse)`` in turn.
+    Returns ``(header, keys, label_of)``, ``label_of`` decoding one key.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -269,21 +272,12 @@ def _split_bytes(path):
         if lengths.max() > 8:
             return None
         keys[r0:r1] = (words[starts] & _KEY_MASKS[lengths]).reshape(r1 - r0, width)
-    return header, n_cases, (_key_labels(keys[:, i]) for i in range(width))
-
-
-def _key_labels(keys: np.ndarray):
-    """A column's sorted distinct labels and each row's index into them."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    labels = [
-        key.to_bytes(8, "big").rstrip(b"\0").decode("utf-8")
-        for key in distinct.tolist()
-    ]
-    return labels, inverse
+    return header, keys, lambda key: key.to_bytes(8, "big").rstrip(b"\0").decode()
 
 
 def _split_rows(path):
-    """Parse with ``csv.reader``: the path for any file ``_split_bytes`` declines."""
+    """Parse with ``csv.reader``: the path for any file ``_split_bytes`` declines.
+    A cell's key is the rank of its label among the file's distinct labels."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -306,12 +300,13 @@ def _split_rows(path):
     for r, row in enumerate(body):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-    columns = (
-        np.unique(np.array([row[i] for row in body], dtype=object),
-                  return_inverse=True)
-        for i in range(len(header))
-    )
-    return header, len(body), columns
+    labels = sorted({cell for row in body for cell in row})
+    rank = {label: r for r, label in enumerate(labels)}
+    keys = np.fromiter(
+        (rank[cell] for row in body for cell in row),
+        dtype=np.intp, count=len(body) * len(header),
+    ).reshape(len(body), len(header))
+    return header, keys, labels.__getitem__
 
 
 def save_csv(dataset: Dataset, path, missing_token: str = "?") -> None:

@@ -28,7 +28,7 @@ import numpy as np
 from .counts import CountTable, ParentContext
 from .data import MISSING, Dataset
 from .estimate import PriorSpec
-from .score import FamilyScorer, ModelScore
+from .score import FamilyScorer
 from .search import Model, OrderConstraint
 
 DEFAULT_CAP = 4096
@@ -242,11 +242,7 @@ def enumerate_models(
         parent_sets = [()] * dataset.n_variables
         for child, parents in zip(children, combo):
             parent_sets[child] = parents
-        families = tuple(
-            scorer.score(child, parents)
-            for child, parents in enumerate(parent_sets)
-        )
-        score = ModelScore(families)
+        score = scorer.model_score(parent_sets)
         model = Model(dataset.variables, tuple(parent_sets), score=score)
         scored.append((score.total, model))
 

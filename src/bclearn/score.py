@@ -118,6 +118,12 @@ class FamilyScorer:
         """The family's (q, c) CPT point estimate, ``bc_estimate().p_hat``."""
         return self._family(child, parents)[1]
 
+    def model_score(self, parent_sets) -> ModelScore:
+        """The score of the model whose variable ``i`` has ``parent_sets[i]``."""
+        return ModelScore(tuple(
+            self.score(child, parents) for child, parents in enumerate(parent_sets)
+        ))
+
 
 def log_marginal(
     model, dataset: Dataset, alpha: float = 1.0, beta: float = 1.0, phi: str = "mar"
@@ -126,17 +132,4 @@ def log_marginal(
     columns get the exact closed form automatically."""
     ensure_dag(model.parent_sets)
     scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
-    families = tuple(
-        scorer.score(child, parents) for child, parents in enumerate(model.parent_sets)
-    )
-    return ModelScore(families)
-
-
-def bayes_factor(
-    model_1, model_2, dataset: Dataset,
-    alpha: float = 1.0, beta: float = 1.0, phi: str = "mar",
-) -> float:
-    """Log Bayes factor of model_1 against model_2 under equal model priors."""
-    s1 = log_marginal(model_1, dataset, alpha=alpha, beta=beta, phi=phi)
-    s2 = log_marginal(model_2, dataset, alpha=alpha, beta=beta, phi=phi)
-    return s1.total - s2.total
+    return scorer.model_score(model.parent_sets)

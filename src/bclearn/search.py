@@ -104,18 +104,11 @@ class OrderConstraint:
 
 def _finalize(dataset: Dataset, parent_sets, scorer: FamilyScorer) -> Model:
     """Attach CPTs (collapsed estimates) and the model score."""
-    families = tuple(
-        scorer.score(child, parents) for child, parents in enumerate(parent_sets)
-    )
-    cpts = tuple(
-        scorer.estimate(child, parents)
-        for child, parents in enumerate(parent_sets)
-    )
     return Model(
         variables=dataset.variables,
         parent_sets=tuple(parent_sets),
-        cpts=cpts,
-        score=ModelScore(families),
+        score=scorer.model_score(parent_sets),
+        cpts=tuple(scorer.estimate(c, ps) for c, ps in enumerate(parent_sets)),
     )
 
 

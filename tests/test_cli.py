@@ -338,6 +338,25 @@ class TestSimulate:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_scalar_table_row_is_validation_error(tmp_path, worked_csv, capsys, command):
+    if command == "estimate":
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"1": 0.5, "2": 0.5}))
+        argv = ["estimate", "--data", worked_csv, "--child", "X2", "--parents", "X1",
+                "--phi", phi_path]
+    else:
+        from bclearn import builtin_spec
+
+        data = spec_to_dict(builtin_spec("M1"))
+        data["cpts"]["X2"]["1"] = 0.5
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        argv = ["simulate", "--spec", spec_path, "--out", tmp_path / "d.csv"]
+    assert run(argv) == 1
+    assert "row '1' is not a list of entries: 0.5" in capsys.readouterr().err
+
+
 class TestBench:
     def test_report_is_deterministic_and_valid(self, tmp_path, capsys):
         # full ladder 100..0 in steps of 20: six rows per seed
@@ -448,6 +467,26 @@ class TestBench:
             "bench", "--spec", "M1", "--seeds", "1", "--ladder", "120",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--phi", "nope.json"], "score with phi 'mar' or 'uniform', not 'nope.json'"),
+        (["--alpha", "-1"], "alpha must be finite and strictly positive, got -1.0"),
+        (["--beta", "0"], "beta must be finite and strictly positive, got 0.0"),
+        (["--max-parents", "-1"], "max_parents must be nonnegative"),
+        (["--order", "X1,X2,X2"], "order must be a permutation of all variables"),
+    ])
+    def test_bad_option_is_refused_before_sampling(
+        self, capsys, monkeypatch, flags, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sample called")
+
+        monkeypatch.setattr("bclearn.cli.sample", unreachable)
+        code = run([
+            "bench", "--spec", "M1", "--seeds", "1", "--ladder", "100", *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestPriorValidation:

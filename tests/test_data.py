@@ -216,9 +216,13 @@ class TestBytePathMatchesCsvReader:
             loaded += isinstance(got, Dataset)
         assert loaded > 100
 
-    def test_prefix_and_digit_labels_sort_as_strings(self, tmp_path):
+    # a 9-byte label in the second column sends the file to csv.reader
+    @pytest.mark.parametrize(
+        "last", ["b,2", "b,123456789"], ids=["numpy", "csv_reader"]
+    )
+    def test_prefix_and_digit_labels_sort_as_strings(self, tmp_path, last):
         path = tmp_path / "order.csv"
-        body = ["ab,1", "10,1", "a,1", "9,1", "状態,1", "é,1", ",1", "b,2"]
+        body = ["ab,1", "10,1", "a,1", "9,1", "状態,1", "é,1", ",1", last]
         path.write_bytes("\r\n".join(["X,Y"] + body).encode("utf-8"))
         d = load_csv(path)
         assert d.variables[0].states == ("", "10", "9", "a", "ab", "b", "é", "状態")
