@@ -55,6 +55,7 @@ from .simulate import (
     SimulateError,
     builtin_spec,
     delete_entries,
+    delete_ladder,
     load_spec,
     sample,
     spec_from_dict,
@@ -90,6 +91,7 @@ __all__ = [
     "bc_estimate",
     "builtin_spec",
     "delete_entries",
+    "delete_ladder",
     "exact_expectation",
     "exact_marginal",
     "k2_bc",

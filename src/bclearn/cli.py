@@ -42,7 +42,14 @@ from .search import (
     model_to_json,
     score_to_json,
 )
-from .simulate import RNG_ALGORITHM, DeletionPlan, delete_entries, load_spec, sample
+from .simulate import (
+    RNG_ALGORITHM,
+    DeletionPlan,
+    delete_entries,
+    delete_ladder,
+    load_spec,
+    sample,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,9 +231,9 @@ def cmd_bench(args) -> int:
         root = np.random.SeedSequence(seed)
         sample_seed, delete_seed = root.spawn(2)
         complete = sample(spec.with_overrides(seed=sample_seed))
-        for pct in ladder:
-            plan = DeletionPlan(fraction=1.0 - pct / 100.0, seed=delete_seed)
-            dataset = delete_entries(complete, plan)
+        fractions = [1.0 - pct / 100.0 for pct in ladder]
+        rungs = delete_ladder(complete, fractions, delete_seed)
+        for pct, dataset in zip(ladder, rungs):
             start = time.perf_counter()
             model = k2_bc(
                 dataset, order, alpha=args.alpha, beta=args.beta, phi=args.phi

@@ -8,16 +8,29 @@ child state) cell its observed family entries are consistent with.
 
 The tally is one dense table over the family's prod(card + 1) entry
 patterns, one axis per parent and the child last, where slot 0 of an axis
-means missing and slot s + 1 state s.  A case's pattern code packs its
-entries as mixed-radix digits entry + 1, built in place from the dataset's
-contiguous int16 columns in int16 or int32, and one ``np.bincount`` counts
-the codes into the table.  Slicing slot 0 off every parent axis leaves the
-cases observed on all parents.  Adding each parent axis's slot 0 into every
-state of that axis, one axis at a time (a sum over subsets of the missing
-parents), leaves for each configuration every case consistent with it.
-The cost is the table's size plus one pass over the cases, whatever the
-number of missing entries; every count is int64.  A family with more than
-``MAX_PATTERNS`` entry patterns is refused before anything is allocated.
+means missing and slot s + 1 state s.  The table has two sources:
+
+* the full-row table, one ``np.bincount`` of every case's whole-row code
+  over prod(card + 1) of all the dataset's variables, built by the first
+  ``tally`` on a dataset and kept on it read-only; a family's table is
+  that table summed over the other variables' axes and transposed to
+  parents then child;
+* the per-case count, one ``np.bincount`` of each case's family pattern
+  code, built in place from the dataset's contiguous int16 columns in
+  int16 or int32.
+
+The full-row table is used when it has at most one slot per case (and at
+most ``MAX_PATTERNS``): there, summing it costs less than counting the
+cases once the table is built (see ``_uses_row_table``).  Both sources give
+the same int64 table.
+
+Slicing slot 0 off every parent axis leaves the cases observed on all
+parents.  Adding each parent axis's slot 0 into every state of that axis,
+one axis at a time (a sum over subsets of the missing parents), leaves for
+each configuration every case consistent with it.  The cost is the table's
+size plus one pass over the cases, whatever the number of missing entries;
+every count is int64.  A family with more than ``MAX_PATTERNS`` entry
+patterns is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -101,7 +114,7 @@ class ParentContext:
     def table_from_rows(self, rows, variables) -> np.ndarray:
         """The (q, c) table of a {configuration label: row} mapping, the
         inverse of ``config_label``: every configuration needs a row of c
-        entries, and a label naming no configuration is refused."""
+        finite entries, and a label naming no configuration is refused."""
         labels = [self.config_label(j, variables) for j in range(self.n_configs)]
         table = np.empty((self.n_configs, self.child_cardinality))
         for j, label in enumerate(labels):
@@ -116,6 +129,8 @@ class ParentContext:
                     f"expected {self.child_cardinality}"
                 )
             table[j] = row
+            if not np.isfinite(table[j]).all():
+                raise ValueError(f"row {label!r} has a non-finite entry: {row!r}")
         unknown = set(rows) - set(labels)
         if unknown:
             raise ValueError(f"unknown configurations {sorted(unknown)}")
@@ -166,17 +181,27 @@ class CountTable:
 MAX_PATTERNS = 2**26
 
 
-def _pattern_codes(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
-    """Each case's family pattern code, parents then child as mixed-radix
-    digits entry + 1, in int16 when all prod(card + 1) codes fit, else int32."""
-    members = (*ctx.parents, ctx.child)
-    cards = (*ctx.parent_cardinalities, ctx.child_cardinality)
+def _uses_row_table(cardinalities, n_cases: int) -> bool:
+    """Whether a dataset's families are counted from its full-row table: when
+    that table, prod(card + 1) slots over all variables, has at most one slot
+    per case and at most ``MAX_PATTERNS``.
+
+    On random cases a family's sum of the table costs as much as counting
+    the cases at 2-3 slots per case for 65536 and 15625 slots, and less at
+    every ratio for 1024, where each source's fixed cost rules.  One slot
+    per case leaves room for building the table, which costs one count of
+    every case's whole row, once per dataset.
+    """
+    size = math.prod(card + 1 for card in cardinalities)
+    return size <= min(n_cases, MAX_PATTERNS)
+
+
+def _codes(dataset: Dataset, members) -> np.ndarray:
+    """Each case's entries of ``members`` as mixed-radix digits entry + 1,
+    the last member fastest, in int16 when all prod(card + 1) codes fit,
+    else int32."""
+    cards = [dataset.variables[member].cardinality for member in members]
     size = math.prod(card + 1 for card in cards)
-    if size > MAX_PATTERNS:
-        raise ValueError(
-            f"the family of {dataset.variables[ctx.child].name} has {size} "
-            f"entry patterns, above the limit of {MAX_PATTERNS} (2**26)"
-        )
     code_type = np.int16 if size <= np.iinfo(np.int16).max else np.int32
     # Horner over the raw columns; ``offset`` is the +1 of every digit,
     # added once at the end.
@@ -190,12 +215,58 @@ def _pattern_codes(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
     return codes
 
 
+def _pattern_codes(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
+    """Each case's family pattern code, parents then child."""
+    return _codes(dataset, (*ctx.parents, ctx.child))
+
+
+def _cases_table(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
+    """The family's pattern table, counted case by case."""
+    cards = (*ctx.parent_cardinalities, ctx.child_cardinality)
+    shape = tuple(card + 1 for card in cards)
+    codes = _pattern_codes(dataset, ctx)
+    return np.bincount(codes, minlength=math.prod(shape)).reshape(shape)
+
+
+def _row_table(dataset: Dataset) -> np.ndarray:
+    """The read-only count of every full-row pattern, one axis per variable,
+    built on the first call and kept on the dataset."""
+    table = dataset._row_table
+    if table is None:
+        shape = tuple(card + 1 for card in dataset.cardinalities)
+        codes = _codes(dataset, tuple(range(dataset.n_variables)))
+        table = np.bincount(codes, minlength=math.prod(shape)).reshape(shape)
+        table.flags.writeable = False
+        object.__setattr__(dataset, "_row_table", table)
+    return table
+
+
+def _rows_table(dataset: Dataset, ctx: ParentContext) -> np.ndarray:
+    """The family's pattern table, summed out of the full-row table one
+    non-member axis at a time, outermost first, and transposed to parents
+    then child."""
+    members = (*ctx.parents, ctx.child)
+    others = tuple(i for i in range(dataset.n_variables) if i not in members)
+    table = _row_table(dataset)
+    for axis in others:
+        table = table.sum(axis=axis, keepdims=True)
+    kept = sorted(members)
+    return table.squeeze(axis=others).transpose([kept.index(m) for m in members])
+
+
 def tally(dataset: Dataset, ctx: ParentContext) -> CountTable:
     """Count observed cases and possible completions for one family."""
     q, c, k = ctx.n_configs, ctx.child_cardinality, len(ctx.parents)
-    shape = (*(card + 1 for card in ctx.parent_cardinalities), c + 1)
-    codes = _pattern_codes(dataset, ctx)
-    table = np.bincount(codes, minlength=math.prod(shape)).reshape(shape)
+    size = math.prod(card + 1 for card in (*ctx.parent_cardinalities, c))
+    if size > MAX_PATTERNS:
+        raise ValueError(
+            f"the family of {dataset.variables[ctx.child].name} has {size} "
+            f"entry patterns, above the limit of {MAX_PATTERNS} (2**26)"
+        )
+    if _uses_row_table(dataset.cardinalities, dataset.n_cases):
+        table = _rows_table(dataset, ctx)
+    else:
+        table = _cases_table(dataset, ctx)
     # Cases observed on every parent, by configuration and child slot.
     seen = table[(slice(1, None),) * k].reshape(q, c + 1)
     # Add each parent axis's missing slot into every state of that axis, one

@@ -74,6 +74,11 @@ class Dataset:
 
     variables: tuple[Variable, ...]
     codes: np.ndarray = field(repr=False)
+    # The count of every full-row pattern, built by the first ``counts.tally``
+    # that reads it.
+    _row_table: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))

@@ -3,9 +3,12 @@
 Sampling draws cases ancestrally (each node after its parents) with a
 numpy PCG64 generator, so a (spec, seed) pair reproduces byte-identical
 datasets.  Deletion derives a single random permutation of all entry
-positions from the plan's seed and masks a prefix of it: the same seed
-with a larger fraction deletes a superset of entries, which is exactly
-the cumulative ladder used by the benchmark protocol.
+positions (row-major) from the plan's seed and masks a prefix of it: the
+same seed with a larger fraction deletes a superset of entries, which is
+exactly the cumulative ladder used by the benchmark protocol.
+``delete_ladder`` makes every rung of such a ladder from one draw of the
+permutation, each rung masking its own prefix; ``delete_entries`` is its
+one-rung case.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ class GenerativeSpec:
             raise SimulateError("sample size must be nonnegative")
         for child, cpt in enumerate(self.model.cpts):
             rows = np.asarray(cpt, dtype=float)
+            if not np.isfinite(rows).all():
+                raise SimulateError(f"non-finite CPT entry for variable {child}")
             if (rows < 0).any():
                 raise SimulateError(f"negative CPT entry for variable {child}")
             if np.abs(rows.sum(axis=1) - 1.0).max() > CPT_ROW_TOLERANCE:
@@ -74,8 +79,12 @@ class DeletionPlan:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise SimulateError("deletion fraction must lie in [0, 1]")
+        _check_fraction(self.fraction)
+
+
+def _check_fraction(fraction) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise SimulateError("deletion fraction must lie in [0, 1]")
 
 
 def sample(spec: GenerativeSpec) -> Dataset:
@@ -92,21 +101,38 @@ def sample(spec: GenerativeSpec) -> Dataset:
             rows = rows * cards[parent] + codes[:, parent]
         cumulative = np.cumsum(np.asarray(model.cpts[node], dtype=float), axis=1)
         draws = rng.random(n)
-        states = (draws[:, None] >= cumulative[rows]).sum(axis=1)
+        # A case's state is the number of cumulative entries its draw reaches,
+        # counted one state column at a time.
+        states = np.zeros(n, dtype=np.int64)
+        for column in cumulative.T:
+            states += draws >= column[rows]
         codes[:, node] = np.minimum(states, cards[node] - 1)
     return Dataset(model.variables, codes)
 
 
 def delete_entries(dataset: Dataset, plan: DeletionPlan) -> Dataset:
     """Return a copy with round(fraction * entries) positions masked."""
+    return delete_ladder(dataset, [plan.fraction], plan.seed)[0]
+
+
+def delete_ladder(dataset: Dataset, fractions, seed=None) -> list[Dataset]:
+    """``delete_entries`` of ``dataset`` at each fraction with one seed: the
+    rungs mask nested prefixes of one permutation of the entry positions,
+    drawn once, by the first rung that deletes anything."""
+    for fraction in fractions:
+        _check_fraction(fraction)
     total = dataset.codes.size
-    n_delete = int(round(plan.fraction * total))
-    codes = dataset.codes.copy()
-    if n_delete and total:
-        rng = np.random.default_rng(plan.seed)
-        positions = rng.permutation(total)[:n_delete]
-        codes.reshape(-1)[positions] = MISSING
-    return Dataset(dataset.variables, codes)
+    positions = None
+    rungs = []
+    for fraction in fractions:
+        n_delete = int(round(fraction * total))
+        codes = dataset.codes.copy()
+        if n_delete:
+            if positions is None:
+                positions = np.random.default_rng(seed).permutation(total)
+            codes.reshape(-1)[positions[:n_delete]] = MISSING
+        rungs.append(Dataset(dataset.variables, codes))
+    return rungs
 
 
 def spec_from_dict(data: dict) -> GenerativeSpec:

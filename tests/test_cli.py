@@ -357,6 +357,32 @@ def test_scalar_table_row_is_validation_error(tmp_path, worked_csv, capsys, comm
     assert "row '1' is not a list of entries: 0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [None, float("nan"), float("inf"), -float("inf")],
+                         ids=["null", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_non_finite_table_entry_is_validation_error(
+    tmp_path, worked_csv, capsys, command, entry
+):
+    if command == "estimate":
+        table_path = tmp_path / "phi.json"
+        table_path.write_text(json.dumps({"1": [0.5, entry], "2": [0.5, 0.5]}))
+        out = tmp_path / "estimate.json"
+        argv = ["estimate", "--data", worked_csv, "--child", "X2", "--parents", "X1",
+                "--phi", table_path, "--out", out]
+    else:
+        from bclearn import builtin_spec
+
+        data = spec_to_dict(builtin_spec("M1"))
+        data["cpts"]["X2"]["1"] = [entry, 0.5]
+        table_path = tmp_path / "spec.json"
+        table_path.write_text(json.dumps(data))
+        out = tmp_path / "d.csv"
+        argv = ["simulate", "--spec", table_path, "--out", out]
+    assert run(argv) == 1
+    assert "row '1' has a non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBench:
     def test_report_is_deterministic_and_valid(self, tmp_path, capsys):
         # full ladder 100..0 in steps of 20: six rows per seed

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from bclearn import MISSING, ParentContext, tally
-from bclearn.counts import _pattern_codes
+from bclearn.counts import (
+    MAX_PATTERNS,
+    _cases_table,
+    _pattern_codes,
+    _rows_table,
+    _uses_row_table,
+)
 from bclearn.oracle import enumerate_completions
 from helpers import make_dataset, punch_holes, random_complete
 
@@ -230,6 +236,99 @@ class TestTallyProperties:
         # cases 1 and 2 are complete on the parent, case 3 is not
         assert t.parent_obs_vector().tolist() == [2, 0]
         assert t.parent_comp_vector().tolist() == [1, 1]
+
+
+class TestTableSources:
+    """The full-row and per-case sources of a family's pattern table."""
+
+    @staticmethod
+    def assert_sources_agree(d, ctx):
+        rows, cases = _rows_table(d, ctx), _cases_table(d, ctx)
+        assert rows.dtype == cases.dtype == np.int64
+        assert np.array_equal(rows, cases)
+
+    @staticmethod
+    def random_holey(rng, cards, n):
+        rows = np.column_stack([rng.integers(0, card, size=n) for card in cards])
+        rows[rng.random(rows.shape) < rng.random()] = MISSING
+        return make_dataset(cards, rows.reshape(n, len(cards)))
+
+    def test_every_family_of_random_datasets(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            cards = rng.integers(2, 5, size=int(rng.integers(1, 6))).tolist()
+            d = self.random_holey(rng, cards, int(rng.integers(1, 300)))
+            for child in range(d.n_variables):
+                others = [i for i in range(d.n_variables) if i != child]
+                for size in range(min(len(others), 3) + 1):
+                    parents = rng.permutation(others)[:size].tolist()
+                    self.assert_sources_agree(
+                        d, ParentContext.for_dataset(d, child, parents)
+                    )
+
+    def test_zero_parents_and_a_family_of_every_variable(self):
+        d = self.random_holey(np.random.default_rng(5), (3, 2, 4), 200)
+        for child in range(3):
+            self.assert_sources_agree(d, ParentContext.for_dataset(d, child, ()))
+        # no axis is summed; the parents out of variable order are transposed
+        self.assert_sources_agree(d, ParentContext.for_dataset(d, 1, (2, 0)))
+        self.assert_sources_agree(d, ParentContext.for_dataset(d, 2, (0, 1)))
+
+    def test_column_missing_in_every_case(self):
+        d = self.random_holey(np.random.default_rng(6), (2, 3, 2), 100)
+        rows = d.codes.copy()
+        rows[:, 1] = MISSING
+        d = make_dataset((2, 3, 2), rows)
+        for child, parents in ((1, ()), (0, (1,)), (1, (0, 2)), (2, (1,))):
+            self.assert_sources_agree(d, ParentContext.for_dataset(d, child, parents))
+
+    def test_no_cases(self):
+        d = make_dataset((2, 3), np.zeros((0, 2)))
+        ctx = ParentContext.for_dataset(d, 0, (1,))
+        self.assert_sources_agree(d, ctx)
+        assert not _uses_row_table(d.cardinalities, d.n_cases)
+        assert tally(d, ctx).obs_matrix().sum() == 0
+
+    def test_either_side_of_the_threshold(self, monkeypatch):
+        """4 * 3 * 5 = 60 slots: the row table serves 60 cases, not 59, and
+        tally's counts are the same either way."""
+        rng = np.random.default_rng(7)
+        for n, uses_rows in ((59, False), (60, True)):
+            d = self.random_holey(rng, (3, 2, 4), n)
+            assert _uses_row_table(d.cardinalities, n) == uses_rows
+            ctx = ParentContext.for_dataset(d, 2, (0,))
+            self.assert_sources_agree(d, ctx)
+            t = tally(d, ctx)
+            source = "_cases_table" if uses_rows else "_rows_table"
+
+            def unreachable(*args, **kwargs):
+                raise AssertionError(f"{source} called")
+
+            monkeypatch.setattr(f"bclearn.counts.{source}", unreachable)
+            again = tally(d, ctx)
+            monkeypatch.undo()
+            assert np.array_equal(again.obs_matrix(), t.obs_matrix())
+            assert np.array_equal(again.comp_matrix(), t.comp_matrix())
+
+    def test_rule_never_exceeds_max_patterns(self):
+        cards = (2,) * 16 + (3,) * 2  # 3**16 * 16 > MAX_PATTERNS slots
+        assert math.prod(card + 1 for card in cards) > MAX_PATTERNS
+        assert not _uses_row_table(cards, 10**12)
+
+    @pytest.mark.parametrize("cards, n_cases", [
+        ((3,) * 16, 100_000),  # learn_wide: 4**16 slots
+        ((3,) * 9, 2_000),  # score_dense: 4**9 slots
+    ], ids=["learn_wide", "score_dense"])
+    def test_benchmark_shapes_count_case_by_case(self, cards, n_cases):
+        assert not _uses_row_table(cards, n_cases)
+
+    def test_row_table_matches_per_case_fold(self):
+        rng = np.random.default_rng(8)
+        d = self.random_holey(rng, (2, 3, 2, 2), 200)
+        assert _uses_row_table(d.cardinalities, d.n_cases)
+        for child, parents in ((0, ()), (1, (0, 3)), (3, (0, 1, 2)), (2, (3,))):
+            ctx = ParentContext.for_dataset(d, child, parents)
+            assert_matches_per_case_fold(d, ctx)
 
 
 class TestParentContext:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -10,6 +12,7 @@ from bclearn import (
     SimulateError,
     builtin_spec,
     delete_entries,
+    delete_ladder,
     load_spec,
     sample,
     save_csv,
@@ -81,6 +84,43 @@ class TestSample:
         with pytest.raises(SimulateError, match="sum to 1"):
             GenerativeSpec(model=bad, n=5)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cpt_entry_rejected(self, entry):
+        variables = make_dataset((2,), [[0]]).variables
+        bad = Model(variables, ((),), cpts=(np.array([[entry, 1.0]]),))
+        with pytest.raises(SimulateError, match="non-finite CPT entry for variable 0"):
+            GenerativeSpec(model=bad, n=5)
+
+
+def codes_digest(dataset):
+    return hashlib.sha256(dataset.codes.tobytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """sha256 of the sampled and deleted case tables, row-major int16 bytes,
+    as drawn by numpy's PCG64 streams before sampling went one state column
+    at a time and the deletion ladder shared one permutation."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("M1", "3e3e68d8e4caa407a484d20463e5bf619e20061094870286ccae518fd496f5e7"),
+        ("M2", "e3a85098f866c764448f7c5fa187697a24a53e6a274fae615afdf9cbb86e74db"),
+        ("M3", "60a43c148232bfeeb4bde72988dda07145e90d30342bc0e4e4bcccb0deab9987"),
+        ("M4", "07998b55cbc65f830b1c9a200d5ecec4f749f00c811fcaf272e3962ac11feccc"),
+    ])
+    def test_sample(self, name, digest):
+        assert codes_digest(sample(builtin_spec(name, n=10_000, seed=2024))) == digest
+
+    @pytest.mark.parametrize("fraction, digest", [
+        (0.0, "07998b55cbc65f830b1c9a200d5ecec4f749f00c811fcaf272e3962ac11feccc"),
+        (0.4, "39c5fbc15ef0eeb19bf8e0d88bd118303a53bf5a8db2d2dc57d91d53635a8656"),
+        (0.8, "77177c5f7705fd0187759f22873dc71f7858f161cf12053db5bece3bfd3120b9"),
+        (1.0, "be87f6dbe42cdf682276fbecab3636fbfcaa008cf454d635dd77872b50d940aa"),
+    ])
+    def test_delete_entries(self, fraction, digest):
+        complete = sample(builtin_spec("M4", n=10_000, seed=2024))
+        holey = delete_entries(complete, DeletionPlan(fraction, seed=11))
+        assert codes_digest(holey) == digest
+
 
 class TestDeleteEntries:
     def test_zero_fraction_is_identity(self):
@@ -131,6 +171,40 @@ class TestDeleteEntries:
         d = sample(builtin_spec("M1", n=20, seed=3))
         before = d.codes.copy()
         delete_entries(d, DeletionPlan(0.9, seed=0))
+        np.testing.assert_array_equal(d.codes, before)
+
+
+class TestDeleteLadder:
+    @pytest.mark.parametrize("fractions", [
+        (0.0, 0.4, 0.8), (0.8, 0.0, 1.0, 0.4), (1.0, 1.0), (0.3,), (),
+    ])
+    def test_rungs_equal_delete_entries(self, fractions):
+        d = sample(builtin_spec("M2", n=300, seed=6))
+        seed = np.random.SeedSequence(12)
+        rungs = delete_ladder(d, fractions, seed)
+        assert len(rungs) == len(fractions)
+        for fraction, rung in zip(fractions, rungs):
+            assert rung == delete_entries(d, DeletionPlan(fraction, seed=seed))
+
+    def test_draws_no_permutation_without_deletions(self, monkeypatch):
+        d = sample(builtin_spec("M1", n=30, seed=3))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("generator drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
+        assert delete_ladder(d, [0.0, 0.0], seed=1) == [d, d]
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_fraction_out_of_range_rejected(self, fraction):
+        d = sample(builtin_spec("M1", n=30, seed=3))
+        with pytest.raises(SimulateError, match=r"lie in \[0, 1\]"):
+            delete_ladder(d, [0.2, fraction], seed=1)
+
+    def test_original_is_untouched(self):
+        d = sample(builtin_spec("M1", n=40, seed=3))
+        before = d.codes.copy()
+        delete_ladder(d, [0.3, 0.9, 1.0], seed=0)
         np.testing.assert_array_equal(d.codes, before)
 
 
