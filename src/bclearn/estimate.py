@@ -26,11 +26,23 @@ tolerance for accumulation error.
 The collapse of a row uses p_k = a_k * S + phi_k * nstar_k / (b + nstar_k)
 with S = sum_l phi_l / (b + nstar_l), over the least common multiple of the
 row's denominators b + nstar_l.  Every quantity is one numpy expression
-over the whole (q, c) table on object dtype, whose elements are Python
-ints: nothing overflows and each cell is still one correctly rounded
-division, with no Python loop over configurations.  A row's integers are
-a few machine words long.  Big integers appear only in the precision: the
-q parent-configuration probabilities collapse as one row whose least
+over the whole (q, c) table, with no Python loop over configurations, and
+each cell is still one correctly rounded division.  Two rules keep it cheap,
+and neither changes a bit of the result:
+
+- A family with at least as many configurations as cases is mostly
+  repeated rows, empty ones above all.  It is estimated once per distinct
+  row of counts (obs, comp, parent_obs, parent_comp), found through one
+  packed int64 key, and each field is scattered back to its configurations.
+- The table's integers are int64 when c * D**(c+1) < 2**53, D bounding
+  every denominator b + nstar_l (``_fits_int64``): nothing overflows and a
+  float64 division of two of them rounds once, as Python's int / int does.
+  Otherwise they are Python ints on object dtype, as for a non-dyadic
+  alpha such as 0.1 (a 2**55 grid) and for a user phi, whose rows are the
+  exact ratios of their floats.
+
+Big integers appear in the precision, which always takes object dtype:
+the q parent-configuration probabilities collapse as one row whose least
 common multiple spans one denominator per distinct parent-completion
 count, so it grows with the missing fraction, and the precision and the
 matched Dirichlet carry it.
@@ -127,22 +139,24 @@ def _normalized_int_row(row) -> tuple[list[int], int]:
     return nums, total
 
 
-def _on_grid(weight: float, obs: np.ndarray, comp: np.ndarray):
+def _on_grid(weight: float, obs: np.ndarray, comp: np.ndarray, dtype=object):
     """Prior-plus-observed weights a = w + scale * obs and completion counts
     nstar = scale * comp on the integer grid of ``weight`` = w / scale in
-    lowest terms, as object arrays of Python ints."""
+    lowest terms, as ``dtype`` arrays (Python ints by default)."""
     w, scale = weight.as_integer_ratio()
-    return w + scale * obs.astype(object), scale * comp.astype(object)
+    return w + scale * obs.astype(dtype), scale * comp.astype(dtype)
 
 
-def _collapse(a, nstar, b, phi_num, phi_den):
+def _collapse(a, nstar, b, phi_num, phi_den, weights=None):
     """Collapsed estimates of every row as (numerators, denominators).
 
     a[j, k] is the prior-plus-observed weight of state k in row j, b[j, 0]
     the row sum, nstar[j, k] the completion count and phi_num[j] /
-    phi_den[j, 0] the exactly normalized mixing row; all are object arrays
-    of Python ints.  Mixing the upper bound (a_k + nstar_k)/(b + nstar_k)
-    with the lower extremes a_k/(b + nstar_l), l != k, gives
+    phi_den[j, 0] the exactly normalized mixing row; all are integer arrays
+    of one dtype, int64 when their magnitudes are bounded (see
+    ``_fits_int64``) and Python ints otherwise.  Mixing the upper bound
+    (a_k + nstar_k)/(b + nstar_k) with the lower extremes a_k/(b + nstar_l),
+    l != k, gives
 
         p_k = a_k * S + phi_k * nstar_k / (b + nstar_k),
         S   = sum_l phi_l / (b + nstar_l),
@@ -150,15 +164,17 @@ def _collapse(a, nstar, b, phi_num, phi_den):
     put over phi_den * L, where L is the least common multiple of the row's
     denominators b + nstar_l.  Each step is one numpy expression over the
     whole table.  A single long row (the parent configurations behind the
-    precision) takes L over its distinct denominators only.
+    precision) takes L over its distinct denominators only, and ``weights``
+    counts how often each of its entries stands in the sum S.
     """
     d = b + nstar
     if len(d) == 1:
-        lcm = np.array([[math.lcm(*set(d[0].tolist()))]], dtype=object)
+        lcm = np.array([[math.lcm(*set(d[0].tolist()))]], dtype=d.dtype)
     else:
         lcm = np.lcm.reduce(d, axis=1, keepdims=True)
     weighted = phi_num * (lcm // d)
-    nums = a * weighted.sum(axis=1, keepdims=True) + weighted * nstar
+    terms = weighted if weights is None else weighted * weights
+    nums = a * terms.sum(axis=1, keepdims=True) + weighted * nstar
     return nums, phi_den * lcm
 
 
@@ -177,7 +193,7 @@ def _phi_ints(policy, a, b):
         return a, b
     if policy == "uniform":
         c = a.shape[1]
-        return np.ones(a.shape, dtype=object), np.full(b.shape, c, dtype=object)
+        return np.ones(a.shape, dtype=a.dtype), np.full(b.shape, c, dtype=a.dtype)
     raise EstimateError(f"unknown phi policy {policy!r}")
 
 
@@ -191,25 +207,65 @@ def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
     return CompletionDistribution(table)
 
 
-def _precision_ints(table: CountTable, prior: PriorSpec):
+def _precision_ints(table: CountTable, prior: PriorSpec, n_obs, n_comp, counts):
     """Posterior precision per configuration as (numerators, denominator).
 
     Fully parent-observed cases update their configuration exactly; the
     remainder is shared out in proportion to the collapsed estimate of the
     configuration probabilities, the MAR collapse of one row over the
     parent configurations under the Dirichlet(beta) prior, so the total
-    precision gained is exactly the number of cases.
+    precision gained is exactly the number of cases.  ``n_obs`` and
+    ``n_comp`` are the parent counts of the rows estimated; when they are
+    distinct rows, ``counts`` says how many configurations each stands for.
     """
     alpha, scale = prior.alpha.as_integer_ratio()
-    n_obs = table.parent_obs_vector()
-    a, nstar = _on_grid(prior.beta, n_obs[None], table.parent_comp_vector()[None])
-    b = a.sum(axis=1, keepdims=True)
-    p_num, p_den = _collapse(a, nstar, b, a, b)
+    a, nstar = _on_grid(prior.beta, n_obs[None], n_comp[None])
+    b = (a if counts is None else a * counts).sum(axis=1, keepdims=True)
+    p_num, p_den = _collapse(a, nstar, b, a, b, counts)
     p_num, p_den = p_num[0], p_den[0, 0]
     row_prior = table.context.child_cardinality * alpha
     spare = scale * table.parent_incomplete_cases
     nums = (row_prior + scale * n_obs.astype(object)) * p_den + spare * p_num
     return nums, scale * p_den
+
+
+def _groups(table: CountTable) -> bool:
+    """Whether ``bc_estimate`` works on the table's distinct count rows: when
+    there are at least as many configurations as cases, so most rows repeat."""
+    q = table.context.n_configs
+    return q > 1 and q >= table.n_total
+
+
+def _distinct_rows(*columns):
+    """(index, inverse, counts) of the distinct rows of the count columns, as
+    ``np.unique`` returns them for one int64 key per row that packs the
+    columns in mixed radix (each column's maximum + 1); None when the key
+    could pass 2**62."""
+    rows = np.column_stack(columns)
+    radices = (rows.max(axis=0) + 1).tolist()
+    if math.prod(radices) > 2**62:
+        return None
+    key = rows[:, 0]
+    for column, radix in zip(rows.T[1:], radices[1:]):
+        key = key * radix + column
+    _, index, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    return index, inverse, counts
+
+
+def _fits_int64(c: int, bound: int) -> bool:
+    """Whether the collapse of rows of c states whose denominators b + nstar_l
+    are at most ``bound`` runs in int64 with every value below 2**53.
+
+    L <= bound**c.  Under MAR, sum_l phi_l * L / (b + nstar_l) <= L, so each
+    numerator a_k * S + phi_k * nstar_k * L / (b + nstar_k) is at most
+    L * (a_k + nstar_k) and each denominator b * L, both <= bound**(c+1).
+    Under uniform phi they are at most (c+1) * L and c * L.  Below 2**53 an
+    int64 converts to float64 exactly, so float division rounds each cell once,
+    as Python's int / int does.
+    """
+    return c * bound ** (c + 1) < 2**53
 
 
 def _round(num, den) -> np.ndarray:
@@ -222,10 +278,25 @@ def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimat
     precision and the moment-matched Dirichlet hyperparameters
     alpha_hat * p_hat.  ``phi`` is "mar", "uniform" or a
     CompletionDistribution."""
-    a, nstar = _on_grid(prior.alpha, table.obs_matrix(), table.comp_matrix())
+    user_phi = isinstance(phi, CompletionDistribution)
+    columns = (table.obs_matrix(), table.comp_matrix(),
+               table.parent_obs_vector(), table.parent_comp_vector())
+    groups = None if user_phi or not _groups(table) else _distinct_rows(*columns)
+    counts = None
+    if groups is not None:
+        index, inverse, counts = groups
+        columns = tuple(column[index] for column in columns)
+    obs, comp, n_obs, n_comp = columns
+    c = table.context.child_cardinality
+    w, scale = prior.alpha.as_integer_ratio()
+    # every denominator b + nstar_l is at most this, and so is the grid's
+    # scale, which multiplies the counts even when they are all zero
+    bound = max(c * w + scale * (int(obs.sum(axis=1).max()) + int(comp.max())), scale)
+    dtype = object if user_phi or not _fits_int64(c, bound) else np.int64
+    a, nstar = _on_grid(prior.alpha, obs, comp, dtype)
     b = a.sum(axis=1, keepdims=True)
     nums, den = _collapse(a, nstar, b, *_phi_ints(phi, a, b))
-    ah_num, ah_den = _precision_ints(table, prior)
+    ah_num, ah_den = _precision_ints(table, prior, n_obs, n_comp, counts)
     try:
         alpha_hat = _round(ah_num, ah_den)
     except OverflowError:
@@ -234,10 +305,14 @@ def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimat
             f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
             "the posterior precision of a configuration exceeds the largest float"
         ) from None
-    return BcCellEstimate(
-        p_hat=_round(nums, den),
-        p_min=_round(a, b + nstar.max(axis=1, keepdims=True)),
-        p_max=_round(a + nstar, b + nstar),
-        alpha_hat=alpha_hat,
-        dirichlet=_round(nums * ah_num[:, None], den * ah_den),
-    )
+    fields = {
+        "p_hat": _round(nums, den),
+        "p_min": _round(a, b + nstar.max(axis=1, keepdims=True)),
+        "p_max": _round(a + nstar, b + nstar),
+        "alpha_hat": alpha_hat,
+        "dirichlet": _round(nums.astype(object, copy=False) * ah_num[:, None],
+                            den.astype(object, copy=False) * ah_den),
+    }
+    if groups is not None:
+        fields = {name: np.take(value, inverse, axis=0) for name, value in fields.items()}
+    return BcCellEstimate(**fields)

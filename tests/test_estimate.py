@@ -14,6 +14,7 @@ from bclearn import (
     bc_estimate,
     tally,
 )
+from bclearn import estimate
 from bclearn.estimate import _collapse, _normalized_int_row, phi_from_rows
 from helpers import (
     PRIORS, five_case_db, make_dataset, phi_rows, punch_holes, random_complete,
@@ -519,3 +520,157 @@ class TestBcEstimate:
                 PriorSpec(bad, 1.0)
             with pytest.raises(EstimateError, match="beta"):
                 PriorSpec(1.0, bad)
+
+
+class TestPaths:
+    """``bc_estimate`` estimates each distinct count row once when the table
+    has at least as many configurations as cases, and runs the collapse in
+    int64 when ``_fits_int64`` bounds every value below 2**53.  Each of the
+    four paths gives every field's exact rational rounded once."""
+
+    FIELDS = ("p_hat", "p_min", "p_max", "alpha_hat", "dirichlet")
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (dtype, rows) of the table's collapse: the first call of
+        each estimate, the precision's being the second."""
+        calls = []
+        real = estimate._collapse
+
+        def collapse(a, *args):
+            calls.append((a.dtype, len(a)))
+            return real(a, *args)
+
+        monkeypatch.setattr(estimate, "_collapse", collapse)
+        return calls
+
+    @staticmethod
+    def force(monkeypatch, grouped, wide):
+        """Group rows or not; int64 where the bound allows it, or never."""
+        monkeypatch.setattr(estimate, "_groups", lambda table: grouped)
+        if not wide:
+            monkeypatch.setattr(estimate, "_fits_int64", lambda c, bound: False)
+
+    def families(self):
+        rng = np.random.default_rng(41)
+        fixed = [
+            # q = 1, and n = 0 with q = 1 and q = 9
+            (make_dataset((3,), [[0], [2], [MISSING], [2]]), 0, ()),
+            (make_dataset((3, 3, 3), np.zeros((0, 3), dtype=int)), 0, ()),
+            (make_dataset((3, 3, 3), np.zeros((0, 3), dtype=int)), 0, (1, 2)),
+        ]
+        families = [family(db, child, parents)[:2] for db, child, parents in fixed]
+        # q >= n: 243 or 64 configurations, 10-60 cases, most rows empty
+        for cards, n in (((3,) * 6, 40), ((2,) * 7, 10), ((3,) * 6, 60)):
+            codes = np.column_stack([rng.integers(0, card, size=n) for card in cards])
+            db = make_dataset(cards, codes)
+            db = punch_holes(rng, db, int(rng.integers(1, db.codes.size // 3)))
+            families.append(family(db, 0, tuple(range(1, len(cards))))[:2])
+        return rng, families
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_every_path_matches_the_exact_reference(self, monkeypatch, grouped, wide):
+        rng, families = self.families()
+        calls = self.spy(monkeypatch)
+        self.force(monkeypatch, grouped, wide)
+        for ctx, table in families:
+            for alpha, beta in PRIORS:
+                prior = PriorSpec(alpha, beta)
+                for phi in ("mar", "uniform", non_dyadic_phi(rng, ctx)):
+                    user = isinstance(phi, CompletionDistribution)
+                    calls.clear()
+                    est = bc_estimate(table, prior, phi)
+                    reference = reference_estimate(table, prior, phi)
+                    for name in self.FIELDS:
+                        np.testing.assert_array_equal(getattr(est, name), reference[name])
+                    dtype, rows = calls[0]
+                    # alpha 0.1 sits on a 2**55 grid; a user phi's integers are
+                    # not bounded
+                    int64 = wide and not user and alpha != 0.1
+                    assert dtype == (np.int64 if int64 else object)
+                    if grouped and not user:
+                        distinct = np.unique(np.column_stack([
+                            table.obs_matrix(), table.comp_matrix(),
+                            table.parent_obs_vector(), table.parent_comp_vector(),
+                        ]), axis=0)
+                        assert rows == len(distinct)
+                    else:
+                        assert rows == ctx.n_configs
+
+    def test_rule_groups_only_more_configurations_than_cases(self):
+        for cards, n, expected in (((3,) * 6, 243, True), ((3,) * 6, 244, False),
+                                   ((3,), 0, False), ((3, 3), 0, True)):
+            db = make_dataset(cards, np.zeros((n, len(cards)), dtype=int))
+            _, table, _ = family(db, 0, tuple(range(1, len(cards))))
+            assert estimate._groups(table) is expected
+
+    def test_a_user_phi_is_never_grouped(self, monkeypatch):
+        rng, families = self.families()
+        calls = self.spy(monkeypatch)
+        ctx, table = families[-1]
+        assert estimate._groups(table)
+        bc_estimate(table, PriorSpec(), non_dyadic_phi(rng, ctx))
+        assert calls[0] == (object, ctx.n_configs)
+
+    def test_rows_whose_key_passes_2_to_the_62_are_not_grouped(self):
+        column = np.array([3, 0, 3])
+        index, inverse, counts = estimate._distinct_rows(column, 2 * column)
+        assert (index.tolist(), inverse.tolist(), counts.tolist()) == ([1, 0], [1, 0, 1], [1, 2])
+        wide = np.array([2**31 - 1, 0])
+        assert estimate._distinct_rows(wide, wide) is not None  # exactly 2**62
+        assert estimate._distinct_rows(wide, wide + 1) is None
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_int64_up_to_the_bound_and_object_past_it(self, monkeypatch, c):
+        """A table whose denominators reach the largest D with
+        c * D**(c+1) < 2**53 collapses in int64; one at D + 1 on object
+        dtype.  Both give the exact reference."""
+        edge = round((2**53 / c) ** (1 / (c + 1)))
+        while c * edge ** (c + 1) >= 2**53:
+            edge -= 1
+        while c * (edge + 1) ** (c + 1) < 2**53:
+            edge += 1
+        # integer alpha w and s - 1 observed cases in configuration 1 plus one
+        # child-missing case in configuration 2: every denominator b + nstar_l
+        # is at most c * w + s, reached in configuration 1
+        w = (edge - 3) // c
+        calls = self.spy(monkeypatch)
+        for bound, expected in ((edge, np.int64), (edge + 1, object)):
+            s = bound - c * w
+            rows = [[k % c, 0] for k in range(s - 1)] + [[MISSING, 1]]
+            _, table, _ = family(make_dataset((c, 2), rows), 0, (1,))
+            prior = PriorSpec(float(w), 1.0)
+            for phi in ("mar", "uniform"):
+                calls.clear()
+                est = bc_estimate(table, prior, phi)
+                assert calls[0][0] == expected
+                reference = reference_estimate(table, prior, phi)
+                for name in self.FIELDS:
+                    np.testing.assert_array_equal(getattr(est, name), reference[name])
+
+    def test_a_fine_grid_without_counts_stays_on_object(self, monkeypatch):
+        """alpha = 2**-1074 with no cases: every denominator is 3 * 1, but
+        the grid's scale 2**1074 does not fit int64."""
+        calls = self.spy(monkeypatch)
+        db = make_dataset((3, 3), np.zeros((0, 2), dtype=int))
+        _, table, _ = family(db, 0, (1,))
+        est = bc_estimate(table, PriorSpec(5e-324, 1.0))
+        assert calls[0][0] == object
+        np.testing.assert_array_equal(est.p_hat, np.full((3, 3), 1 / 3))
+
+    def test_ten_ternary_parents_grouped_int64_equals_per_row_object(self, monkeypatch):
+        """The q = 59049 family at n = 1000: the grouped int64 estimate has
+        the per-row object estimate's bits."""
+        rng = np.random.default_rng(29)
+        db = make_dataset((3,) * 11, rng.integers(0, 3, size=(1000, 11)))
+        db = punch_holes(rng, db, db.codes.size // 5)
+        _, table, prior = family(db, 0, tuple(range(1, 11)))
+        calls = self.spy(monkeypatch)
+        fast = bc_estimate(table, prior)
+        assert calls[0][0] == np.int64 and calls[0][1] < table.context.n_configs // 10
+        self.force(monkeypatch, grouped=False, wide=False)
+        slow = bc_estimate(table, prior)
+        assert calls[2] == (object, table.context.n_configs)
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))

@@ -137,9 +137,9 @@ class TestLogGBc:
 
 
     def test_ten_ternary_parents_score_within_bound(self):
-        """q = 59049 configurations: the collapse is linear in q, so one
-        family takes a fraction of a second.  A cost quadratic in q
-        exhausted memory here."""
+        """q = 59049 configurations from 1000 cases: the estimate works on
+        the table's distinct count rows, so one family takes a fraction of
+        a second.  A cost quadratic in q exhausted memory here."""
         rng = np.random.default_rng(29)
         db = make_dataset((3,) * 11, rng.integers(0, 3, size=(1000, 11)))
         db = punch_holes(rng, db, db.codes.size // 5)
@@ -149,7 +149,9 @@ class TestLogGBc:
         est = bc_estimate(table, prior)
         assert math.isfinite(log_g_bc(table, prior, est).log_g)
         assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
-        # ~0.2 s on a 2-vCPU Xeon VM; the bound leaves room for slow hosts
+        # ~0.12 s on a 2-vCPU Xeon VM, most of it log_g_bc's lgamma loop
+        # (~70 ms) and tally (~45 ms); bc_estimate takes ~10 ms.  The bound
+        # leaves room for slow hosts
         assert time.perf_counter() - start < 60.0
 
 
