@@ -19,7 +19,7 @@ from math import lgamma
 
 import numpy as np
 
-from .counts import CountTable, ParentContext, tally
+from .counts import CountTable, ParentContext, round_tables, tally
 from .data import Dataset
 from .estimate import BcCellEstimate, PriorSpec, bc_estimate
 
@@ -82,7 +82,12 @@ def ensure_dag(parent_sets) -> list[int]:
 class FamilyScorer:
     """Scores (child, parent set) families over one dataset, with a memo
     cache keyed by the sorted parent set so identical queries are free.
-    Each family's CPT point estimate is memoised with its score."""
+    Each family's CPT point estimate is memoised with its score.
+
+    ``scores`` scores a greedy search round's candidates together: their
+    uncached families are counted a group at a time from one table
+    (``counts.round_tables``) and cached, each family through its own
+    ``tally``, ``bc_estimate`` and ``log_g_bc`` as ``score`` would."""
 
     def __init__(
         self,
@@ -100,19 +105,33 @@ class FamilyScorer:
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
 
-    def _family(self, child: int, parents) -> tuple[FamilyScore, np.ndarray]:
+    def _family(
+        self, child: int, parents, table=None
+    ) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
         cached = self._cache.get(key)
         if cached is None:
             ctx = ParentContext.for_dataset(self.dataset, child, key[1])
-            table = tally(self.dataset, ctx)
-            est = bc_estimate(table, self.prior, phi=self.phi_policy)
-            cached = log_g_bc(table, self.prior, est), est.p_hat
+            counts = tally(self.dataset, ctx, table)
+            est = bc_estimate(counts, self.prior, phi=self.phi_policy)
+            cached = log_g_bc(counts, self.prior, est), est.p_hat
             self._cache[key] = cached
         return cached
 
     def score(self, child: int, parents) -> FamilyScore:
         return self._family(child, parents)[0]
+
+    def scores(self, child: int, parents, candidates) -> list[FamilyScore]:
+        """The scores of ``child`` given ``parents`` plus each candidate,
+        in candidate order."""
+        fresh = [
+            c for c in candidates
+            if (child, tuple(sorted((*parents, c)))) not in self._cache
+        ]
+        tables = round_tables(self.dataset, child, parents, fresh)
+        for candidate, table in zip(fresh, tables):
+            self._family(child, (*parents, candidate), table)
+        return [self.score(child, (*parents, c)) for c in candidates]
 
     def estimate(self, child: int, parents) -> np.ndarray:
         """The family's (q, c) CPT point estimate, ``bc_estimate().p_hat``."""

@@ -6,6 +6,8 @@ explored graph acyclic by construction.  Parents are added one at a time,
 keeping the single candidate that most increases the family score, and a
 node stops as soon as no candidate strictly improves it.  Ties between
 equal-scoring candidates go to the candidate earliest in the order.
+A round's candidates are scored together (``FamilyScorer.scores``), so one
+pass over the cases counts a group of their families.
 """
 
 from __future__ import annotations
@@ -130,14 +132,14 @@ def k2_bc(
         while True:
             if order.max_parents is not None and len(parents) >= order.max_parents:
                 break
+            candidates = [c for c in predecessors if c not in parents]
             best_candidate = None
             best_score = -math.inf
-            for candidate in predecessors:
-                if candidate in parents:
-                    continue
-                trial = scorer.score(child, parents + [candidate]).log_g
-                if trial > best_score:
-                    best_candidate, best_score = candidate, trial
+            for candidate, trial in zip(
+                candidates, scorer.scores(child, parents, candidates)
+            ):
+                if trial.log_g > best_score:
+                    best_candidate, best_score = candidate, trial.log_g
             if best_candidate is None or not best_score > current:
                 break
             parents.append(best_candidate)

@@ -16,6 +16,7 @@ from bclearn import (
     spec_to_dict,
 )
 from bclearn.cli import main
+from bclearn.counts import MAX_PATTERNS
 from bclearn.oracle import joint_distribution
 from helpers import FIVE_CASE_CSV, ancestral_submodel, random_network
 import schemas
@@ -137,6 +138,35 @@ class TestLearn:
 
         monkeypatch.setattr(cli_module, "k2_bc", boom)
         assert run(["learn", "--data", worked_csv]) == 2
+
+    def test_round_refuses_a_later_candidate_before_counting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """C's round has candidates A and B; the family of B and C has
+        8301 * 8201 entry patterns, and the round counts neither family."""
+        n = 8300
+        data = tmp_path / "states.csv"
+        data.write_text(
+            "A,B,C\n" + "".join(f"a{i % 2},b{i},c{i % 8200}\n" for i in range(n)),
+            encoding="utf-8",
+        )
+        sizes = []
+        real = np.bincount
+
+        def guarded(codes, minlength=0):
+            if minlength > MAX_PATTERNS:
+                raise AssertionError(f"bincount of {minlength} slots")
+            sizes.append(minlength)
+            return real(codes, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", guarded)
+        assert run(["learn", "--data", data, "--out", tmp_path / "m.json"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the family of C has {8301 * 8201} entry patterns, above the "
+            "limit of 67108864 (2**26)\n"
+        )
+        # A, B, A -> B and C alone; nothing of C's round
+        assert sizes == [3, 8301, 3 * 8301, 8201]
 
 
 class TestScore:

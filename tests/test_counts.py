@@ -6,11 +6,14 @@ import pytest
 
 from bclearn import MISSING, ParentContext, tally
 from bclearn.counts import (
+    GROUP_PATTERNS,
     MAX_PATTERNS,
     _cases_table,
-    _pattern_codes,
+    _codes,
+    _row_table,
     _rows_table,
     _uses_row_table,
+    round_tables,
 )
 from bclearn.oracle import enumerate_completions
 from helpers import make_dataset, punch_holes, random_complete
@@ -198,7 +201,7 @@ class TestTallyProperties:
             with pytest.raises(ValueError, match=f"has {size} entry patterns"):
                 tally(d, ctx)
             return
-        codes = _pattern_codes(d, ctx)
+        codes = _codes(d, (*ctx.parents, ctx.child))
         expected = []
         for row in rows.tolist():
             code = 0
@@ -243,7 +246,8 @@ class TestTableSources:
 
     @staticmethod
     def assert_sources_agree(d, ctx):
-        rows, cases = _rows_table(d, ctx), _cases_table(d, ctx)
+        members = (*ctx.parents, ctx.child)
+        rows, cases = _rows_table(d, members), _cases_table(d, members)
         assert rows.dtype == cases.dtype == np.int64
         assert np.array_equal(rows, cases)
 
@@ -329,6 +333,125 @@ class TestTableSources:
         for child, parents in ((0, ()), (1, (0, 3)), (3, (0, 1, 2)), (2, (3,))):
             ctx = ParentContext.for_dataset(d, child, parents)
             assert_matches_per_case_fold(d, ctx)
+
+
+class TestRoundTables:
+    """A search round's families, counted a group at a time from one joint
+    table, against each family counted alone."""
+
+    @staticmethod
+    def assert_round_matches(d, child, parents, candidates):
+        """Each round table equals the family's own pattern table, and the
+        tally built from it equals the plain tally."""
+        tables = list(round_tables(d, child, parents, candidates))
+        assert len(tables) == len(candidates)
+        for candidate, table in zip(candidates, tables):
+            ctx = ParentContext.for_dataset(d, child, sorted((*parents, candidate)))
+            np.testing.assert_array_equal(
+                table, _cases_table(d, (*ctx.parents, ctx.child))
+            )
+            grouped, alone = tally(d, ctx, table), tally(d, ctx)
+            for field in ("obs_matrix", "comp_matrix", "parent_obs_vector",
+                          "parent_comp_vector"):
+                got, want = getattr(grouped, field)(), getattr(alone, field)()
+                assert got.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+            assert grouped.incomplete_cases == alone.incomplete_cases
+            assert grouped.parent_incomplete_cases == alone.parent_incomplete_cases
+
+    @staticmethod
+    def bincount_sizes(monkeypatch, d, child, parents, candidates):
+        """The ``minlength`` of each ``np.bincount`` call of one round."""
+        sizes = []
+        real = np.bincount
+
+        def counted(codes, minlength=0):
+            sizes.append(minlength)
+            return real(codes, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        list(round_tables(d, child, parents, candidates))
+        monkeypatch.undo()
+        return sizes
+
+    def test_random_rounds(self, monkeypatch):
+        """Mixed cardinalities 2-5, parents in insertion order, candidates
+        on both sides of the parents' indices, groups split at
+        ``GROUP_PATTERNS`` and families above it counted alone."""
+        rng = np.random.default_rng(43)
+        grouped = alone = 0
+        for _ in range(40):
+            m = int(rng.integers(3, 9))
+            cards = rng.integers(2, 6, size=m).tolist()
+            d = TestTableSources.random_holey(rng, cards, int(rng.integers(1, 400)))
+            child, *rest = rng.permutation(m).tolist()
+            k = int(rng.integers(0, min(4, len(rest))))
+            parents, candidates = rest[:k], rest[k:]
+            self.assert_round_matches(d, child, parents, candidates)
+            if _uses_row_table(d.cardinalities, d.n_cases):
+                continue
+            base = math.prod(cards[v] + 1 for v in (*parents, child))
+            wide = [base * (cards[c] + 1) for c in candidates]
+            wide = [size for size in wide if size > GROUP_PATTERNS]
+            sizes = self.bincount_sizes(monkeypatch, d, child, parents, candidates)
+            assert len(wide) <= len(sizes) <= len(candidates)
+            assert all(size <= GROUP_PATTERNS or size in wide for size in sizes)
+            grouped += len(sizes) < len(candidates)
+            alone += len(wide) > 0
+        assert grouped and alone
+
+    def test_groups_split_greedily_in_order(self, monkeypatch):
+        """A five-state child and two five-state parents take 6**3 = 216
+        slots: two three-slot candidates fit in a group (216 * 3**3 > 2**12),
+        and a six-slot one starts a group that one more three-slot fits."""
+        d = TestTableSources.random_holey(
+            np.random.default_rng(44), (5, 5, 5, 2, 2, 2, 2, 5, 2), 300
+        )
+        candidates = (3, 4, 5, 6, 7, 8)
+        sizes = self.bincount_sizes(monkeypatch, d, 0, (2, 1), candidates)
+        assert sizes == [216 * 3 * 3, 216 * 3 * 3, 216 * 6 * 3]
+        self.assert_round_matches(d, 0, (2, 1), candidates)
+
+    def test_group_fills_to_exactly_group_patterns(self, monkeypatch):
+        """Ternary variables: a child, two parents and three candidates take
+        4**6 = 2**12 slots, the most one group holds."""
+        d = TestTableSources.random_holey(np.random.default_rng(46), (3,) * 8, 300)
+        candidates = (3, 4, 5, 6, 7)
+        sizes = self.bincount_sizes(monkeypatch, d, 0, (2, 1), candidates)
+        assert sizes == [GROUP_PATTERNS, 4**5]
+        self.assert_round_matches(d, 0, (2, 1), candidates)
+
+    def test_no_cases(self):
+        d = make_dataset((2, 3, 4, 5), np.zeros((0, 4)))
+        self.assert_round_matches(d, 1, (3,), (0, 2))
+
+    def test_full_row_table(self, monkeypatch):
+        """Once the full-row table is built, a round sums it and counts no
+        case."""
+        d = TestTableSources.random_holey(
+            np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
+        )
+        assert _uses_row_table(d.cardinalities, d.n_cases)
+        _row_table(d)
+        assert self.bincount_sizes(monkeypatch, d, 2, (4, 0), (1, 3)) == []
+        self.assert_round_matches(d, 2, (4, 0), (1, 3))
+        self.assert_round_matches(d, 4, (), (0, 1, 2, 3))
+
+    def test_family_over_max_patterns_is_refused_before_counting(self, monkeypatch):
+        """The second candidate's family has 4 * 3**14 * 4 > MAX_PATTERNS
+        patterns; the first candidate's, 4 * 3**14 * 3, is not counted
+        either."""
+        cards = (3, 2, 3) + (2,) * 14
+        d = make_dataset(cards, np.zeros((4, len(cards))))
+        size = 4 * 3**14 * 4
+        assert size > MAX_PATTERNS >= 4 * 3**14 * 3
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bincount called")
+
+        monkeypatch.setattr(np, "bincount", unreachable)
+        with pytest.raises(ValueError, match=f"family of X1 has {size} entry patterns"):
+            list(round_tables(d, 0, range(3, 17), (1, 2)))
 
 
 class TestParentContext:

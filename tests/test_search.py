@@ -7,6 +7,8 @@ import bclearn.score
 from bclearn import (
     MISSING,
     DeletionPlan,
+    FamilyScorer,
+    GenerativeSpec,
     Model,
     OrderConstraint,
     ParentContext,
@@ -142,6 +144,67 @@ class TestK2:
             ctx = ParentContext.for_dataset(db, child, parents)
             fresh = bc_estimate(tally(db, ctx), PriorSpec())
             assert np.array_equal(model.cpts[child], fresh.p_hat)
+
+    def test_rounds_match_a_greedy_loop_over_single_families(self, monkeypatch):
+        """12 ternary variables, 2000 cases, 30 % deleted: 4**12 full-row
+        slots, so families are counted case by case, a round's candidates a
+        group at a time.  The search equals a greedy loop scoring one family
+        at a time, tallies and estimates each family once, and makes fewer
+        counting passes than it scores families."""
+        rng = np.random.default_rng(12)
+        variables = [Variable(f"V{i}", ("a", "b", "c")) for i in range(12)]
+        network = random_network(rng, variables, max_parents=3)
+        db = delete_entries(
+            sample(GenerativeSpec(network, 2000, seed=1)), DeletionPlan(0.3, seed=2)
+        )
+        order = OrderConstraint(tuple(rng.permutation(12).tolist()), max_parents=3)
+
+        scorer = FamilyScorer(db)
+        families = set()
+
+        def score(child, parents):
+            families.add((child, tuple(sorted(parents))))
+            return scorer.score(child, parents).log_g
+
+        parent_sets = [()] * 12
+        for position, child in enumerate(order.order):
+            parents = []
+            current = score(child, parents)
+            while len(parents) < order.max_parents:
+                candidates = [c for c in order.order[:position] if c not in parents]
+                trials = [score(child, parents + [c]) for c in candidates]
+                if not trials or not max(trials) > current:
+                    break
+                current = max(trials)
+                parents.append(candidates[trials.index(current)])
+            parent_sets[child] = tuple(sorted(parents))
+        reference = scorer.model_score(parent_sets)
+
+        calls = {"tally": 0, "bc_estimate": 0, "bincount": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("tally", "bc_estimate"):
+            monkeypatch.setattr(
+                bclearn.score, name, counted(name, getattr(bclearn.score, name))
+            )
+        monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
+        model = k2_bc(db, order)
+        monkeypatch.undo()
+
+        assert model.parent_sets == tuple(parent_sets)
+        assert sum(map(len, parent_sets)) >= 6
+        for child, parents in enumerate(parent_sets):
+            np.testing.assert_array_equal(
+                model.cpts[child], scorer.estimate(child, parents)
+            )
+        assert model.score == reference
+        assert calls["tally"] == calls["bc_estimate"] == len(families)
+        assert calls["bincount"] < len(families)
 
 
 class TestEnumerateModels:
