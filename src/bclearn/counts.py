@@ -6,45 +6,46 @@ its child and/or at least one parent entry is missing; such a case
 contributes one possible completion to every (parent configuration,
 child state) cell its observed family entries are consistent with.
 
-The tally is one dense table over the family's prod(card + 1) entry
-patterns, one axis per parent and the child last, where slot 0 of an axis
-means missing and slot s + 1 state s.  The table has two sources:
+Every count comes from a *joint* table: a dense int64 table with one axis
+per variable it covers, where slot 0 of an axis means missing and slot
+s + 1 state s, and each slot counts the cases with that entry pattern.
+``_joint`` is the one choice of joint, from the dataset's shape:
 
-* the full-row table, one ``np.bincount`` of every case's whole-row code
-  over prod(card + 1) of all the dataset's variables, built by the first
-  ``tally`` on a dataset and kept on it read-only; a family's table is
-  that table summed over the other variables' axes and transposed to
-  parents then child;
-* the per-case count, one ``np.bincount`` of each case's family pattern
-  code, built in place from the dataset's contiguous int16 columns in
-  int16 or int32.
+* the full-row table over all the dataset's variables, one ``np.bincount``
+  of every case's whole-row code, built on first use and kept on the
+  dataset read-only, when it has at most one slot per case (and at most
+  ``MAX_PATTERNS``; see ``_uses_row_table``): summing it then costs less
+  than a pass over the cases;
+* else the table of just the requested variables, one ``np.bincount`` of
+  each case's pattern code built from the dataset's contiguous int16
+  columns in int16 or int32.
 
-The full-row table is used when it has at most one slot per case (and at
-most ``MAX_PATTERNS``): there, summing it costs less than counting the
-cases once the table is built (see ``_uses_row_table``).  Both sources give
-the same int64 table.
+``tally`` turns any joint that covers a family into the family's
+*marginal*: it sums the joint over every other axis, one axis at a time,
+and orders what is left as the parents then the child.  Integer sums are
+exact, so every joint gives the same counts.
 
 A greedy search round asks for many families that share a child and a
-parent set and differ in one candidate parent.  ``round_tables`` takes the
-round's candidates a group at a time into one shared joint table over
-(group, parents, child), from the same source, and sums it over the
-group's other candidates for each family: one pass over the cases counts a
-whole group, and the integer sums give each family the very table it would
-get alone (Moore & Lee's cached sufficient statistics, JAIR 8, 1998, kept
-to one round).
+parent set and differ in one candidate parent.  ``round_tables`` hands
+each group of candidates one shared joint over (group, parents, child), or
+the full-row table itself, so one pass over the cases counts a whole group
+(Moore & Lee's cached sufficient statistics, JAIR 8, 1998, kept to one
+round).
 
-Slicing slot 0 off every parent axis leaves the cases observed on all
-parents.  Adding each parent axis's slot 0 into every state of that axis,
-one axis at a time (a sum over subsets of the missing parents), leaves for
-each configuration every case consistent with it.  The cost is the table's
-size plus one pass over the cases, whatever the number of missing entries;
-every count is int64.  A family with more than ``MAX_PATTERNS`` entry
-patterns is refused before anything is allocated.
+In the marginal, slicing slot 0 off every parent axis leaves the cases
+observed on all parents.  Adding each parent axis's slot 0 into every
+state of that axis, one axis at a time (a sum over subsets of the missing
+parents), leaves for each configuration every case consistent with it.
+The cost is the table's size plus one pass over the cases, whatever the
+number of missing entries; every count is int64.  A family with more
+than ``MAX_PATTERNS`` entry patterns is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,11 @@ class ParentContext:
         """The (q, c) table of a {configuration label: row} mapping, the
         inverse of ``config_label``: every configuration needs a row of c
         finite entries, and a label naming no configuration is refused."""
+        if not isinstance(rows, Mapping):
+            raise ValueError(
+                f"rows must be an object {{configuration label: row}}, "
+                f"not {type(rows).__name__}"
+            )
         labels = [self.config_label(j, variables) for j in range(self.n_configs)]
         table = np.empty((self.n_configs, self.child_cardinality))
         for j, label in enumerate(labels):
@@ -251,23 +257,14 @@ def _row_table(dataset: Dataset) -> np.ndarray:
     return table
 
 
-def _rows_table(dataset: Dataset, members) -> np.ndarray:
-    """The pattern table of ``members``, summed out of the full-row table one
-    non-member axis at a time, outermost first, and transposed to
-    ``members``' order."""
-    others = tuple(i for i in range(dataset.n_variables) if i not in members)
-    table = _row_table(dataset)
-    for axis in others:
-        table = table.sum(axis=axis, keepdims=True)
-    kept = sorted(members)
-    return table.squeeze(axis=others).transpose([kept.index(m) for m in members])
-
-
-def _pattern_table(dataset: Dataset, members) -> np.ndarray:
-    """The pattern table of ``members`` from the dataset's source."""
+def _joint(dataset: Dataset, members):
+    """A joint pattern table over at least ``members``, as ``(table, axes)``
+    with ``axes`` the variable of each axis: the dataset's full-row table
+    when ``_uses_row_table`` holds, else ``members``' table counted case by
+    case."""
     if _uses_row_table(dataset.cardinalities, dataset.n_cases):
-        return _rows_table(dataset, members)
-    return _cases_table(dataset, members)
+        return _row_table(dataset), tuple(range(dataset.n_variables))
+    return _cases_table(dataset, members), tuple(members)
 
 
 def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
@@ -281,19 +278,16 @@ def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
 
 
 def round_tables(dataset: Dataset, child: int, parents, candidates):
-    """Each candidate's family pattern table, over its sorted parent set
-    ``parents + (candidate,)`` then ``child``, in candidate order: the
-    array ``tally`` would build for that family alone.
+    """The joint ``tally`` takes for each candidate's family ``parents +
+    (candidate,)`` of ``child``, in candidate order.
 
     The candidates go greedily in order into groups whose joint table, one
-    axis per group member then the sorted ``parents`` then ``child``, has at
-    most ``GROUP_PATTERNS`` slots; a candidate whose family alone has more
-    is its own group.  Each group's joint table is built once, from the
-    dataset's source, and a candidate's table is it summed over the group's
-    other axes.  Every family is checked against ``MAX_PATTERNS`` before
-    anything is counted.
+    axis per group member then ``parents`` then ``child``, has at most
+    ``GROUP_PATTERNS`` slots; a candidate whose family alone has more is its
+    own group.  Each group's joint is built once (``_joint``) and handed to
+    every candidate of the group.  Every family is checked against
+    ``MAX_PATTERNS`` before anything is counted.
     """
-    parents = tuple(sorted(parents))
     cards = dataset.cardinalities
     base = math.prod(cards[member] + 1 for member in (*parents, child))
     for candidate in candidates:
@@ -308,22 +302,30 @@ def round_tables(dataset: Dataset, child: int, parents, candidates):
             groups.append([candidate])
             size = base * slots
     for group in groups:
-        joint = _pattern_table(dataset, (*group, *parents, child))
-        for axis, candidate in enumerate(group):
-            others = tuple(a for a in range(len(group)) if a != axis)
-            table = joint.sum(axis=others) if others else joint
-            # The candidate's axis moves to its place among the sorted parents.
-            yield np.moveaxis(table, 0, sum(p < candidate for p in parents))
+        joint = _joint(dataset, (*group, *parents, child))
+        for _ in group:
+            yield joint
 
 
-def tally(dataset: Dataset, ctx: ParentContext, table=None) -> CountTable:
+def tally(dataset: Dataset, ctx: ParentContext, joint=None) -> CountTable:
     """Count observed cases and possible completions for one family, from
-    its pattern table when one is given (``round_tables``)."""
+    the family's marginal of ``joint``, a ``(table, axes)`` pair as
+    ``_joint`` returns (``round_tables``), or of the family's own joint."""
     q, c, k = ctx.n_configs, ctx.child_cardinality, len(ctx.parents)
-    if table is None:
+    members = (*ctx.parents, ctx.child)
+    if joint is None:
         cards = (*ctx.parent_cardinalities, c)
         _refuse_wide(dataset, ctx.child, math.prod(card + 1 for card in cards))
-        table = _pattern_table(dataset, (*ctx.parents, ctx.child))
+    # No name keeps a fresh joint alive: the sums below free it as they go,
+    # which halves the time of a 4**9-slot family's tally.
+    table, axes = joint or _joint(dataset, members)
+    # Sum out the other variables one axis at a time, the outermost first,
+    # then order the family's axes as parents then child.
+    others = tuple(a for a, variable in enumerate(axes) if variable not in members)
+    for axis in others:
+        table = table.sum(axis=axis, keepdims=True)
+    kept = [variable for variable in axes if variable in members]
+    table = table.squeeze(axis=others).transpose([kept.index(m) for m in members])
     # Cases observed on every parent, by configuration and child slot.
     seen = table[(slice(1, None),) * k].reshape(q, c + 1)
     # Add each parent axis's missing slot into every state of that axis, one

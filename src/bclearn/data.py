@@ -176,6 +176,9 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
         header, keys, label_of = _split_bytes(path) or _split_rows(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    extra = sorted(set(schema or ()) - set(header))
+    if extra:
+        raise DataError(f"{path}: schema names variables not in the header: {extra}")
 
     unknown = MISSING - 1
     variables = []
@@ -315,7 +318,15 @@ def _split_rows(path):
 
 
 def save_csv(dataset: Dataset, path, missing_token: str = "?") -> None:
-    """Write a dataset back to CSV using the variables' state labels."""
+    """Write a dataset back to CSV using the variables' state labels.
+
+    A ``missing_token`` equal to one of a variable's state labels is
+    refused before the file is opened: it would read back as missing."""
+    for v in dataset.variables:
+        if missing_token in v.states:
+            raise DataError(
+                f"missing token {missing_token!r} is a state of {v.name!r}"
+            )
     # MISSING (-1) picks the token appended after each variable's states.
     columns = [
         np.array(v.states + (missing_token,), dtype=object)[dataset.codes[:, i]]

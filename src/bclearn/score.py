@@ -106,13 +106,13 @@ class FamilyScorer:
         ] = {}
 
     def _family(
-        self, child: int, parents, table=None
+        self, child: int, parents, joint=None
     ) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
         cached = self._cache.get(key)
         if cached is None:
             ctx = ParentContext.for_dataset(self.dataset, child, key[1])
-            counts = tally(self.dataset, ctx, table)
+            counts = tally(self.dataset, ctx, joint)
             est = bc_estimate(counts, self.prior, phi=self.phi_policy)
             cached = log_g_bc(counts, self.prior, est), est.p_hat
             self._cache[key] = cached
@@ -128,9 +128,9 @@ class FamilyScorer:
             c for c in candidates
             if (child, tuple(sorted((*parents, c)))) not in self._cache
         ]
-        tables = round_tables(self.dataset, child, parents, fresh)
-        for candidate, table in zip(fresh, tables):
-            self._family(child, (*parents, candidate), table)
+        joints = round_tables(self.dataset, child, parents, fresh)
+        for candidate, joint in zip(fresh, joints):
+            self._family(child, (*parents, candidate), joint)
         return [self.score(child, (*parents, c)) for c in candidates]
 
     def estimate(self, child: int, parents) -> np.ndarray:

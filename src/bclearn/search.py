@@ -203,6 +203,8 @@ def model_from_json(data: dict, variables=None) -> Model:
     """Rebuild a structure from its JSON form.  When ``variables`` is given
     (typically from the dataset being scored) the file's arcs are mapped
     onto them; otherwise the file must carry its own variable list."""
+    if not isinstance(data, dict):
+        raise SearchError(f"model JSON must be an object, not {type(data).__name__}")
     if variables is None:
         try:
             variables = tuple(
@@ -211,8 +213,13 @@ def model_from_json(data: dict, variables=None) -> Model:
             )
         except (KeyError, TypeError) as exc:
             raise SearchError(f"model JSON lacks a variable list: {exc}") from exc
-    arcs = [(str(p), str(c)) for p, c in data.get("arcs", [])]
-    return model_from_arcs(variables, arcs)
+    arcs = data.get("arcs", [])
+    if not isinstance(arcs, list):
+        raise SearchError(f"model arcs must be a list, not {type(arcs).__name__}")
+    for arc in arcs:
+        if not isinstance(arc, (list, tuple)) or len(arc) != 2:
+            raise SearchError(f"arc {arc!r} is not a [parent, child] pair")
+    return model_from_arcs(variables, [(str(p), str(c)) for p, c in arcs])
 
 
 def model_to_dot(model: Model) -> str:

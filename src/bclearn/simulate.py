@@ -147,6 +147,11 @@ def spec_from_dict(data: dict) -> GenerativeSpec:
         n = int(data["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulateError(f"malformed generative spec: {exc}") from exc
+    if not isinstance(cpt_rows, dict):
+        raise SimulateError(
+            f"spec cpts must be an object {{variable: rows}}, "
+            f"not {type(cpt_rows).__name__}"
+        )
     variables = skeleton.variables
     cpts = []
     for child, variable in enumerate(variables):

@@ -298,6 +298,18 @@ class TestEstimate:
 
 
 class TestSimulate:
+    def test_missing_token_equal_to_a_state_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "amb.csv"
+        code = run([
+            "simulate", "--spec", "M1", "--n", 5, "--missing-token", "1",
+            "--out", out, "--meta", tmp_path / "meta.json",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: missing token '1' is a state of 'X1'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -610,6 +622,32 @@ def test_unopenable_file_is_validation_error(tmp_path, worked_csv, capsys, argv)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert paths["nope"] in err or paths["nodir"] in err
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["score", "--data", "{csv}", "--model", "{json}"], []),
+    (["score", "--data", "{csv}", "--model", "{json}"], {"arcs": 5}),
+    (["score", "--data", "{csv}", "--model", "{json}"], {"arcs": [["X1"]]}),
+    (["score", "--data", "{csv}", "--model", "{json}"], {"arcs": ["X1"]}),
+    (["estimate", "--data", "{csv}", "--child", "X3", "--parents", "X1",
+      "--phi", "{json}"], "1,0.5"),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], "spec-cpts"),
+    (["bench", "--spec", "{json}", "--seeds", "1", "--ladder", "100"], "spec-cpts"),
+], ids=[
+    "score-model-list", "score-arcs-number", "score-arc-of-one",
+    "score-arc-string", "estimate-phi-string", "simulate-cpts-string",
+    "bench-cpts-string",
+])
+def test_malformed_json_is_validation_error(tmp_path, worked_csv, capsys, argv, content):
+    if content == "spec-cpts":
+        content = {**spec_to_dict(load_spec("M1")), "cpts": "X1 X2 X3"}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    paths = {"csv": str(worked_csv), "dir": str(tmp_path), "json": str(path)}
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
 
 
 class TestParser:

@@ -11,7 +11,6 @@ from bclearn.counts import (
     _cases_table,
     _codes,
     _row_table,
-    _rows_table,
     _uses_row_table,
     round_tables,
 )
@@ -241,15 +240,29 @@ class TestTallyProperties:
         assert t.parent_comp_vector().tolist() == [1, 1]
 
 
+def assert_same_counts(got, want):
+    """Two tallies of one family agree on every count, all int64."""
+    for field in ("obs_matrix", "comp_matrix", "parent_obs_vector",
+                  "parent_comp_vector"):
+        a, b = getattr(got, field)(), getattr(want, field)()
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+    assert got.incomplete_cases == want.incomplete_cases
+    assert got.parent_incomplete_cases == want.parent_incomplete_cases
+
+
 class TestTableSources:
-    """The full-row and per-case sources of a family's pattern table."""
+    """A family's tally over the full-row joint, over its own per-case joint
+    and over a per-case joint with extra axes in shuffled order."""
 
     @staticmethod
     def assert_sources_agree(d, ctx):
         members = (*ctx.parents, ctx.child)
-        rows, cases = _rows_table(d, members), _cases_table(d, members)
-        assert rows.dtype == cases.dtype == np.int64
-        assert np.array_equal(rows, cases)
+        everything = tuple(range(d.n_variables))
+        shuffled = tuple(np.random.default_rng(len(members)).permutation(everything))
+        cases = tally(d, ctx, (_cases_table(d, members), members))
+        assert_same_counts(tally(d, ctx, (_row_table(d), everything)), cases)
+        assert_same_counts(tally(d, ctx, (_cases_table(d, shuffled), shuffled)), cases)
 
     @staticmethod
     def random_holey(rng, cards, n):
@@ -274,7 +287,8 @@ class TestTableSources:
         d = self.random_holey(np.random.default_rng(5), (3, 2, 4), 200)
         for child in range(3):
             self.assert_sources_agree(d, ParentContext.for_dataset(d, child, ()))
-        # no axis is summed; the parents out of variable order are transposed
+        # every variable is a member, so no axis is summed; parents out of
+        # variable order are transposed
         self.assert_sources_agree(d, ParentContext.for_dataset(d, 1, (2, 0)))
         self.assert_sources_agree(d, ParentContext.for_dataset(d, 2, (0, 1)))
 
@@ -303,7 +317,7 @@ class TestTableSources:
             ctx = ParentContext.for_dataset(d, 2, (0,))
             self.assert_sources_agree(d, ctx)
             t = tally(d, ctx)
-            source = "_cases_table" if uses_rows else "_rows_table"
+            source = "_cases_table" if uses_rows else "_row_table"
 
             def unreachable(*args, **kwargs):
                 raise AssertionError(f"{source} called")
@@ -311,8 +325,7 @@ class TestTableSources:
             monkeypatch.setattr(f"bclearn.counts.{source}", unreachable)
             again = tally(d, ctx)
             monkeypatch.undo()
-            assert np.array_equal(again.obs_matrix(), t.obs_matrix())
-            assert np.array_equal(again.comp_matrix(), t.comp_matrix())
+            assert_same_counts(again, t)
 
     def test_rule_never_exceeds_max_patterns(self):
         cards = (2,) * 16 + (3,) * 2  # 3**16 * 16 > MAX_PATTERNS slots
@@ -341,23 +354,15 @@ class TestRoundTables:
 
     @staticmethod
     def assert_round_matches(d, child, parents, candidates):
-        """Each round table equals the family's own pattern table, and the
-        tally built from it equals the plain tally."""
-        tables = list(round_tables(d, child, parents, candidates))
-        assert len(tables) == len(candidates)
-        for candidate, table in zip(candidates, tables):
+        """Each candidate's joint covers its family, and the tally of that
+        joint equals the plain tally."""
+        joints = list(round_tables(d, child, parents, candidates))
+        assert len(joints) == len(candidates)
+        for candidate, (table, axes) in zip(candidates, joints):
+            assert table.shape == tuple(d.cardinalities[v] + 1 for v in axes)
+            assert {*parents, candidate, child} <= set(axes)
             ctx = ParentContext.for_dataset(d, child, sorted((*parents, candidate)))
-            np.testing.assert_array_equal(
-                table, _cases_table(d, (*ctx.parents, ctx.child))
-            )
-            grouped, alone = tally(d, ctx, table), tally(d, ctx)
-            for field in ("obs_matrix", "comp_matrix", "parent_obs_vector",
-                          "parent_comp_vector"):
-                got, want = getattr(grouped, field)(), getattr(alone, field)()
-                assert got.dtype == want.dtype == np.int64
-                np.testing.assert_array_equal(got, want)
-            assert grouped.incomplete_cases == alone.incomplete_cases
-            assert grouped.parent_incomplete_cases == alone.parent_incomplete_cases
+            assert_same_counts(tally(d, ctx, (table, axes)), tally(d, ctx))
 
     @staticmethod
     def bincount_sizes(monkeypatch, d, child, parents, candidates):
@@ -426,13 +431,15 @@ class TestRoundTables:
         self.assert_round_matches(d, 1, (3,), (0, 2))
 
     def test_full_row_table(self, monkeypatch):
-        """Once the full-row table is built, a round sums it and counts no
-        case."""
+        """Once the full-row table is built, every candidate is handed that
+        very table and a round counts no case."""
         d = TestTableSources.random_holey(
             np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
         )
         assert _uses_row_table(d.cardinalities, d.n_cases)
-        _row_table(d)
+        rows = _row_table(d)
+        for table, axes in round_tables(d, 2, (4, 0), (1, 3)):
+            assert table is rows and axes == (0, 1, 2, 3, 4)
         assert self.bincount_sizes(monkeypatch, d, 2, (4, 0), (1, 3)) == []
         self.assert_round_matches(d, 2, (4, 0), (1, 3))
         self.assert_round_matches(d, 4, (), (0, 1, 2, 3))

@@ -138,6 +138,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="^'early' is not a state of 'X2'$"):
             load_csv(path, schema=schema)
 
+    def test_schema_naming_a_variable_not_in_the_header_rejected(self, tmp_path):
+        path = tmp_path / "typo.csv"
+        path.write_text("A,B\nx,y\nz,w\n", encoding="utf-8")
+        with pytest.raises(
+            DataError, match=r"schema names variables not in the header: \['C'\]$"
+        ):
+            load_csv(path, schema={"A": ["x", "z"], "C": ["y", "w"]})
+
     def test_codes_are_column_major_and_read_only(self, worked_csv):
         d = load_csv(worked_csv)
         assert d.codes.dtype == np.int16
@@ -347,6 +355,16 @@ class TestRoundTrip:
                  for v, s in zip(original.variables, row)]
             )
         assert csv_path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_missing_token_equal_to_a_state_label_is_refused(self, tmp_path):
+        d = Dataset(
+            (Variable("A", ("x", "y")), Variable("B", ("1", "2"))),
+            np.array([[0, 1], [MISSING, 0]], dtype=np.int16),
+        )
+        path = tmp_path / "ambiguous.csv"
+        with pytest.raises(DataError, match="^missing token '1' is a state of 'B'$"):
+            save_csv(d, path, missing_token="1")
+        assert not path.exists()
 
 
 class TestSummarizeMissingness:
