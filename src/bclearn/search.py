@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import ParentContext
+from .counts import MAX_PATTERNS, ParentContext
 from .data import Dataset, Variable
 from .score import FamilyScorer, ModelScore, ensure_dag
 
@@ -207,12 +207,18 @@ def model_from_json(data: dict, variables=None) -> Model:
         raise SearchError(f"model JSON must be an object, not {type(data).__name__}")
     if variables is None:
         try:
-            variables = tuple(
-                Variable(v["name"], tuple(str(s) for s in v["states"]))
-                for v in data["variables"]
-            )
+            entries = [(v["name"], v["states"]) for v in data["variables"]]
         except (KeyError, TypeError) as exc:
             raise SearchError(f"model JSON lacks a variable list: {exc}") from exc
+        for name, states in entries:
+            if not isinstance(states, list) or not all(
+                isinstance(s, str) for s in states
+            ):
+                raise SearchError(
+                    f"states of variable {name!r} must be a list of strings, "
+                    f"not {states!r}"
+                )
+        variables = tuple(Variable(name, tuple(states)) for name, states in entries)
     arcs = data.get("arcs", [])
     if not isinstance(arcs, list):
         raise SearchError(f"model arcs must be a list, not {type(arcs).__name__}")
@@ -232,17 +238,8 @@ def model_to_dot(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-# numpy names einsum's sublist labels by the 52 letters a-z, A-Z.
+# numpy's einsum takes 52 labels (a-z, A-Z) per call; marginals uses one per ancestor.
 MAX_MARGINAL_VARIABLES = 52
-
-
-def check_marginal_size(n_variables: int) -> None:
-    """Refuse a model too wide for ``marginals``' einsum labels."""
-    if n_variables > MAX_MARGINAL_VARIABLES:
-        raise SearchError(
-            f"marginals are limited to {MAX_MARGINAL_VARIABLES} variables; "
-            f"the model has {n_variables}"
-        )
 
 
 def _ancestors(parent_sets, i: int) -> list[int]:
@@ -263,22 +260,32 @@ def marginals(model: Model) -> dict[str, np.ndarray]:
     ancestors by variable elimination, never the joint table: every other
     CPT sums to one.  A CPT's rows are in configuration order with the last
     parent varying fastest, so it reshapes to a tensor over its parents'
-    states followed by the child's.
+    states followed by the child's.  numpy's einsum takes 52 labels per
+    call, so each call labels only the variable's ancestors.  Its greedy
+    path may grow intermediates to ``MAX_PATTERNS``, the bound every count
+    table keeps; numpy's default caps them at the largest CPT, which is
+    near-naive on a dense graph.
     """
     if model.cpts is None:
         raise SearchError("model has no CPTs")
-    check_marginal_size(len(model.variables))
-    operands = []
-    for child, cpt in enumerate(model.cpts):
-        ctx = model.context(child)
-        shape = (*ctx.parent_cardinalities, ctx.child_cardinality)
-        operands.append((cpt.reshape(shape), [*ctx.parents, child]))
-    # copy: with a single CPT, einsum returns a view of it
-    return {
-        variable.name: np.einsum(
-            *(x for a in _ancestors(model.parent_sets, i) for x in operands[a]),
-            [i],
-            optimize="greedy",
+    ancestry = [_ancestors(model.parent_sets, i) for i in range(len(model.cpts))]
+    for variable, ancestors in zip(model.variables, ancestry):
+        if len(ancestors) > MAX_MARGINAL_VARIABLES:
+            raise SearchError(
+                f"marginals are limited to {MAX_MARGINAL_VARIABLES} ancestors "
+                f"per variable, itself included; {variable.name} has {len(ancestors)}"
+            )
+    cards = [v.cardinality for v in model.variables]
+    margs = {}
+    for i, ancestors in enumerate(ancestry):
+        label = {a: k for k, a in enumerate(ancestors)}
+        operands = []
+        for a in ancestors:
+            family = (*model.parent_sets[a], a)
+            operands.append(model.cpts[a].reshape([cards[x] for x in family]))
+            operands.append([label[x] for x in family])
+        # copy: with a single CPT, einsum returns a view of it
+        margs[model.variables[i].name] = np.einsum(
+            *operands, [label[i]], optimize=("greedy", MAX_PATTERNS)
         ).copy()
-        for i, variable in enumerate(model.variables)
-    }
+    return margs

@@ -144,9 +144,11 @@ def spec_from_dict(data: dict) -> GenerativeSpec:
         if "arcs" not in data:  # a model JSON may omit them, a spec may not
             raise KeyError("arcs")
         cpt_rows = data["cpts"]
-        n = int(data["n"])
+        n = data["n"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulateError(f"malformed generative spec: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SimulateError(f"spec n must be an integer, not {n!r}")
     if not isinstance(cpt_rows, dict):
         raise SimulateError(
             f"spec cpts must be an object {{variable: rows}}, "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bclearn import (
+    FamilyScorer,
     GenerativeSpec,
     OrderConstraint,
     Variable,
@@ -18,6 +19,7 @@ from bclearn import (
 from bclearn.cli import main
 from bclearn.counts import MAX_PATTERNS
 from bclearn.oracle import joint_distribution
+from bclearn.search import _finalize
 from helpers import FIVE_CASE_CSV, ancestral_submodel, random_network
 import schemas
 
@@ -505,22 +507,46 @@ class TestBench:
             reported = np.array(row["marginals"][v.name])
             assert np.abs(reported - joint.sum(axis=others)).max() <= 1e-12
 
-    def test_more_variables_than_einsum_labels_is_validation_error(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("k2_bc called")
-
-        monkeypatch.setattr("bclearn.cli.k2_bc", unreachable)
-        variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(53))
+    @staticmethod
+    def write_independent_spec(tmp_path, n_variables):
+        variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(n_variables))
         network = random_network(np.random.default_rng(5), variables, max_parents=0)
         spec_path = tmp_path / "wide.json"
         spec_path.write_text(json.dumps(spec_to_dict(GenerativeSpec(network, 20))))
-        code = run(["bench", "--spec", spec_path, "--ladder", "100"])
+        return spec_path
+
+    def test_more_variables_than_einsum_labels(self, tmp_path):
+        # numpy's einsum takes 52 labels per call; each marginal's call
+        # labels only that variable's ancestors
+        spec_path = self.write_independent_spec(tmp_path, 53)
+        out = tmp_path / "r.json"
+        code = run([
+            "bench", "--spec", spec_path, "--seeds", "1", "--ladder", "100,60",
+            "--out", out,
+        ])
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert sorted(row["marginals"]) == sorted(f"V{i}" for i in range(53))
+
+    def test_more_ancestors_than_einsum_labels_is_validation_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def chain_k2(dataset, order, **kwargs):
+            chain = [()] + [(i - 1,) for i in range(1, dataset.n_variables)]
+            return _finalize(dataset, chain, FamilyScorer(dataset))
+
+        monkeypatch.setattr("bclearn.cli.k2_bc", chain_k2)
+        spec_path = self.write_independent_spec(tmp_path, 53)
+        out = tmp_path / "r.json"
+        code = run(["bench", "--spec", spec_path, "--ladder", "100", "--out", out])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: marginals are limited to 52 variables; the model has 53\n"
+            "error: marginals are limited to 52 ancestors per variable, "
+            "itself included; V52 has 53\n"
         )
+        assert not out.exists()
 
     def test_missing_token_is_not_a_bench_flag(self, tmp_path):
         # bench reads and writes no CSV
@@ -631,16 +657,26 @@ def test_unopenable_file_is_validation_error(tmp_path, worked_csv, capsys, argv)
     (["score", "--data", "{csv}", "--model", "{json}"], {"arcs": ["X1"]}),
     (["estimate", "--data", "{csv}", "--child", "X3", "--parents", "X1",
       "--phi", "{json}"], "1,0.5"),
-    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], "spec-cpts"),
-    (["bench", "--spec", "{json}", "--seeds", "1", "--ladder", "100"], "spec-cpts"),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"],
+     lambda spec: {**spec, "cpts": "X1 X2 X3"}),
+    (["bench", "--spec", "{json}", "--seeds", "1", "--ladder", "100"],
+     lambda spec: {**spec, "cpts": "X1 X2 X3"}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"],
+     lambda spec: {**spec, "variables": [{"name": "X1", "states": "12"}, *spec["variables"][1:]]}),
+    (["bench", "--spec", "{json}", "--seeds", "1", "--ladder", "100"],
+     lambda spec: {**spec, "variables": [{"name": "X1", "states": [1, 2]}, *spec["variables"][1:]]}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "n": True}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "n": 2.9}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "n": "3"}),
 ], ids=[
     "score-model-list", "score-arcs-number", "score-arc-of-one",
     "score-arc-string", "estimate-phi-string", "simulate-cpts-string",
-    "bench-cpts-string",
+    "bench-cpts-string", "simulate-states-string", "bench-states-numbers",
+    "simulate-n-true", "simulate-n-float", "simulate-n-string",
 ])
 def test_malformed_json_is_validation_error(tmp_path, worked_csv, capsys, argv, content):
-    if content == "spec-cpts":
-        content = {**spec_to_dict(load_spec("M1")), "cpts": "X1 X2 X3"}
+    if callable(content):
+        content = content(spec_to_dict(load_spec("M1")))
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content), encoding="utf-8")
     paths = {"csv": str(worked_csv), "dir": str(tmp_path), "json": str(path)}

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -314,16 +315,50 @@ class TestMarginals:
             variables = make_dataset(cards, []).variables
             self.assert_matches_oracle_joint(random_network(rng, variables))
 
-    def test_einsum_label_limit(self, monkeypatch):
-        def model(n):
-            variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(n))
-            return Model(variables, ((),) * n, cpts=(np.array([[0.25, 0.75]]),) * n)
+    def test_dense_random_networks_match_the_oracle_joint(self):
+        rng = np.random.default_rng(1616)
+        for _ in range(20):
+            cards = rng.integers(2, 4, size=int(rng.integers(1, 13))).tolist()
+            variables = make_dataset(cards, []).variables
+            network = random_network(rng, variables, max_parents=4)
+            self.assert_matches_oracle_joint(network)
 
-        assert marginals(model(52))["V51"].tolist() == [0.25, 0.75]
+    def test_einsum_label_limit(self, monkeypatch):
+        def model(n, chain=False):
+            variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(n))
+            parent_sets = tuple((i - 1,) if chain and i else () for i in range(n))
+            cpts = tuple(np.array([[0.25, 0.75]] * 2 ** len(ps)) for ps in parent_sets)
+            return Model(variables, parent_sets, cpts=cpts)
+
+        # numpy's limit is 52 labels per einsum call, not per model
+        for n in (53, 60):
+            margs = marginals(model(n))
+            assert sorted(margs) == sorted(f"V{i}" for i in range(n))
+            assert all(m.tolist() == [0.25, 0.75] for m in margs.values())
+        assert marginals(model(52, chain=True))["V51"].tolist() == [0.25, 0.75]
 
         def unreachable(*args, **kwargs):
             raise AssertionError("einsum called")
 
         monkeypatch.setattr(np, "einsum", unreachable)
-        with pytest.raises(SearchError, match="limited to 52 variables; the model has 53$"):
-            marginals(model(53))
+        with pytest.raises(SearchError, match="itself included; V52 has 53$"):
+            marginals(model(53, chain=True))
+
+    def test_dense_windowed_network(self):
+        # 28 binary variables, each with 3 parents among the 8 before it.
+        # numpy's default greedy path, which keeps every intermediate within
+        # the largest CPT, took 10 s on this network (2-vCPU Xeon)
+        rng = np.random.default_rng(11)
+        variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(28))
+        parent_sets = tuple(
+            tuple(sorted(
+                int(p) for p in rng.choice(range(max(0, i - 8), i), size=min(3, i), replace=False)
+            ))
+            for i in range(28)
+        )
+        cpts = tuple(rng.dirichlet(np.ones(2), size=2 ** len(ps)) for ps in parent_sets)
+        start = time.perf_counter()
+        margs = marginals(Model(variables, parent_sets, cpts=cpts))
+        assert time.perf_counter() - start <= 2.0
+        assert len(margs) == 28
+        assert all(abs(m.sum() - 1.0) <= 1e-12 for m in margs.values())
