@@ -34,6 +34,7 @@ from .oracle import DEFAULT_CAP, exact_expectation, exact_marginal
 from .score import FamilyScorer, log_marginal
 from .search import (
     OrderConstraint,
+    SearchError,
     k2_bc,
     marginals,
     model_from_json,
@@ -237,6 +238,10 @@ def cmd_bench(args) -> int:
                 dataset, order, alpha=args.alpha, beta=args.beta, phi=args.phi
             )
             elapsed = time.perf_counter() - start
+            try:
+                rung_marginals = marginals(model)
+            except SearchError as exc:
+                raise SearchError(f"seed {seed}, {pct}% available: {exc}") from exc
             rows.append(
                 {
                     "seed": seed,
@@ -248,7 +253,7 @@ def cmd_bench(args) -> int:
                     "minus_log_marginal": -model.score.total,
                     "marginals": {
                         name: [float(v) for v in vector]
-                        for name, vector in sorted(marginals(model).items())
+                        for name, vector in sorted(rung_marginals.items())
                     },
                 }
             )

@@ -9,16 +9,18 @@ child state) cell its observed family entries are consistent with.
 Every count comes from a *joint* table: a dense int64 table with one axis
 per variable it covers, where slot 0 of an axis means missing and slot
 s + 1 state s, and each slot counts the cases with that entry pattern.
-``_joint`` is the one choice of joint, from the dataset's shape:
+There are two sources of joint:
 
-* the full-row table over all the dataset's variables, one ``np.bincount``
-  of every case's whole-row code, built on first use and kept on the
-  dataset read-only, when it has at most one slot per case (and at most
-  ``MAX_PATTERNS``; see ``_uses_row_table``): summing it then costs less
-  than a pass over the cases;
+* ``row_table``, the full-row table over all the dataset's variables, one
+  ``np.bincount`` of every case's whole-row code, when it has at most one
+  slot per case (and at most ``MAX_PATTERNS``; see ``_uses_row_table``):
+  summing it then costs less than a pass over the cases.  It caches
+  nothing: each ``score.FamilyScorer`` builds it once and hands it to
+  every family it counts;
 * else the table of just the requested variables, one ``np.bincount`` of
   each case's pattern code built from the dataset's contiguous int16
-  columns in int16 or int32.
+  columns in int16 or int32, which ``tally`` and ``round_tables`` count
+  when handed no joint.
 
 ``tally`` turns any joint that covers a family into the family's
 *marginal*: it sums the joint over every other axis, one axis at a time,
@@ -27,10 +29,10 @@ exact, so every joint gives the same counts.
 
 A greedy search round asks for many families that share a child and a
 parent set and differ in one candidate parent.  ``round_tables`` hands
-each group of candidates one shared joint over (group, parents, child), or
-the full-row table itself, so one pass over the cases counts a whole group
-(Moore & Lee's cached sufficient statistics, JAIR 8, 1998, kept to one
-round).
+every candidate the full-row table when given one, else each group of
+candidates one shared joint over (group, parents, child), so one pass over
+the cases counts a whole group (Moore & Lee's cached sufficient
+statistics, JAIR 8, 1998, kept to one round).
 
 In the marginal, slicing slot 0 off every parent axis leaves the cases
 observed on all parents.  Adding each parent axis's slot 0 into every
@@ -213,7 +215,7 @@ def _uses_row_table(cardinalities, n_cases: int) -> bool:
     the cases at 2-3 slots per case for 65536 and 15625 slots, and less at
     every ratio for 1024, where each source's fixed cost rules.  One slot
     per case leaves room for building the table, which costs one count of
-    every case's whole row, once per dataset.
+    every case's whole row, once per scorer.
     """
     size = math.prod(card + 1 for card in cardinalities)
     return size <= min(n_cases, MAX_PATTERNS)
@@ -246,25 +248,16 @@ def _cases_table(dataset: Dataset, members) -> np.ndarray:
     return np.bincount(codes, minlength=math.prod(shape)).reshape(shape)
 
 
-def _row_table(dataset: Dataset) -> np.ndarray:
-    """The read-only count of every full-row pattern, one axis per variable,
-    built on the first call and kept on the dataset."""
-    table = dataset._row_table
-    if table is None:
-        table = _cases_table(dataset, tuple(range(dataset.n_variables)))
-        table.flags.writeable = False
-        object.__setattr__(dataset, "_row_table", table)
-    return table
-
-
-def _joint(dataset: Dataset, members):
-    """A joint pattern table over at least ``members``, as ``(table, axes)``
-    with ``axes`` the variable of each axis: the dataset's full-row table
-    when ``_uses_row_table`` holds, else ``members``' table counted case by
-    case."""
-    if _uses_row_table(dataset.cardinalities, dataset.n_cases):
-        return _row_table(dataset), tuple(range(dataset.n_variables))
-    return _cases_table(dataset, members), tuple(members)
+def row_table(dataset: Dataset):
+    """The read-only full-row joint ``(table, axes)`` over every variable,
+    one count of every case's whole row, when ``_uses_row_table`` holds,
+    else ``None``."""
+    if not _uses_row_table(dataset.cardinalities, dataset.n_cases):
+        return None
+    axes = tuple(range(dataset.n_variables))
+    table = _cases_table(dataset, axes)
+    table.flags.writeable = False
+    return table, axes
 
 
 def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
@@ -277,15 +270,16 @@ def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
         )
 
 
-def round_tables(dataset: Dataset, child: int, parents, candidates):
+def round_tables(dataset: Dataset, child: int, parents, candidates, rows=None):
     """The joint ``tally`` takes for each candidate's family ``parents +
-    (candidate,)`` of ``child``, in candidate order.
+    (candidate,)`` of ``child``, in candidate order: ``rows``, a joint over
+    every variable (``row_table``), when given.
 
-    The candidates go greedily in order into groups whose joint table, one
-    axis per group member then ``parents`` then ``child``, has at most
+    Else the candidates go greedily in order into groups whose joint table,
+    one axis per group member then ``parents`` then ``child``, has at most
     ``GROUP_PATTERNS`` slots; a candidate whose family alone has more is its
-    own group.  Each group's joint is built once (``_joint``) and handed to
-    every candidate of the group.  Every family is checked against
+    own group.  Each group's joint is counted case by case once and handed
+    to every candidate of the group.  Every family is checked against
     ``MAX_PATTERNS`` before anything is counted.
     """
     cards = dataset.cardinalities
@@ -302,15 +296,17 @@ def round_tables(dataset: Dataset, child: int, parents, candidates):
             groups.append([candidate])
             size = base * slots
     for group in groups:
-        joint = _joint(dataset, (*group, *parents, child))
+        members = (*group, *parents, child)
+        joint = rows or (_cases_table(dataset, members), members)
         for _ in group:
             yield joint
 
 
 def tally(dataset: Dataset, ctx: ParentContext, joint=None) -> CountTable:
     """Count observed cases and possible completions for one family, from
-    the family's marginal of ``joint``, a ``(table, axes)`` pair as
-    ``_joint`` returns (``round_tables``), or of the family's own joint."""
+    the family's marginal of ``joint``, a ``(table, axes)`` pair covering
+    the family (``row_table``, ``round_tables``), or of the family's own
+    table counted case by case."""
     q, c, k = ctx.n_configs, ctx.child_cardinality, len(ctx.parents)
     members = (*ctx.parents, ctx.child)
     if joint is None:
@@ -318,7 +314,7 @@ def tally(dataset: Dataset, ctx: ParentContext, joint=None) -> CountTable:
         _refuse_wide(dataset, ctx.child, math.prod(card + 1 for card in cards))
     # No name keeps a fresh joint alive: the sums below free it as they go,
     # which halves the time of a 4**9-slot family's tally.
-    table, axes = joint or _joint(dataset, members)
+    table, axes = joint or (_cases_table(dataset, members), members)
     # Sum out the other variables one axis at a time, the outermost first,
     # then order the family's axes as parents then child.
     others = tuple(a for a, variable in enumerate(axes) if variable not in members)

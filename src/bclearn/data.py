@@ -70,15 +70,12 @@ class Dataset:
     """Immutable n-by-I table of state indices, MISSING marking holes.
 
     ``codes`` is a read-only int16 copy in column-major (Fortran) order.
+    Nothing is cached on a dataset: counts drawn from it are kept by their
+    user, such as ``score.FamilyScorer``'s full-row table.
     """
 
     variables: tuple[Variable, ...]
     codes: np.ndarray = field(repr=False)
-    # The count of every full-row pattern, built by the first ``counts.tally``
-    # that reads it.
-    _row_table: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))

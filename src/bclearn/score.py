@@ -19,7 +19,7 @@ from math import lgamma
 
 import numpy as np
 
-from .counts import CountTable, ParentContext, round_tables, tally
+from .counts import CountTable, ParentContext, round_tables, row_table, tally
 from .data import Dataset
 from .estimate import BcCellEstimate, PriorSpec, bc_estimate
 
@@ -84,8 +84,10 @@ class FamilyScorer:
     cache keyed by the sorted parent set so identical queries are free.
     Each family's CPT point estimate is memoised with its score.
 
-    ``scores`` scores a greedy search round's candidates together: their
-    uncached families are counted a group at a time from one table
+    Every family is counted from the dataset's full-row table, built once
+    here when ``counts.row_table`` finds it worth building, else case by
+    case.  ``scores`` scores a greedy search round's candidates together:
+    their uncached families are counted a group at a time from one table
     (``counts.round_tables``) and cached, each family through its own
     ``tally``, ``bc_estimate`` and ``log_g_bc`` as ``score`` would."""
 
@@ -101,6 +103,7 @@ class FamilyScorer:
         self.dataset = dataset
         self.prior = PriorSpec(alpha, beta)
         self.phi_policy = phi_policy
+        self._rows = row_table(dataset)
         self._cache: dict[
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
@@ -112,7 +115,7 @@ class FamilyScorer:
         cached = self._cache.get(key)
         if cached is None:
             ctx = ParentContext.for_dataset(self.dataset, child, key[1])
-            counts = tally(self.dataset, ctx, joint)
+            counts = tally(self.dataset, ctx, joint or self._rows)
             est = bc_estimate(counts, self.prior, phi=self.phi_policy)
             cached = log_g_bc(counts, self.prior, est), est.p_hat
             self._cache[key] = cached
@@ -128,7 +131,7 @@ class FamilyScorer:
             c for c in candidates
             if (child, tuple(sorted((*parents, c)))) not in self._cache
         ]
-        joints = round_tables(self.dataset, child, parents, fresh)
+        joints = round_tables(self.dataset, child, parents, fresh, self._rows)
         for candidate, joint in zip(fresh, joints):
             self._family(child, (*parents, candidate), joint)
         return [self.score(child, (*parents, c)) for c in candidates]

@@ -138,7 +138,8 @@ def delete_ladder(dataset: Dataset, fractions, seed=None) -> list[Dataset]:
 def spec_from_dict(data: dict) -> GenerativeSpec:
     """Build a generative spec from its JSON form: a model JSON with a CPT
     for every variable, each row keyed by its configuration label, plus
-    ``n`` and an optional ``seed`` and ``name``."""
+    ``n`` and an optional ``seed`` (a non-negative integer) and ``name``
+    (a string)."""
     try:
         skeleton = model_from_json(data)
         if "arcs" not in data:  # a model JSON may omit them, a spec may not
@@ -149,6 +150,15 @@ def spec_from_dict(data: dict) -> GenerativeSpec:
         raise SimulateError(f"malformed generative spec: {exc}") from exc
     if isinstance(n, bool) or not isinstance(n, int):
         raise SimulateError(f"spec n must be an integer, not {n!r}")
+    seed, name = data.get("seed"), data.get("name")
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+    ):
+        raise SimulateError(
+            f"spec seed must be null or a non-negative integer, not {seed!r}"
+        )
+    if name is not None and not isinstance(name, str):
+        raise SimulateError(f"spec name must be null or a string, not {name!r}")
     if not isinstance(cpt_rows, dict):
         raise SimulateError(
             f"spec cpts must be an object {{variable: rows}}, "
@@ -168,9 +178,7 @@ def spec_from_dict(data: dict) -> GenerativeSpec:
     if unknown:
         raise SimulateError(f"spec has CPTs for unknown variables {sorted(unknown)}")
     model = Model(variables, skeleton.parent_sets, cpts=tuple(cpts))
-    return GenerativeSpec(
-        model=model, n=n, seed=data.get("seed"), name=data.get("name")
-    )
+    return GenerativeSpec(model=model, n=n, seed=seed, name=name)
 
 
 def spec_to_dict(spec: GenerativeSpec) -> dict:

@@ -533,18 +533,27 @@ class TestBench:
     def test_more_ancestors_than_einsum_labels_is_validation_error(
         self, tmp_path, capsys, monkeypatch
     ):
+        # the first rung learns no arc, every later one a 53-variable chain
+        rungs = []
+
         def chain_k2(dataset, order, **kwargs):
             chain = [()] + [(i - 1,) for i in range(1, dataset.n_variables)]
+            if not rungs:
+                chain = [()] * dataset.n_variables
+            rungs.append(dataset)
             return _finalize(dataset, chain, FamilyScorer(dataset))
 
         monkeypatch.setattr("bclearn.cli.k2_bc", chain_k2)
         spec_path = self.write_independent_spec(tmp_path, 53)
         out = tmp_path / "r.json"
-        code = run(["bench", "--spec", spec_path, "--ladder", "100", "--out", out])
-        assert code == 1
+        code = run([
+            "bench", "--spec", spec_path, "--seeds", "4", "--ladder", "100,60",
+            "--out", out,
+        ])
+        assert code == 1 and len(rungs) == 2
         assert capsys.readouterr().err == (
-            "error: marginals are limited to 52 ancestors per variable, "
-            "itself included; V52 has 53\n"
+            "error: seed 4, 60% available: marginals are limited to 52 "
+            "ancestors per variable, itself included; V52 has 53\n"
         )
         assert not out.exists()
 
@@ -668,11 +677,21 @@ def test_unopenable_file_is_validation_error(tmp_path, worked_csv, capsys, argv)
     (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "n": True}),
     (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "n": 2.9}),
     (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "n": "3"}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "seed": 2.9}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "seed": "x"}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "seed": -1}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv"], lambda spec: {**spec, "seed": True}),
+    (["bench", "--spec", "{json}", "--seeds", "1", "--ladder", "100"],
+     lambda spec: {**spec, "seed": 2.9}),
+    (["simulate", "--spec", "{json}", "--out", "{dir}/d.csv", "--meta", "{dir}/m.json"],
+     lambda spec: {**spec, "name": 5}),
 ], ids=[
     "score-model-list", "score-arcs-number", "score-arc-of-one",
     "score-arc-string", "estimate-phi-string", "simulate-cpts-string",
     "bench-cpts-string", "simulate-states-string", "bench-states-numbers",
     "simulate-n-true", "simulate-n-float", "simulate-n-string",
+    "simulate-seed-float", "simulate-seed-string", "simulate-seed-negative",
+    "simulate-seed-true", "bench-seed-float", "simulate-name-number",
 ])
 def test_malformed_json_is_validation_error(tmp_path, worked_csv, capsys, argv, content):
     if callable(content):
@@ -684,6 +703,7 @@ def test_malformed_json_is_validation_error(tmp_path, worked_csv, capsys, argv, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "d.csv").exists()
+    assert not (tmp_path / "m.json").exists()
 
 
 class TestParser:

@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from bclearn import MISSING, ParentContext, tally
+import bclearn.score
+from bclearn import MISSING, FamilyScorer, ParentContext, PriorSpec, tally
 from bclearn.counts import (
     GROUP_PATTERNS,
     MAX_PATTERNS,
     _cases_table,
     _codes,
-    _row_table,
     _uses_row_table,
     round_tables,
+    row_table,
 )
+from bclearn.estimate import bc_estimate
+from bclearn.score import log_g_bc
 from bclearn.oracle import enumerate_completions
 from helpers import make_dataset, punch_holes, random_complete
 
@@ -22,9 +25,9 @@ def worked_context(db):
     return ParentContext.for_dataset(db, child=2, parents=(0, 1))
 
 
-def assert_matches_per_case_fold(d, ctx):
-    """``tally`` equals routing each case of ``d`` by hand through
-    ``enumerate_completions``."""
+def assert_matches_per_case_fold(d, ctx, joint=None):
+    """``tally`` of ``joint`` equals routing each case of ``d`` by hand
+    through ``enumerate_completions``."""
     child, parents = ctx.child, ctx.parents
     q, c = ctx.n_configs, ctx.child_cardinality
     obs = np.zeros((q, c), dtype=int)
@@ -50,7 +53,7 @@ def assert_matches_per_case_fold(d, ctx):
         else:
             parent_incomplete += 1
             parent_comp[configs] += 1
-    t = tally(d, ctx)
+    t = tally(d, ctx, joint)
     for counts in (t.obs_matrix(), t.comp_matrix(), t.parent_obs_vector(),
                    t.parent_comp_vector()):
         assert counts.dtype == np.int64
@@ -252,16 +255,18 @@ def assert_same_counts(got, want):
 
 
 class TestTableSources:
-    """A family's tally over the full-row joint, over its own per-case joint
-    and over a per-case joint with extra axes in shuffled order."""
+    """A family's tally over the full-row joint (``row_table``'s where the
+    rule picks it), over its own per-case joint and over a per-case joint
+    with extra axes in shuffled order."""
 
     @staticmethod
     def assert_sources_agree(d, ctx):
         members = (*ctx.parents, ctx.child)
         everything = tuple(range(d.n_variables))
         shuffled = tuple(np.random.default_rng(len(members)).permutation(everything))
+        rows = row_table(d) or (_cases_table(d, everything), everything)
         cases = tally(d, ctx, (_cases_table(d, members), members))
-        assert_same_counts(tally(d, ctx, (_row_table(d), everything)), cases)
+        assert_same_counts(tally(d, ctx, rows), cases)
         assert_same_counts(tally(d, ctx, (_cases_table(d, shuffled), shuffled)), cases)
 
     @staticmethod
@@ -304,28 +309,33 @@ class TestTableSources:
         d = make_dataset((2, 3), np.zeros((0, 2)))
         ctx = ParentContext.for_dataset(d, 0, (1,))
         self.assert_sources_agree(d, ctx)
-        assert not _uses_row_table(d.cardinalities, d.n_cases)
+        assert row_table(d) is None
         assert tally(d, ctx).obs_matrix().sum() == 0
 
     def test_either_side_of_the_threshold(self, monkeypatch):
-        """4 * 3 * 5 = 60 slots: the row table serves 60 cases, not 59, and
-        tally's counts are the same either way."""
+        """4 * 3 * 5 = 60 slots: the row table serves 60 cases, not 59.  A
+        scorer of the 60 cases builds it once and then counts no family
+        case by case, and its scores equal the per-case ones."""
         rng = np.random.default_rng(7)
         for n, uses_rows in ((59, False), (60, True)):
             d = self.random_holey(rng, (3, 2, 4), n)
             assert _uses_row_table(d.cardinalities, n) == uses_rows
-            ctx = ParentContext.for_dataset(d, 2, (0,))
-            self.assert_sources_agree(d, ctx)
-            t = tally(d, ctx)
-            source = "_cases_table" if uses_rows else "_row_table"
+            rows = row_table(d)
+            assert (rows is not None) == uses_rows
+            self.assert_sources_agree(d, ParentContext.for_dataset(d, 2, (0,)))
+        table, axes = rows
+        assert axes == (0, 1, 2) and not table.flags.writeable
+        scorer = FamilyScorer(d)
 
-            def unreachable(*args, **kwargs):
-                raise AssertionError(f"{source} called")
+        def unreachable(*args, **kwargs):
+            raise AssertionError("_cases_table called")
 
-            monkeypatch.setattr(f"bclearn.counts.{source}", unreachable)
-            again = tally(d, ctx)
-            monkeypatch.undo()
-            assert_same_counts(again, t)
+        monkeypatch.setattr("bclearn.counts._cases_table", unreachable)
+        family = scorer.score(2, (0,))
+        round_ = scorer.scores(1, (2,), (0,))
+        monkeypatch.undo()
+        assert family == case_by_case_score(d, 2, (0,))
+        assert round_ == [case_by_case_score(d, 1, (0, 2))]
 
     def test_rule_never_exceeds_max_patterns(self):
         cards = (2,) * 16 + (3,) * 2  # 3**16 * 16 > MAX_PATTERNS slots
@@ -342,10 +352,18 @@ class TestTableSources:
     def test_row_table_matches_per_case_fold(self):
         rng = np.random.default_rng(8)
         d = self.random_holey(rng, (2, 3, 2, 2), 200)
-        assert _uses_row_table(d.cardinalities, d.n_cases)
+        rows = row_table(d)
+        assert rows is not None
         for child, parents in ((0, ()), (1, (0, 3)), (3, (0, 1, 2)), (2, (3,))):
             ctx = ParentContext.for_dataset(d, child, parents)
-            assert_matches_per_case_fold(d, ctx)
+            assert_matches_per_case_fold(d, ctx, rows)
+
+
+def case_by_case_score(d, child, parents):
+    """A family's score under the default prior, counted case by case."""
+    ctx = ParentContext.for_dataset(d, child, parents)
+    counts = tally(d, ctx)
+    return log_g_bc(counts, PriorSpec(), bc_estimate(counts, PriorSpec()))
 
 
 class TestRoundTables:
@@ -393,8 +411,6 @@ class TestRoundTables:
             k = int(rng.integers(0, min(4, len(rest))))
             parents, candidates = rest[:k], rest[k:]
             self.assert_round_matches(d, child, parents, candidates)
-            if _uses_row_table(d.cardinalities, d.n_cases):
-                continue
             base = math.prod(cards[v] + 1 for v in (*parents, child))
             wide = [base * (cards[c] + 1) for c in candidates]
             wide = [size for size in wide if size > GROUP_PATTERNS]
@@ -431,16 +447,35 @@ class TestRoundTables:
         self.assert_round_matches(d, 1, (3,), (0, 2))
 
     def test_full_row_table(self, monkeypatch):
-        """Once the full-row table is built, every candidate is handed that
-        very table and a round counts no case."""
+        """A scorer builds the full-row table once, hands every candidate of
+        a round that very table and counts no case; each family's counts
+        equal a standalone ``tally``'s."""
         d = TestTableSources.random_holey(
             np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
         )
-        assert _uses_row_table(d.cardinalities, d.n_cases)
-        rows = _row_table(d)
-        for table, axes in round_tables(d, 2, (4, 0), (1, 3)):
-            assert table is rows and axes == (0, 1, 2, 3, 4)
-        assert self.bincount_sizes(monkeypatch, d, 2, (4, 0), (1, 3)) == []
+        scorer = FamilyScorer(d)
+        rows = scorer._rows
+        assert rows is not None
+        tallies, sizes = [], []
+        real_tally, real_bincount = bclearn.score.tally, np.bincount
+
+        def recorded(dataset, ctx, joint=None):
+            tallies.append((joint, real_tally(dataset, ctx, joint)))
+            return tallies[-1][1]
+
+        def counted(codes, minlength=0):
+            sizes.append(minlength)
+            return real_bincount(codes, minlength=minlength)
+
+        monkeypatch.setattr(bclearn.score, "tally", recorded)
+        monkeypatch.setattr(np, "bincount", counted)
+        scorer.scores(2, (4, 0), (1, 3))
+        scorer.scores(4, (), (0, 1, 2, 3))
+        monkeypatch.undo()
+        assert sizes == [] and len(tallies) == 6
+        for joint, counts in tallies:
+            assert joint is rows
+            assert_same_counts(counts, tally(d, counts.context))
         self.assert_round_matches(d, 2, (4, 0), (1, 3))
         self.assert_round_matches(d, 4, (), (0, 1, 2, 3))
 

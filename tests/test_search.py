@@ -30,6 +30,7 @@ from bclearn import (
     sample,
     tally,
 )
+from bclearn.counts import row_table
 from bclearn.oracle import OracleError, enumerate_models, joint_distribution
 from helpers import make_dataset, punch_holes, random_complete, random_network
 
@@ -145,6 +146,18 @@ class TestK2:
             ctx = ParentContext.for_dataset(db, child, parents)
             fresh = bc_estimate(tally(db, ctx), PriorSpec())
             assert np.array_equal(model.cpts[child], fresh.p_hat)
+
+    def test_dataset_keeps_no_state(self):
+        """M4 at 2000 cases is counted from the full-row table, which the
+        scorers keep: the dataset ends as it was built."""
+        sample_seed, delete_seed = np.random.SeedSequence(0).spawn(2)
+        db = delete_entries(
+            sample(builtin_spec("M4", n=2000, seed=sample_seed)),
+            DeletionPlan(0.4, seed=delete_seed),
+        )
+        assert row_table(db) is not None
+        log_marginal(k2_bc(db, order_for(db)), db)
+        assert set(vars(db)) == {"variables", "codes"}
 
     def test_rounds_match_a_greedy_loop_over_single_families(self, monkeypatch):
         """12 ternary variables, 2000 cases, 30 % deleted: 4**12 full-row
