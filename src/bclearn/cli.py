@@ -5,8 +5,8 @@ seeds; wall-clock timings are therefore kept out of the primary report
 files (stdout and the optional timings sidecar carry them) so that two
 runs with the same seed produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 validation error (an unreadable input or unwritable
-output included), 2 internal invariant violation.
+Exit codes: 0 success, 1 validation error (an unreadable input, unwritable
+output or refused allocation included), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -213,15 +213,10 @@ def cmd_bench(args) -> int:
             raise ValueError(f"ladder percentage {pct} outside [0, 100]")
 
     variables = spec.model.variables
-    order_names = (
-        _split_names(args.order) if args.order else [v.name for v in variables]
-    )
     generating_arcs = set(spec.model.named_arcs())
     # Refuse a bad order, prior or phi before any sampling, on no cases.
     no_cases = Dataset(variables, np.empty((0, len(variables))))
-    order = OrderConstraint.from_names(
-        no_cases, order_names, max_parents=args.max_parents
-    )
+    order = _order_from_args(no_cases, args)
     FamilyScorer(no_cases, alpha=args.alpha, beta=args.beta, phi_policy=args.phi)
 
     rows = []
@@ -265,7 +260,7 @@ def cmd_bench(args) -> int:
         "meta": {
             "spec": spec.name or args.spec,
             "n": spec.n,
-            "order": order_names,
+            "order": [variables[i].name for i in order.order],
             "seeds": seeds,
             "ladder": ladder,
             "alpha": args.alpha,
@@ -402,7 +397,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -19,8 +19,9 @@ There are two sources of joint:
   every family it counts;
 * else the table of just the requested variables, one ``np.bincount`` of
   each case's pattern code built from the dataset's contiguous int16
-  columns in int16 or int32, which ``tally`` and ``round_tables`` count
-  when handed no joint.
+  columns in int16 or int32: ``tally`` counts the family's own table when
+  handed no joint, and ``round_tables`` one table per group of a search
+  round's candidates.
 
 ``tally`` turns any joint that covers a family into the family's
 *marginal*: it sums the joint over every other axis, one axis at a time,
@@ -28,20 +29,22 @@ and orders what is left as the parents then the child.  Integer sums are
 exact, so every joint gives the same counts.
 
 A greedy search round asks for many families that share a child and a
-parent set and differ in one candidate parent.  ``round_tables`` hands
-every candidate the full-row table when given one, else each group of
-candidates one shared joint over (group, parents, child), so one pass over
-the cases counts a whole group (Moore & Lee's cached sufficient
-statistics, JAIR 8, 1998, kept to one round).
+parent set and differ in one candidate parent.  A scorer with the
+full-row table hands every candidate that table.  Otherwise
+``round_tables`` hands each group of candidates one shared joint over
+(group, parents, child), so one pass over the cases counts a whole group
+(Moore & Lee's cached sufficient statistics, JAIR 8, 1998, kept to one
+round).
 
 In the marginal, slicing slot 0 off every parent axis leaves the cases
 observed on all parents.  Adding each parent axis's slot 0 into every
 state of that axis, one axis at a time (a sum over subsets of the missing
 parents), leaves for each configuration every case consistent with it.
 The cost is the table's size plus one pass over the cases, whatever the
-number of missing entries; every count is int64.  A family with more
-than ``MAX_PATTERNS`` entry patterns is refused before anything is
-allocated.
+number of missing entries; every count is int64.  ``_cases_table``, the
+only allocator of a pattern table, refuses one of more than
+``MAX_PATTERNS`` slots before allocating it, naming the family; a round
+checks every candidate's family before it counts any.
 """
 
 from __future__ import annotations
@@ -242,10 +245,12 @@ def _codes(dataset: Dataset, members) -> np.ndarray:
 
 def _cases_table(dataset: Dataset, members) -> np.ndarray:
     """The pattern table of ``members``, one axis each in that order,
-    counted case by case."""
+    counted case by case; a table above ``MAX_PATTERNS`` slots is refused,
+    as the family of the last member, before anything is allocated."""
     shape = tuple(dataset.variables[member].cardinality + 1 for member in members)
-    codes = _codes(dataset, members)
-    return np.bincount(codes, minlength=math.prod(shape)).reshape(shape)
+    size = math.prod(shape)
+    _refuse_wide(dataset, members[-1], size)
+    return np.bincount(_codes(dataset, members), minlength=size).reshape(shape)
 
 
 def row_table(dataset: Dataset):
@@ -270,13 +275,12 @@ def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
         )
 
 
-def round_tables(dataset: Dataset, child: int, parents, candidates, rows=None):
+def round_tables(dataset: Dataset, child: int, parents, candidates):
     """The joint ``tally`` takes for each candidate's family ``parents +
-    (candidate,)`` of ``child``, in candidate order: ``rows``, a joint over
-    every variable (``row_table``), when given.
+    (candidate,)`` of ``child``, in candidate order.
 
-    Else the candidates go greedily in order into groups whose joint table,
-    one axis per group member then ``parents`` then ``child``, has at most
+    The candidates go greedily in order into groups whose joint table, one
+    axis per group member then ``parents`` then ``child``, has at most
     ``GROUP_PATTERNS`` slots; a candidate whose family alone has more is its
     own group.  Each group's joint is counted case by case once and handed
     to every candidate of the group.  Every family is checked against
@@ -297,7 +301,7 @@ def round_tables(dataset: Dataset, child: int, parents, candidates, rows=None):
             size = base * slots
     for group in groups:
         members = (*group, *parents, child)
-        joint = rows or (_cases_table(dataset, members), members)
+        joint = _cases_table(dataset, members), members
         for _ in group:
             yield joint
 
@@ -309,9 +313,6 @@ def tally(dataset: Dataset, ctx: ParentContext, joint=None) -> CountTable:
     table counted case by case."""
     q, c, k = ctx.n_configs, ctx.child_cardinality, len(ctx.parents)
     members = (*ctx.parents, ctx.child)
-    if joint is None:
-        cards = (*ctx.parent_cardinalities, c)
-        _refuse_wide(dataset, ctx.child, math.prod(card + 1 for card in cards))
     # No name keeps a fresh joint alive: the sums below free it as they go,
     # which halves the time of a 4**9-slot family's tally.
     table, axes = joint or (_cases_table(dataset, members), members)

@@ -25,7 +25,8 @@ from .estimate import BcCellEstimate, PriorSpec, bc_estimate
 
 
 class ScoreError(ValueError):
-    """Raised for scoring preconditions (incomplete family, cyclic model)."""
+    """Raised for scoring preconditions (cyclic model, unknown phi, a prior
+    too large to score)."""
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,19 @@ def log_g_bc(table: CountTable, prior: PriorSpec, est: BcCellEstimate) -> Family
     Reduces to the exact score when the family data are complete.
     """
     ctx = table.context
-    lg_alpha = lgamma(prior.alpha)
-    lg_alpha_sum = lgamma(ctx.child_cardinality * prior.alpha)
-    total = 0.0
-    for alpha_hat, row in zip(est.alpha_hat.tolist(), est.dirichlet.tolist()):
-        total += lg_alpha_sum - lgamma(alpha_hat)
-        for weight in row:
-            total += lgamma(weight) - lg_alpha
+    try:
+        lg_alpha = lgamma(prior.alpha)
+        lg_alpha_sum = lgamma(ctx.child_cardinality * prior.alpha)
+        total = 0.0
+        for alpha_hat, row in zip(est.alpha_hat.tolist(), est.dirichlet.tolist()):
+            total += lg_alpha_sum - lgamma(alpha_hat)
+            for weight in row:
+                total += lgamma(weight) - lg_alpha
+    except OverflowError:
+        raise ScoreError(
+            f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
+            "the log Gamma of a Dirichlet weight exceeds the largest float"
+        ) from None
     return FamilyScore(ctx.child, ctx.parents, total, exact=table.is_complete)
 
 
@@ -87,9 +94,9 @@ class FamilyScorer:
     Every family is counted from the dataset's full-row table, built once
     here when ``counts.row_table`` finds it worth building, else case by
     case.  ``scores`` scores a greedy search round's candidates together:
-    their uncached families are counted a group at a time from one table
-    (``counts.round_tables``) and cached, each family through its own
-    ``tally``, ``bc_estimate`` and ``log_g_bc`` as ``score`` would."""
+    each is handed that full-row table when there is one, else its group's
+    joint from ``counts.round_tables``, and goes through its own ``tally``,
+    ``bc_estimate`` and ``log_g_bc`` as ``score`` would."""
 
     def __init__(
         self,
@@ -127,14 +134,14 @@ class FamilyScorer:
     def scores(self, child: int, parents, candidates) -> list[FamilyScore]:
         """The scores of ``child`` given ``parents`` plus each candidate,
         in candidate order."""
-        fresh = [
-            c for c in candidates
-            if (child, tuple(sorted((*parents, c)))) not in self._cache
+        joints = (
+            [self._rows] * len(candidates) if self._rows
+            else round_tables(self.dataset, child, parents, candidates)
+        )
+        return [
+            self._family(child, (*parents, candidate), joint)[0]
+            for candidate, joint in zip(candidates, joints)
         ]
-        joints = round_tables(self.dataset, child, parents, fresh, self._rows)
-        for candidate, joint in zip(fresh, joints):
-            self._family(child, (*parents, candidate), joint)
-        return [self.score(child, (*parents, c)) for c in candidates]
 
     def estimate(self, child: int, parents) -> np.ndarray:
         """The family's (q, c) CPT point estimate, ``bc_estimate().p_hat``."""
@@ -152,6 +159,5 @@ def log_marginal(
 ) -> ModelScore:
     """Sum of family scores for a model; families with fully observed
     columns get the exact closed form automatically."""
-    ensure_dag(model.parent_sets)
     scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
     return scorer.model_score(model.parent_sets)

@@ -632,6 +632,43 @@ class TestPriorValidation:
         code = run([command[0], "--data", worked_csv, *command[1:], flag, value])
         assert code == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["learn", "--data", "{csv}", "--alpha", "3e305"],
+        ["learn", "--data", "{csv}", "--alpha", "1e306"],
+        ["score", "--data", "{csv}", "--model", "{model}", "--alpha", "1e306"],
+        ["bench", "--spec", "M1", "--n", "50", "--seeds", "1", "--ladder", "100",
+         "--alpha", "1e306"],
+    ], ids=["learn-3e305", "learn-1e306", "score-1e306", "bench-1e306"])
+    def test_log_gamma_above_the_largest_float_is_validation_error(
+        self, tmp_path, worked_csv, capsys, argv
+    ):
+        # c * alpha is at least 6e305, past lgamma's float range, while the
+        # posterior precision is still a float
+        model = tmp_path / "model.json"
+        model.write_text('{"arcs": [["X1", "X3"]]}', encoding="utf-8")
+        code = run([a.format(csv=worked_csv, model=model) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: prior alpha=") and "is too large" in err
+
+
+def test_refused_allocation_is_validation_error(tmp_path, capsys, monkeypatch):
+    """An allocation the system refuses exits 1 with a message.  The refusal
+    is simulated: a real oversized allocation may be granted by a host that
+    overcommits memory and then killed."""
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 559. GiB for an array")
+
+    monkeypatch.setattr("bclearn.cli.sample", refused)
+    code = run([
+        "simulate", "--spec", "M1", "--n", 10**11, "--out", tmp_path / "d.csv",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 559. GiB for an array\n"
+    )
+    assert not (tmp_path / "d.csv").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["estimate", "--data", "{csv}", "--child", "X3", "--phi", "{nope}"],

@@ -448,7 +448,8 @@ class TestRoundTables:
 
     def test_full_row_table(self, monkeypatch):
         """A scorer builds the full-row table once, hands every candidate of
-        a round that very table and counts no case; each family's counts
+        a round that very table and counts no case, groups no candidates
+        and scores each once, not through ``score``; each family's counts
         equal a standalone ``tally``'s."""
         d = TestTableSources.random_holey(
             np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
@@ -467,8 +468,13 @@ class TestRoundTables:
             sizes.append(minlength)
             return real_bincount(codes, minlength=minlength)
 
+        def unreachable(*args, **kwargs):
+            raise AssertionError("called")
+
         monkeypatch.setattr(bclearn.score, "tally", recorded)
         monkeypatch.setattr(np, "bincount", counted)
+        monkeypatch.setattr(bclearn.score, "round_tables", unreachable)
+        monkeypatch.setattr(FamilyScorer, "score", unreachable)
         scorer.scores(2, (4, 0), (1, 3))
         scorer.scores(4, (), (0, 1, 2, 3))
         monkeypatch.undo()

@@ -135,6 +135,15 @@ class TestLogGBc:
             est = bc_estimate(table, prior)
             assert math.isfinite(log_g_bc(table, prior, est).log_g)
 
+    def test_log_gamma_above_the_largest_float_is_refused(self, worked_db):
+        """c * alpha = 2e306 for the binary child: its lgamma overflows
+        although the posterior precision is still a float."""
+        table, prior = family(worked_db, 2, (0, 1), alpha=1e306)
+        est = bc_estimate(table, prior)
+        with pytest.raises(
+            ScoreError, match=r"prior alpha=1e\+306, beta=1.0 is too large"
+        ):
+            log_g_bc(table, prior, est)
 
     def test_ten_ternary_parents_score_within_bound(self):
         """q = 59049 configurations from 1000 cases: the estimate works on
