@@ -214,10 +214,13 @@ def cmd_bench(args) -> int:
 
     variables = spec.model.variables
     generating_arcs = set(spec.model.named_arcs())
-    # Refuse a bad order, prior or phi before any sampling, on no cases.
+    # Refuse a bad order, prior or phi before any sampling, on no cases:
+    # scoring the empty model meets a prior too large to score.
     no_cases = Dataset(variables, np.empty((0, len(variables))))
     order = _order_from_args(no_cases, args)
-    FamilyScorer(no_cases, alpha=args.alpha, beta=args.beta, phi_policy=args.phi)
+    FamilyScorer(
+        no_cases, alpha=args.alpha, beta=args.beta, phi_policy=args.phi
+    ).model_score([()] * len(variables))
 
     rows = []
     timings = []

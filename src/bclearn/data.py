@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,32 +223,57 @@ _KEY_MASKS = np.array(
 )
 
 
+def _read_padded(path, spare: int):
+    """The file's bytes in a bytearray followed by at least ``spare`` zero
+    bytes, and their count.  The file is read into place, never copied,
+    unless its size is not known in advance (a pipe)."""
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size + spare)
+        size = fh.readinto(memoryview(raw)[: len(raw) - spare])
+        rest = fh.read()
+    if rest:
+        raw = raw[:size] + rest + bytes(spare)
+        size += len(rest)
+    return raw, size
+
+
 def _split_bytes(path):
     """Tokenise an unquoted file with numpy, or return None to defer to csv.
 
     Each body cell becomes a uint64 key holding its UTF-8 bytes left-aligned
     and zero-padded, so keys sort as the labels do and the empty cell is 0.
-    Rows are tokenised in blocks, so no per-cell temporary spans the file.
-    Returns ``(header, keys, label_of)``, ``label_of`` decoding one key.
+    A CRLF line end ends its row's last cell at the CR.  Rows are tokenised
+    in blocks, so no per-cell temporary spans the file.  Returns ``(header,
+    keys, label_of)``, ``label_of`` decoding one key.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw or b'"' in raw or b"\0" in raw:
+    # a line end for a file without a final one, then 7 zero bytes that give
+    # the last cell a whole 8-byte word
+    raw, size = _read_padded(path, 8)
+    if not size or b'"' in raw or raw.find(b"\0", 0, size) >= 0:
         return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
     if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n")
-        if b"\r" in raw:  # a carriage return outside CRLF
-            return None
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    if raw.startswith(b"\n") or b"\n\n" in raw:
-        return None
+        # the byte after a final carriage return is a spare zero
+        if (buf[np.flatnonzero(buf[:size] == ord("\r")) + 1] != ord("\n")).any():
+            return None  # a carriage return outside CRLF
+    if raw[size - 1] != ord("\n"):
+        raw[size] = ord("\n")
+        size += 1
+    buf = buf[:size]
+    line_ends = np.flatnonzero(buf == ord("\n"))
+    if line_ends[0] == 0:
+        return None  # a blank header line
+    # whether each line ends in CRLF, and where it starts
+    crlf = buf[line_ends - 1] == ord("\r")
+    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
+    if (line_ends - crlf == line_starts).any():
+        return None  # a blank line
     if not raw.isascii():
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    header_end = raw.index(b"\n")
+    header_end = int(line_ends[0] - crlf[0])
     if header_end > csv.field_size_limit():  # csv.reader may refuse a name
         return None
     header = raw[:header_end].decode("utf-8").split(",")
@@ -255,12 +281,7 @@ def _split_bytes(path):
         return None
 
     width = len(header)
-    size = len(raw)
-    # 7 zero bytes past the end give the last cell a whole 8-byte word.
-    raw += bytes(7)
-    buf = np.frombuffer(raw, dtype=np.uint8, count=size)
     words = np.ndarray((size,), dtype=">u8", buffer=raw, strides=(1,))
-    line_ends = np.flatnonzero(buf == ord("\n"))
     n_cases = len(line_ends) - 1
     keys = np.empty((n_cases, width), dtype=np.uint64, order="F")
     for r0 in range(0, n_cases, _BLOCK_ROWS):
@@ -274,6 +295,8 @@ def _split_bytes(path):
             return None
         starts = np.concatenate(([start], seps[:-1] + 1))
         lengths = seps - starts
+        # a row's last cell ends before its CRLF's carriage return
+        lengths[width - 1 :: width] -= crlf[r0 + 1 : r1 + 1]
         if lengths.max() > 8:
             return None
         keys[r0:r1] = (words[starts] & _KEY_MASKS[lengths]).reshape(r1 - r0, width)

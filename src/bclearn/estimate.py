@@ -1,4 +1,4 @@
-"""Bound-and-collapse posterior estimation for one family.
+"""Bound-and-collapse posterior estimation for a family, or a stack of families.
 
 For each parent configuration the observed counts and the completion
 counts give two extreme estimates per cell: the upper one assigns every
@@ -25,16 +25,21 @@ tolerance for accumulation error.
 
 The collapse of a row uses p_k = a_k * S + phi_k * nstar_k / (b + nstar_k)
 with S = sum_l phi_l / (b + nstar_l), over the least common multiple of the
-row's denominators b + nstar_l.  Every quantity is one numpy expression
-over the whole (q, c) table, with no Python loop over configurations, and
-each cell is still one correctly rounded division.  Two rules keep it cheap,
-and neither changes a bit of the result:
+row's denominators b + nstar_l.  ``bc_estimate_stack`` estimates a stack of
+families whose children have the same number of states c, such as a greedy
+search round's candidates, which share their child: every per-row quantity
+is one numpy expression over the stack's concatenated (sum of q, c) rows,
+with no Python loop over configurations or families, and each cell is
+still one correctly rounded division.  ``bc_estimate`` is the stack of one
+table.  Two rules keep it cheap; each is decided once from the stack's own
+rows, and neither changes a bit of the result:
 
-- A family with at least as many configurations as cases is mostly
+- A stack with at least as many rows as its families have cases is mostly
   repeated rows, empty ones above all.  It is estimated once per distinct
-  row of counts (obs, comp, parent_obs, parent_comp), found through one
-  packed int64 key, and each field is scattered back to its configurations.
-- The table's integers are int64 when c * D**(c+1) < 2**53, D bounding
+  row of (family, obs, comp, parent_obs, parent_comp), found through one
+  packed int64 key, and each field is scattered back to its rows.  The
+  family leads the key, so rows of two families never merge.
+- The stack's integers are int64 when c * D**(c+1) < 2**53, D bounding
   every denominator b + nstar_l (``_fits_int64``): nothing overflows and a
   float64 division of two of them rounds once, as Python's int / int does.
   Otherwise they are Python ints on object dtype, as for a non-dyadic
@@ -42,14 +47,17 @@ and neither changes a bit of the result:
   exact ratios of their floats.
 
 Big integers appear in the precision, which always takes object dtype:
-the q parent-configuration probabilities collapse as one row whose least
-common multiple spans one denominator per distinct parent-completion
-count, so it grows with the missing fraction, and the precision and the
-matched Dirichlet carry it.
+each family's q parent-configuration probabilities collapse as one row of
+its own, whose least common multiple spans one denominator per distinct
+parent-completion count, so it grows with the missing fraction, and the
+precision and the matched Dirichlet carry it.  A family's row never shares
+its least common multiple with another family's, which would grow with
+the stack.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,7 +155,7 @@ def _on_grid(weight: float, obs: np.ndarray, comp: np.ndarray, dtype=object):
     return w + scale * obs.astype(dtype), scale * comp.astype(dtype)
 
 
-def _collapse(a, nstar, b, phi_num, phi_den, weights=None):
+def _collapse(a, nstar, b, phi_num, phi_den):
     """Collapsed estimates of every row as (numerators, denominators).
 
     a[j, k] is the prior-plus-observed weight of state k in row j, b[j, 0]
@@ -163,18 +171,12 @@ def _collapse(a, nstar, b, phi_num, phi_den, weights=None):
 
     put over phi_den * L, where L is the least common multiple of the row's
     denominators b + nstar_l.  Each step is one numpy expression over the
-    whole table.  A single long row (the parent configurations behind the
-    precision) takes L over its distinct denominators only, and ``weights``
-    counts how often each of its entries stands in the sum S.
+    whole table.
     """
     d = b + nstar
-    if len(d) == 1:
-        lcm = np.array([[math.lcm(*set(d[0].tolist()))]], dtype=d.dtype)
-    else:
-        lcm = np.lcm.reduce(d, axis=1, keepdims=True)
+    lcm = np.lcm.reduce(d, axis=1, keepdims=True)
     weighted = phi_num * (lcm // d)
-    terms = weighted if weights is None else weighted * weights
-    nums = a * terms.sum(axis=1, keepdims=True) + weighted * nstar
+    nums = a * weighted.sum(axis=1, keepdims=True) + weighted * nstar
     return nums, phi_den * lcm
 
 
@@ -207,33 +209,65 @@ def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
     return CompletionDistribution(table)
 
 
-def _precision_ints(table: CountTable, prior: PriorSpec, n_obs, n_comp, counts):
-    """Posterior precision per configuration as (numerators, denominator).
+def _precision_ints(tables, prior: PriorSpec, n_obs, n_comp, counts, bounds):
+    """Posterior precision per configuration as (numerators, denominators),
+    one entry per row estimated.
 
     Fully parent-observed cases update their configuration exactly; the
     remainder is shared out in proportion to the collapsed estimate of the
-    configuration probabilities, the MAR collapse of one row over the
-    parent configurations under the Dirichlet(beta) prior, so the total
-    precision gained is exactly the number of cases.  ``n_obs`` and
-    ``n_comp`` are the parent counts of the rows estimated; when they are
-    distinct rows, ``counts`` says how many configurations each stands for.
+    configuration probabilities, so the total precision gained is exactly
+    the number of cases.  ``n_obs`` and ``n_comp`` are the parent counts of
+    the rows estimated, family f's from ``bounds[f]`` to ``bounds[f + 1]``;
+    when they are distinct rows, ``counts`` says how many configurations
+    each stands for.
+
+    Each family's configuration probabilities are the MAR collapse of one
+    row, its configurations, under the Dirichlet(beta) prior: with
+    a_j = beta + n_obs_j and b = sum_j a_j,
+
+        P_j = a_j * S + a_j * nstar_j / (b + nstar_j),
+        S   = sum_l a_l / (b + nstar_l),
+
+    over b * L, L the least common multiple of the family's distinct
+    denominators b + nstar_l.  The families' rows are of any length, so
+    their sums are ``np.add.reduceat`` segments, and each family takes its
+    own L.
     """
     alpha, scale = prior.alpha.as_integer_ratio()
-    a, nstar = _on_grid(prior.beta, n_obs[None], n_comp[None])
-    b = (a if counts is None else a * counts).sum(axis=1, keepdims=True)
-    p_num, p_den = _collapse(a, nstar, b, a, b, counts)
-    p_num, p_den = p_num[0], p_den[0, 0]
-    row_prior = table.context.child_cardinality * alpha
-    spare = scale * table.parent_incomplete_cases
-    nums = (row_prior + scale * n_obs.astype(object)) * p_den + spare * p_num
-    return nums, scale * p_den
+    starts = bounds[:-1]
+    rows = [hi - lo for lo, hi in zip(starts, bounds[1:])]
+    family = np.repeat(np.arange(len(tables)), rows)
+
+    def total(x):
+        """Each family's sum of ``x`` over its configurations."""
+        return np.add.reduceat(x if counts is None else x * counts, starts)
+
+    def per_row(values):
+        """Each family's value on every row of the family."""
+        return np.array(values, dtype=object)[family]
+
+    a, nstar = _on_grid(prior.beta, n_obs, n_comp)
+    sums = total(a).tolist()
+    b = per_row(sums)
+    d = b + nstar
+    dens = d.tolist()
+    lcms = [math.lcm(*set(dens[lo:hi])) for lo, hi in zip(starts, bounds[1:])]
+    weighted = a * (per_row(lcms) // d)
+    p_num = a * total(weighted)[family] + weighted * nstar
+    # the big denominators b * L are multiplied once per family
+    p_dens = [s * lcm for s, lcm in zip(sums, lcms)]
+    spare = per_row([scale * t.parent_incomplete_cases for t in tables])
+    row_prior = tables[0].context.child_cardinality * alpha
+    nums = (row_prior + scale * n_obs.astype(object)) * per_row(p_dens) + spare * p_num
+    return nums, per_row([scale * p_den for p_den in p_dens])
 
 
-def _groups(table: CountTable) -> bool:
-    """Whether ``bc_estimate`` works on the table's distinct count rows: when
-    there are at least as many configurations as cases, so most rows repeat."""
-    q = table.context.n_configs
-    return q > 1 and q >= table.n_total
+def _groups(tables) -> bool:
+    """Whether ``bc_estimate_stack`` works on the stack's distinct count rows:
+    when its rows are at least as many as its families' cases, so most rows
+    repeat, and more than one per family."""
+    rows = sum(table.context.n_configs for table in tables)
+    return rows > len(tables) and rows >= len(tables) * tables[0].n_total
 
 
 def _distinct_rows(*columns):
@@ -273,21 +307,32 @@ def _round(num, den) -> np.ndarray:
     return (num / den).astype(float)
 
 
-def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimate:
-    """Full per-family estimate: interval endpoints, collapsed means,
-    precision and the moment-matched Dirichlet hyperparameters
-    alpha_hat * p_hat.  ``phi`` is "mar", "uniform" or a
-    CompletionDistribution."""
+def bc_estimate_stack(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
+    """``bc_estimate`` of each family of ``tables``, whose children have the
+    same number of states: each field holds the families' rows one after
+    another, in table order.  Every per-row step runs once over the whole
+    stack; each family keeps its own precision row."""
     user_phi = isinstance(phi, CompletionDistribution)
-    columns = (table.obs_matrix(), table.comp_matrix(),
-               table.parent_obs_vector(), table.parent_comp_vector())
-    groups = None if user_phi or not _groups(table) else _distinct_rows(*columns)
-    counts = None
+    sizes = [table.context.n_configs for table in tables]
+    columns = tuple(np.concatenate(column) for column in zip(*(
+        (table.obs_matrix(), table.comp_matrix(),
+         table.parent_obs_vector(), table.parent_comp_vector())
+        for table in tables
+    )))
+    # family f's rows run from bounds[f] to bounds[f + 1]
+    bounds = [0, *itertools.accumulate(sizes)]
+    groups = counts = None
+    if not user_phi and _groups(tables):
+        # the family leads the key, so two families' rows never merge and
+        # each family's distinct rows stay together, in table order
+        family = np.repeat(np.arange(len(tables)), sizes)
+        groups = _distinct_rows(family, *columns)
     if groups is not None:
         index, inverse, counts = groups
         columns = tuple(column[index] for column in columns)
+        bounds = np.searchsorted(family[index], np.arange(len(tables) + 1)).tolist()
     obs, comp, n_obs, n_comp = columns
-    c = table.context.child_cardinality
+    c = tables[0].context.child_cardinality
     w, scale = prior.alpha.as_integer_ratio()
     # every denominator b + nstar_l is at most this, and so is the grid's
     # scale, which multiplies the counts even when they are all zero
@@ -296,7 +341,7 @@ def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimat
     a, nstar = _on_grid(prior.alpha, obs, comp, dtype)
     b = a.sum(axis=1, keepdims=True)
     nums, den = _collapse(a, nstar, b, *_phi_ints(phi, a, b))
-    ah_num, ah_den = _precision_ints(table, prior, n_obs, n_comp, counts)
+    ah_num, ah_den = _precision_ints(tables, prior, n_obs, n_comp, counts, bounds)
     try:
         alpha_hat = _round(ah_num, ah_den)
     except OverflowError:
@@ -311,8 +356,16 @@ def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimat
         "p_max": _round(a + nstar, b + nstar),
         "alpha_hat": alpha_hat,
         "dirichlet": _round(nums.astype(object, copy=False) * ah_num[:, None],
-                            den.astype(object, copy=False) * ah_den),
+                            den.astype(object, copy=False) * ah_den[:, None]),
     }
     if groups is not None:
         fields = {name: np.take(value, inverse, axis=0) for name, value in fields.items()}
     return BcCellEstimate(**fields)
+
+
+def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimate:
+    """Full per-family estimate: interval endpoints, collapsed means,
+    precision and the moment-matched Dirichlet hyperparameters
+    alpha_hat * p_hat.  ``phi`` is "mar", "uniform" or a
+    CompletionDistribution.  It is ``bc_estimate_stack`` of one table."""
+    return bc_estimate_stack([table], prior, phi)

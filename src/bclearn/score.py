@@ -21,7 +21,7 @@ import numpy as np
 
 from .counts import CountTable, ParentContext, round_tables, row_table, tally
 from .data import Dataset
-from .estimate import BcCellEstimate, PriorSpec, bc_estimate
+from .estimate import BcCellEstimate, PriorSpec, bc_estimate, bc_estimate_stack
 
 
 class ScoreError(ValueError):
@@ -46,27 +46,49 @@ class ModelScore:
         return sum(f.log_g for f in self.families)
 
 
-def log_g_bc(table: CountTable, prior: PriorSpec, est: BcCellEstimate) -> FamilyScore:
-    """Family score under the moment-matched posterior Dirichlet of ``est``,
-    the family's ``bc_estimate`` from ``table`` and ``prior``.
+def log_g_bc_stack(tables, prior: PriorSpec, est: BcCellEstimate) -> list[FamilyScore]:
+    """``log_g_bc`` of each family of ``tables`` from ``est``, their
+    ``bc_estimate_stack``, in table order.
 
-    Reduces to the exact score when the family data are complete.
+    One ``lgamma`` pass covers every row of the stack.  Each family's terms
+    are then added one at a time in row order, lg_alpha_sum -
+    lgamma(alpha_hat) and then each lgamma(weight) - lg_alpha, by
+    ``np.cumsum``, which adds sequentially as a Python loop does.
     """
-    ctx = table.context
+    c = tables[0].context.child_cardinality
     try:
         lg_alpha = lgamma(prior.alpha)
-        lg_alpha_sum = lgamma(ctx.child_cardinality * prior.alpha)
-        total = 0.0
-        for alpha_hat, row in zip(est.alpha_hat.tolist(), est.dirichlet.tolist()):
-            total += lg_alpha_sum - lgamma(alpha_hat)
-            for weight in row:
-                total += lgamma(weight) - lg_alpha
+        lg_alpha_sum = lgamma(c * prior.alpha)
+        values = np.concatenate((est.alpha_hat[:, None], est.dirichlet), axis=1)
+        values = values.ravel().tolist()
+        lg = np.fromiter(map(lgamma, values), dtype=float, count=len(values))
     except OverflowError:
         raise ScoreError(
             f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
             "the log Gamma of a Dirichlet weight exceeds the largest float"
         ) from None
-    return FamilyScore(ctx.child, ctx.parents, total, exact=table.is_complete)
+    # each row is alpha_hat's term, then one per Dirichlet weight
+    terms = lg - lg_alpha
+    terms[:: c + 1] = lg_alpha_sum - lg[:: c + 1]
+    scores, start = [], 0
+    for table in tables:
+        stop = start + (c + 1) * table.context.n_configs
+        total = float(np.cumsum(terms[start:stop])[-1])
+        scores.append(FamilyScore(
+            table.context.child, table.context.parents, total, exact=table.is_complete
+        ))
+        start = stop
+    return scores
+
+
+def log_g_bc(table: CountTable, prior: PriorSpec, est: BcCellEstimate) -> FamilyScore:
+    """Family score under the moment-matched posterior Dirichlet of ``est``,
+    the family's ``bc_estimate`` from ``table`` and ``prior``: the
+    ``log_g_bc_stack`` of one table.
+
+    Reduces to the exact score when the family data are complete.
+    """
+    return log_g_bc_stack([table], prior, est)[0]
 
 
 def ensure_dag(parent_sets) -> list[int]:
@@ -95,8 +117,10 @@ class FamilyScorer:
     here when ``counts.row_table`` finds it worth building, else case by
     case.  ``scores`` scores a greedy search round's candidates together:
     each is handed that full-row table when there is one, else its group's
-    joint from ``counts.round_tables``, and goes through its own ``tally``,
-    ``bc_estimate`` and ``log_g_bc`` as ``score`` would."""
+    joint from ``counts.round_tables``, and goes through its own ``tally``;
+    the round's new families are then estimated and scored as one stack by
+    ``bc_estimate_stack`` and ``log_g_bc_stack``, which give each family
+    the bits ``score``'s ``bc_estimate`` and ``log_g_bc`` would."""
 
     def __init__(
         self,
@@ -134,14 +158,30 @@ class FamilyScorer:
     def scores(self, child: int, parents, candidates) -> list[FamilyScore]:
         """The scores of ``child`` given ``parents`` plus each candidate,
         in candidate order."""
+        keys = [(child, tuple(sorted((*parents, c)))) for c in candidates]
         joints = (
             [self._rows] * len(candidates) if self._rows
             else round_tables(self.dataset, child, parents, candidates)
         )
-        return [
-            self._family(child, (*parents, candidate), joint)[0]
-            for candidate, joint in zip(candidates, joints)
-        ]
+        cards = self.dataset.cardinalities
+        tables = {}
+        for key, joint in zip(keys, joints):
+            if key not in self._cache and key not in tables:
+                ctx = ParentContext(
+                    child, key[1], cards[child], tuple(cards[p] for p in key[1])
+                )
+                tables[key] = tally(self.dataset, ctx, joint)
+        if tables:
+            stack = list(tables.values())
+            est = bc_estimate_stack(stack, self.prior, self.phi_policy)
+            splits = np.cumsum([t.context.n_configs for t in stack[:-1]])
+            for key, score, p_hat in zip(
+                tables,
+                log_g_bc_stack(stack, self.prior, est),
+                np.split(est.p_hat, splits),
+            ):
+                self._cache[key] = score, p_hat
+        return [self._cache[key][0] for key in keys]
 
     def estimate(self, child: int, parents) -> np.ndarray:
         """The family's (q, c) CPT point estimate, ``bc_estimate().p_hat``."""

@@ -6,8 +6,9 @@ explored graph acyclic by construction.  Parents are added one at a time,
 keeping the single candidate that most increases the family score, and a
 node stops as soon as no candidate strictly improves it.  Ties between
 equal-scoring candidates go to the candidate earliest in the order.
-A round's candidates are scored together (``FamilyScorer.scores``), so one
-pass over the cases counts a group of their families.
+A round's candidates are scored together (``FamilyScorer.scores``): one
+pass over the cases counts a group of their families, and one stack of
+tables estimates and scores them all.
 """
 
 from __future__ import annotations

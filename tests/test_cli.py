@@ -577,6 +577,8 @@ class TestBench:
         (["--beta", "0"], "beta must be finite and strictly positive, got 0.0"),
         (["--max-parents", "-1"], "max_parents must be nonnegative"),
         (["--order", "X1,X2,X2"], "order must be a permutation of all variables"),
+        (["--alpha", "1e306"], "prior alpha=1e+306, beta=1.0 is too large: the log "
+                               "Gamma of a Dirichlet weight exceeds the largest float"),
     ])
     def test_bad_option_is_refused_before_sampling(
         self, capsys, monkeypatch, flags, message

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -223,6 +225,40 @@ class TestBytePathMatchesCsvReader:
             assert got == expected, (trial, text)
             loaded += isinstance(got, Dataset)
         assert loaded > 100
+
+    def test_mixed_lf_and_crlf_line_ends(self, tmp_path, monkeypatch):
+        """A file whose rows end in LF and CRLF alike, an 8-byte and an
+        empty cell before a CRLF among them, and no final line end."""
+        text = b"A,B\r\nx,abcdefgh\ny,\r\n?,x\r\nx,?\nabcdefgh,y"
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_bytes(text)
+        quoted.write_bytes(b'"A"' + text[1:])
+        expected = load_csv(quoted)
+        monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+        got = load_csv(plain)
+        assert got == expected
+        assert got.variables[1].states == ("", "abcdefgh", "x", "y")
+        assert got.codes.tolist() == [[1, 1], [2, 0], [-1, 2], [1, -1], [0, 3]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_a_named_pipe_loads_as_its_bytes_do(self, tmp_path, monkeypatch):
+        """A pipe's size is not known before it is read: all of it is read."""
+        text = b"A,B\r\n" + b"x,y\ny,x\r\n" * 25_000
+        plain, pipe = tmp_path / "plain.csv", tmp_path / "pipe.csv"
+        plain.write_bytes(text)
+        os.mkfifo(pipe)
+        monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+        # a loader that opened the pipe a second time would wait for ever
+        loaded = []
+        loader = threading.Thread(
+            target=lambda: loaded.append(load_csv(pipe)), daemon=True
+        )
+        loader.start()
+        pipe.write_bytes(text)
+        loader.join(timeout=10)
+        assert not loader.is_alive() and len(loaded) == 1
+        assert loaded[0] == load_csv(plain)
+        assert loaded[0].n_cases == 50_000
 
     # a 9-byte label in the second column sends the file to csv.reader
     @pytest.mark.parametrize(

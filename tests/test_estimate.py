@@ -532,8 +532,8 @@ class TestPaths:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record (dtype, rows) of the table's collapse: the first call of
-        each estimate, the precision's being the second."""
+        """Record (dtype, rows) of the collapse of the rows estimated, one
+        call per estimate."""
         calls = []
         real = estimate._collapse
 
@@ -547,7 +547,7 @@ class TestPaths:
     @staticmethod
     def force(monkeypatch, grouped, wide):
         """Group rows or not; int64 where the bound allows it, or never."""
-        monkeypatch.setattr(estimate, "_groups", lambda table: grouped)
+        monkeypatch.setattr(estimate, "_groups", lambda tables: grouped)
         if not wide:
             monkeypatch.setattr(estimate, "_fits_int64", lambda c, bound: False)
 
@@ -571,45 +571,65 @@ class TestPaths:
     @pytest.mark.parametrize("grouped", [False, True])
     @pytest.mark.parametrize("wide", [False, True])
     def test_every_path_matches_the_exact_reference(self, monkeypatch, grouped, wide):
+        """Each family alone through ``bc_estimate``, then the families of
+        one child cardinality as one ``bc_estimate_stack``, whose rows are
+        each family's in turn."""
         rng, families = self.families()
         calls = self.spy(monkeypatch)
         self.force(monkeypatch, grouped, wide)
+        by_states = {}
         for ctx, table in families:
+            by_states.setdefault(ctx.child_cardinality, []).append((ctx, table))
+        stacks = [(False, [f]) for f in families]
+        stacks += [(True, stack) for stack in by_states.values()]
+        for stacked, stack in stacks:
+            tables = [table for _, table in stack]
+            stops = np.cumsum([ctx.n_configs for ctx, _ in stack]).tolist()
+            slices = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
             for alpha, beta in PRIORS:
                 prior = PriorSpec(alpha, beta)
-                for phi in ("mar", "uniform", non_dyadic_phi(rng, ctx)):
+                user_phi = [non_dyadic_phi(rng, ctx).phi for ctx, _ in stack]
+                for phi in ("mar", "uniform",
+                            CompletionDistribution(np.concatenate(user_phi))):
                     user = isinstance(phi, CompletionDistribution)
                     calls.clear()
-                    est = bc_estimate(table, prior, phi)
-                    reference = reference_estimate(table, prior, phi)
-                    for name in self.FIELDS:
-                        np.testing.assert_array_equal(getattr(est, name), reference[name])
+                    if stacked:
+                        est = estimate.bc_estimate_stack(tables, prior, phi)
+                    else:
+                        est = bc_estimate(tables[0], prior, phi)
+                    for f, (table, rows) in enumerate(zip(tables, slices)):
+                        policy = CompletionDistribution(user_phi[f]) if user else phi
+                        reference = reference_estimate(table, prior, policy)
+                        for name in self.FIELDS:
+                            np.testing.assert_array_equal(
+                                getattr(est, name)[rows], reference[name]
+                            )
                     dtype, rows = calls[0]
                     # alpha 0.1 sits on a 2**55 grid; a user phi's integers are
                     # not bounded
                     int64 = wide and not user and alpha != 0.1
                     assert dtype == (np.int64 if int64 else object)
                     if grouped and not user:
-                        distinct = np.unique(np.column_stack([
+                        # no row is shared between two families
+                        assert rows == sum(len(np.unique(np.column_stack([
                             table.obs_matrix(), table.comp_matrix(),
                             table.parent_obs_vector(), table.parent_comp_vector(),
-                        ]), axis=0)
-                        assert rows == len(distinct)
+                        ]), axis=0)) for table in tables)
                     else:
-                        assert rows == ctx.n_configs
+                        assert rows == stops[-1]
 
     def test_rule_groups_only_more_configurations_than_cases(self):
         for cards, n, expected in (((3,) * 6, 243, True), ((3,) * 6, 244, False),
                                    ((3,), 0, False), ((3, 3), 0, True)):
             db = make_dataset(cards, np.zeros((n, len(cards)), dtype=int))
             _, table, _ = family(db, 0, tuple(range(1, len(cards))))
-            assert estimate._groups(table) is expected
+            assert estimate._groups([table]) is expected
 
     def test_a_user_phi_is_never_grouped(self, monkeypatch):
         rng, families = self.families()
         calls = self.spy(monkeypatch)
         ctx, table = families[-1]
-        assert estimate._groups(table)
+        assert estimate._groups([table])
         bc_estimate(table, PriorSpec(), non_dyadic_phi(rng, ctx))
         assert calls[0] == (object, ctx.n_configs)
 
@@ -671,6 +691,6 @@ class TestPaths:
         assert calls[0][0] == np.int64 and calls[0][1] < table.context.n_configs // 10
         self.force(monkeypatch, grouped=False, wide=False)
         slow = bc_estimate(table, prior)
-        assert calls[2] == (object, table.context.n_configs)
+        assert calls[1] == (object, table.context.n_configs)
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))

@@ -6,6 +6,7 @@ import pytest
 
 from bclearn import (
     MISSING,
+    FamilyScorer,
     ParentContext,
     PriorSpec,
     ScoreError,
@@ -162,6 +163,47 @@ class TestLogGBc:
         # (~70 ms) and tally (~45 ms); bc_estimate takes ~10 ms.  The bound
         # leaves room for slow hosts
         assert time.perf_counter() - start < 60.0
+
+
+class TestScorerRounds:
+    def test_a_round_scores_as_each_family_alone(self):
+        """``FamilyScorer.scores`` estimates and scores a round's families as
+        one stack.  Each family's score and CPT equal a fresh scorer's for
+        that family alone, to the bit: ragged stacks of 2-5 state parents,
+        priors on int64 (alpha 1, 1e3) and object (alpha 0.1) integers, MAR
+        and uniform phi, complete data, no cases, fewer cases than
+        configurations (distinct rows) and more (the full-row table at
+        n = 1500)."""
+        rng = np.random.default_rng(61)
+        for trial in range(12):
+            cards = [int(c) for c in rng.integers(2, 6, size=int(rng.integers(3, 6)))]
+            n = (0, 8, 40, 1500)[trial % 4]
+            db = make_dataset(cards, np.column_stack(
+                [rng.integers(0, c, size=n) for c in cards]
+            ).reshape(n, len(cards)))
+            if trial % 3:
+                db = punch_holes(rng, db, int(db.codes.size * 0.3))
+            child = int(rng.integers(len(cards)))
+            others = [v for v in range(len(cards)) if v != child]
+            parents = sorted(rng.choice(
+                others, size=int(rng.integers(0, 3)), replace=False
+            ).tolist())
+            candidates = [v for v in others if v not in parents]
+            for alpha in (1.0, 0.1, 1e3):
+                for phi in ("mar", "uniform"):
+                    scorer = FamilyScorer(db, alpha=alpha, phi_policy=phi)
+                    # a first round leaves part of the second in the cache
+                    scorer.scores(child, parents, candidates[:1])
+                    stacked = scorer.scores(child, parents, candidates)
+                    fresh = FamilyScorer(db, alpha=alpha, phi_policy=phi)
+                    for candidate, score in zip(candidates, stacked):
+                        family = (*parents, candidate)
+                        alone = fresh.score(child, family)
+                        assert score == alone
+                        assert score.log_g == alone.log_g
+                        assert np.array_equal(
+                            scorer.estimate(child, family), fresh.estimate(child, family)
+                        )
 
 
 class TestLogMarginal:

@@ -35,6 +35,35 @@ from bclearn.oracle import OracleError, enumerate_models, joint_distribution
 from helpers import make_dataset, punch_holes, random_complete, random_network
 
 
+def spy_counting(monkeypatch):
+    """Count the scorer's ``tally`` calls and record the (child, parents) of
+    every family it estimates: one per ``bc_estimate`` call and one per
+    table of a ``bc_estimate_stack`` call."""
+    seen = {"tally": 0, "estimated": []}
+    real = {name: getattr(bclearn.score, name)
+            for name in ("tally", "bc_estimate", "bc_estimate_stack")}
+
+    def family_of(table):
+        return table.context.child, table.context.parents
+
+    def tally(*args, **kwargs):
+        seen["tally"] += 1
+        return real["tally"](*args, **kwargs)
+
+    def bc_estimate(table, *args, **kwargs):
+        seen["estimated"].append(family_of(table))
+        return real["bc_estimate"](table, *args, **kwargs)
+
+    def bc_estimate_stack(tables, *args, **kwargs):
+        seen["estimated"].extend(map(family_of, tables))
+        return real["bc_estimate_stack"](tables, *args, **kwargs)
+
+    for name, wrapper in (("tally", tally), ("bc_estimate", bc_estimate),
+                          ("bc_estimate_stack", bc_estimate_stack)):
+        monkeypatch.setattr(bclearn.score, name, wrapper)
+    return seen
+
+
 def order_for(db, max_parents=None):
     return OrderConstraint.from_names(
         db, [v.name for v in db.variables], max_parents=max_parents
@@ -127,20 +156,10 @@ class TestK2:
             sample(builtin_spec("M4", seed=sample_seed)),
             DeletionPlan(0.4, seed=delete_seed),
         )
-        calls = {"tally": 0, "bc_estimate": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(
-                bclearn.score, name, counted(name, getattr(bclearn.score, name))
-            )
+        seen = spy_counting(monkeypatch)
         model = k2_bc(db, order_for(db))
-        assert calls == {"tally": 24, "bc_estimate": 24}
+        assert seen["tally"] == 24
+        assert len(seen["estimated"]) == len(set(seen["estimated"])) == 24
         monkeypatch.undo()
         for child, parents in enumerate(model.parent_sets):
             ctx = ParentContext.for_dataset(db, child, parents)
@@ -194,19 +213,15 @@ class TestK2:
             parent_sets[child] = tuple(sorted(parents))
         reference = scorer.model_score(parent_sets)
 
-        calls = {"tally": 0, "bc_estimate": 0, "bincount": 0}
+        seen = spy_counting(monkeypatch)
+        bincounts = []
+        real_bincount = np.bincount
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def bincount(*args, **kwargs):
+            bincounts.append(None)
+            return real_bincount(*args, **kwargs)
 
-        for name in ("tally", "bc_estimate"):
-            monkeypatch.setattr(
-                bclearn.score, name, counted(name, getattr(bclearn.score, name))
-            )
-        monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
+        monkeypatch.setattr(np, "bincount", bincount)
         model = k2_bc(db, order)
         monkeypatch.undo()
 
@@ -217,8 +232,9 @@ class TestK2:
                 model.cpts[child], scorer.estimate(child, parents)
             )
         assert model.score == reference
-        assert calls["tally"] == calls["bc_estimate"] == len(families)
-        assert calls["bincount"] < len(families)
+        assert seen["tally"] == len(seen["estimated"]) == len(families)
+        assert set(seen["estimated"]) == families
+        assert len(bincounts) < len(families)
 
 
 class TestEnumerateModels:
