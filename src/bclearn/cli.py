@@ -138,7 +138,7 @@ def cmd_estimate(args) -> int:
     if phi not in ("mar", "uniform"):
         with open(phi, encoding="utf-8") as fh:
             phi = phi_from_rows(ctx, json.load(fh), dataset.variables)
-    est = bc_estimate(table, prior, phi=phi)
+    est = bc_estimate([table], prior, phi=phi)
     summary = summarize_missingness(dataset)
     obs, comp = table.obs_matrix().tolist(), table.comp_matrix().tolist()
     report = {

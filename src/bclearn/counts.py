@@ -86,13 +86,15 @@ class ParentContext:
 
     @classmethod
     def for_dataset(cls, dataset: Dataset, child: int, parents) -> "ParentContext":
+        """The family of ``child`` given ``parents`` over ``dataset``'s
+        variables, reading only the family's own cardinalities."""
         parents = tuple(parents)
-        cards = dataset.cardinalities
+        variables = dataset.variables
         return cls(
             child=child,
             parents=parents,
-            child_cardinality=cards[child],
-            parent_cardinalities=tuple(cards[p] for p in parents),
+            child_cardinality=variables[child].cardinality,
+            parent_cardinalities=tuple(variables[p].cardinality for p in parents),
         )
 
     @property

@@ -159,21 +159,30 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     columns not covered by a schema default to a binary ("1", "2")
     universe, there being no cells to contradict it.
 
-    The file is first read as bytes.  If it is valid UTF-8 and has no quote
-    character, NUL byte, carriage return outside a CRLF line end or blank
-    line, its header names are unique, every row is as wide as the header
-    and every body cell is at most 8 bytes long, numpy tokenises it.  Any
-    other file is parsed by ``csv.reader`` (RFC 4180 quoting), which also
-    words every error about the file's layout.  Both paths hand an (n, m)
-    array of integer keys that sort within a column as the labels do, and
-    a key-to-label map, to the one step below, which fixes the states and
-    codes and words every error about states, so both paths give the same
-    ``Dataset`` or the same error.
+    The file is read once, as bytes, which both paths parse.  If it is
+    valid UTF-8 and has no quote character, NUL byte, carriage return
+    outside a CRLF line end or blank line, its header names are unique,
+    every row is as wide as the header and every body cell is at most 8
+    bytes long, numpy tokenises it.  Any other file is parsed by
+    ``csv.reader`` (RFC 4180 quoting), which also words every error about
+    the file's layout.  Both paths hand an (n, m) array of integer keys
+    that sort within a column as the labels do, and a key-to-label map, to
+    the one step below, which fixes the states and codes and words every
+    error about states, so both paths give the same ``Dataset`` or the same
+    error.
     """
     try:
-        header, keys, label_of = _split_bytes(path) or _split_rows(path)
+        # a line end for a file without a final one, then 7 zero bytes that
+        # give the last cell a whole 8-byte word
+        raw, size = _read_padded(path, 8)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    header, keys, label_of = (
+        _split_bytes(raw, size) or _split_rows(memoryview(raw)[:size], path)
+    )
+    # the labelling below reads only the keys: freeing the file's bytes
+    # first keeps them out of its peak memory
+    del raw
     extra = sorted(set(schema or ()) - set(header))
     if extra:
         raise DataError(f"{path}: schema names variables not in the header: {extra}")
@@ -237,18 +246,17 @@ def _read_padded(path, spare: int):
     return raw, size
 
 
-def _split_bytes(path):
-    """Tokenise an unquoted file with numpy, or return None to defer to csv.
+def _split_bytes(raw: bytearray, size: int):
+    """Tokenise the ``size`` bytes of an unquoted file, followed in ``raw``
+    by 8 spare zero bytes, with numpy, or return None to defer to csv.
 
     Each body cell becomes a uint64 key holding its UTF-8 bytes left-aligned
     and zero-padded, so keys sort as the labels do and the empty cell is 0.
     A CRLF line end ends its row's last cell at the CR.  Rows are tokenised
     in blocks, so no per-cell temporary spans the file.  Returns ``(header,
-    keys, label_of)``, ``label_of`` decoding one key.
+    keys, label_of)``, ``label_of`` decoding one key.  Only the spare bytes
+    are written to, so the file's own bytes stay as read.
     """
-    # a line end for a file without a final one, then 7 zero bytes that give
-    # the last cell a whole 8-byte word
-    raw, size = _read_padded(path, 8)
     if not size or b'"' in raw or raw.find(b"\0", 0, size) >= 0:
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -303,13 +311,12 @@ def _split_bytes(path):
     return header, keys, lambda key: key.to_bytes(8, "big").rstrip(b"\0").decode()
 
 
-def _split_rows(path):
-    """Parse with ``csv.reader``: the path for any file ``_split_bytes`` declines.
-    A cell's key is the rank of its label among the file's distinct labels."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _split_rows(raw, path):
+    """Parse the file's bytes ``raw`` with ``csv.reader``: the path for any
+    file ``_split_bytes`` declines.  A cell's key is the rank of its label
+    among the file's distinct labels; ``path`` only names the file in errors."""
     try:
-        text = raw.decode("utf-8")
+        text = str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})"

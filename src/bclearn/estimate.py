@@ -25,14 +25,14 @@ tolerance for accumulation error.
 
 The collapse of a row uses p_k = a_k * S + phi_k * nstar_k / (b + nstar_k)
 with S = sum_l phi_l / (b + nstar_l), over the least common multiple of the
-row's denominators b + nstar_l.  ``bc_estimate_stack`` estimates a stack of
+row's denominators b + nstar_l.  ``bc_estimate`` takes a stack of tables:
 families whose children have the same number of states c, such as a greedy
-search round's candidates, which share their child: every per-row quantity
-is one numpy expression over the stack's concatenated (sum of q, c) rows,
-with no Python loop over configurations or families, and each cell is
-still one correctly rounded division.  ``bc_estimate`` is the stack of one
-table.  Two rules keep it cheap; each is decided once from the stack's own
-rows, and neither changes a bit of the result:
+search round's candidates, which share their child, or one family alone.
+Every per-row quantity is one numpy expression over the stack's
+concatenated (sum of q, c) rows, with no Python loop over configurations
+or families, and each cell is still one correctly rounded division.  Two
+rules keep it cheap; each is decided once from the stack's own rows, and
+neither changes a bit of the result:
 
 - A stack with at least as many rows as its families have cases is mostly
   repeated rows, empty ones above all.  It is estimated once per distinct
@@ -64,7 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counts import CountTable, ParentContext
+from .counts import ParentContext
 
 ROW_SUM_TOLERANCE = 1e-12
 
@@ -263,9 +263,10 @@ def _precision_ints(tables, prior: PriorSpec, n_obs, n_comp, counts, bounds):
 
 
 def _groups(tables) -> bool:
-    """Whether ``bc_estimate_stack`` works on the stack's distinct count rows:
-    when its rows are at least as many as its families' cases, so most rows
-    repeat, and more than one per family."""
+    """Whether ``bc_estimate`` works on the stack's distinct count rows:
+    when the stack has more rows than families and at least as many rows as
+    its families have cases, so most rows repeat.  For one table that is
+    q > 1 and q >= n."""
     rows = sum(table.context.n_configs for table in tables)
     return rows > len(tables) and rows >= len(tables) * tables[0].n_total
 
@@ -307,11 +308,14 @@ def _round(num, den) -> np.ndarray:
     return (num / den).astype(float)
 
 
-def bc_estimate_stack(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
-    """``bc_estimate`` of each family of ``tables``, whose children have the
-    same number of states: each field holds the families' rows one after
-    another, in table order.  Every per-row step runs once over the whole
-    stack; each family keeps its own precision row."""
+def bc_estimate(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
+    """Full estimate of each family of ``tables``, whose children have the
+    same number of states: interval endpoints, collapsed means, precision
+    and the moment-matched Dirichlet hyperparameters alpha_hat * p_hat.
+    Each field holds the families' rows one after another, in table order.
+    ``phi`` is "mar", "uniform" or a CompletionDistribution over every row
+    of the stack.  Every per-row step runs once over the whole stack; each
+    family keeps its own precision row."""
     user_phi = isinstance(phi, CompletionDistribution)
     sizes = [table.context.n_configs for table in tables]
     columns = tuple(np.concatenate(column) for column in zip(*(
@@ -362,10 +366,3 @@ def bc_estimate_stack(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
         fields = {name: np.take(value, inverse, axis=0) for name, value in fields.items()}
     return BcCellEstimate(**fields)
 
-
-def bc_estimate(table: CountTable, prior: PriorSpec, phi="mar") -> BcCellEstimate:
-    """Full per-family estimate: interval endpoints, collapsed means,
-    precision and the moment-matched Dirichlet hyperparameters
-    alpha_hat * p_hat.  ``phi`` is "mar", "uniform" or a
-    CompletionDistribution.  It is ``bc_estimate_stack`` of one table."""
-    return bc_estimate_stack([table], prior, phi)

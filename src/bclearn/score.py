@@ -19,9 +19,9 @@ from math import lgamma
 
 import numpy as np
 
-from .counts import CountTable, ParentContext, round_tables, row_table, tally
+from .counts import ParentContext, round_tables, row_table, tally
 from .data import Dataset
-from .estimate import BcCellEstimate, PriorSpec, bc_estimate, bc_estimate_stack
+from .estimate import BcCellEstimate, PriorSpec, bc_estimate
 
 
 class ScoreError(ValueError):
@@ -46,9 +46,10 @@ class ModelScore:
         return sum(f.log_g for f in self.families)
 
 
-def log_g_bc_stack(tables, prior: PriorSpec, est: BcCellEstimate) -> list[FamilyScore]:
-    """``log_g_bc`` of each family of ``tables`` from ``est``, their
-    ``bc_estimate_stack``, in table order.
+def log_g_bc(tables, prior: PriorSpec, est: BcCellEstimate) -> list[FamilyScore]:
+    """Score of each family of ``tables`` under the moment-matched posterior
+    Dirichlet of ``est``, their ``bc_estimate`` under ``prior``, in table
+    order.  Reduces to the exact score when the family data are complete.
 
     One ``lgamma`` pass covers every row of the stack.  Each family's terms
     are then added one at a time in row order, lg_alpha_sum -
@@ -81,16 +82,6 @@ def log_g_bc_stack(tables, prior: PriorSpec, est: BcCellEstimate) -> list[Family
     return scores
 
 
-def log_g_bc(table: CountTable, prior: PriorSpec, est: BcCellEstimate) -> FamilyScore:
-    """Family score under the moment-matched posterior Dirichlet of ``est``,
-    the family's ``bc_estimate`` from ``table`` and ``prior``: the
-    ``log_g_bc_stack`` of one table.
-
-    Reduces to the exact score when the family data are complete.
-    """
-    return log_g_bc_stack([table], prior, est)[0]
-
-
 def ensure_dag(parent_sets) -> list[int]:
     """Topological order of the variables, or ScoreError on a cycle."""
     n = len(parent_sets)
@@ -117,10 +108,11 @@ class FamilyScorer:
     here when ``counts.row_table`` finds it worth building, else case by
     case.  ``scores`` scores a greedy search round's candidates together:
     each is handed that full-row table when there is one, else its group's
-    joint from ``counts.round_tables``, and goes through its own ``tally``;
-    the round's new families are then estimated and scored as one stack by
-    ``bc_estimate_stack`` and ``log_g_bc_stack``, which give each family
-    the bits ``score``'s ``bc_estimate`` and ``log_g_bc`` would."""
+    joint from ``counts.round_tables``, and goes through its own ``tally``.
+    Every new family is then estimated and scored in ``_add``, by one
+    ``bc_estimate`` and one ``log_g_bc`` call over a stack of tables: the
+    round's new families, or the one family ``score`` or ``estimate`` asks
+    for.  A family gets the same bits in any stack."""
 
     def __init__(
         self,
@@ -139,18 +131,22 @@ class FamilyScorer:
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
 
-    def _family(
-        self, child: int, parents, joint=None
-    ) -> tuple[FamilyScore, np.ndarray]:
+    def _add(self, tables) -> None:
+        """Estimate and score ``tables``, new families of one child, as one
+        stack, and cache each family's score and CPT point estimate."""
+        est = bc_estimate(tables, self.prior, self.phi_policy)
+        splits = np.cumsum([t.context.n_configs for t in tables[:-1]])
+        for score, p_hat in zip(
+            log_g_bc(tables, self.prior, est), np.split(est.p_hat, splits)
+        ):
+            self._cache[score.child, score.parents] = score, p_hat
+
+    def _family(self, child: int, parents) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
-        cached = self._cache.get(key)
-        if cached is None:
-            ctx = ParentContext.for_dataset(self.dataset, child, key[1])
-            counts = tally(self.dataset, ctx, joint or self._rows)
-            est = bc_estimate(counts, self.prior, phi=self.phi_policy)
-            cached = log_g_bc(counts, self.prior, est), est.p_hat
-            self._cache[key] = cached
-        return cached
+        if key not in self._cache:
+            ctx = ParentContext.for_dataset(self.dataset, *key)
+            self._add([tally(self.dataset, ctx, self._rows)])
+        return self._cache[key]
 
     def score(self, child: int, parents) -> FamilyScore:
         return self._family(child, parents)[0]
@@ -163,24 +159,13 @@ class FamilyScorer:
             [self._rows] * len(candidates) if self._rows
             else round_tables(self.dataset, child, parents, candidates)
         )
-        cards = self.dataset.cardinalities
         tables = {}
         for key, joint in zip(keys, joints):
             if key not in self._cache and key not in tables:
-                ctx = ParentContext(
-                    child, key[1], cards[child], tuple(cards[p] for p in key[1])
-                )
+                ctx = ParentContext.for_dataset(self.dataset, *key)
                 tables[key] = tally(self.dataset, ctx, joint)
         if tables:
-            stack = list(tables.values())
-            est = bc_estimate_stack(stack, self.prior, self.phi_policy)
-            splits = np.cumsum([t.context.n_configs for t in stack[:-1]])
-            for key, score, p_hat in zip(
-                tables,
-                log_g_bc_stack(stack, self.prior, est),
-                np.split(est.p_hat, splits),
-            ):
-                self._cache[key] = score, p_hat
+            self._add(list(tables.values()))
         return [self._cache[key][0] for key in keys]
 
     def estimate(self, child: int, parents) -> np.ndarray:

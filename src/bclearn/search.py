@@ -7,8 +7,9 @@ keeping the single candidate that most increases the family score, and a
 node stops as soon as no candidate strictly improves it.  Ties between
 equal-scoring candidates go to the candidate earliest in the order.
 A round's candidates are scored together (``FamilyScorer.scores``): one
-pass over the cases counts a group of their families, and one stack of
-tables estimates and scores them all.
+pass over the cases counts a group of their families, and one
+``bc_estimate`` and one ``log_g_bc`` call over the stack of their tables
+estimate and score them all.
 """
 
 from __future__ import annotations

@@ -77,11 +77,11 @@ def test_c02_complete_data_exactness():
     for _ in range(200):
         db = random_complete(rng, max_vars=4, max_card=3, max_cases=50)
         ctx, table, prior = random_family(rng, db)
-        bc = log_g_bc(table, prior, bc_estimate(table, prior)).log_g
+        bc = log_g_bc([table], prior, bc_estimate([table], prior))[0].log_g
         exact = log_g_exact(table, prior)
         rel = abs(bc - exact) / max(1.0, abs(exact))
         worst_rel = max(worst_rel, rel)
-        p_hat = bc_estimate(table, prior).p_hat
+        p_hat = bc_estimate([table], prior).p_hat
         for j in range(ctx.n_configs):
             obs = [0] * ctx.child_cardinality
             for row in db.codes:
@@ -151,7 +151,7 @@ def test_c04_bound_containment():
             continue
         instances += 1
         ctx, table, prior = random_family(rng, db)
-        est = bc_estimate(table, prior)
+        est = bc_estimate([table], prior)
         exact = exact_expectation(db, ctx, prior)
         if not ((exact >= est.p_min).all() and (exact <= est.p_max).all()):
             violations += 1
@@ -160,7 +160,7 @@ def test_c04_bound_containment():
                 rng.dirichlet(np.ones(ctx.child_cardinality),
                               size=ctx.n_configs),
             )
-            p_hat = bc_estimate(table, prior, phi).p_hat
+            p_hat = bc_estimate([table], prior, phi).p_hat
             if not ((p_hat >= est.p_min).all() and (p_hat <= est.p_max).all()):
                 violations += 1
     elapsed = time.perf_counter() - start
@@ -179,7 +179,7 @@ def test_c05_limit_behaviors():
         ctx = ParentContext.for_dataset(db, 0, parents)
         table = tally(db, ctx)
         prior = PriorSpec()
-        est = bc_estimate(table, prior)
+        est = bc_estimate([table], prior)
         c = ctx.child_cardinality
         prior_mean = [1.0 / c] * c
         ok = ok and all(est.p_hat[j].tolist() == prior_mean
@@ -216,7 +216,7 @@ def test_c06_child_only_missingness_reduction():
         table = tally(db, ctx)
         prior = PriorSpec()
         phi = phi_rows(table, prior, "mar")
-        p_hat = bc_estimate(table, prior).p_hat
+        p_hat = bc_estimate([table], prior).p_hat
         for j, (obs, comp) in enumerate(
             zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())
         ):
@@ -240,7 +240,7 @@ def test_c07_precision_conservation():
         db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
         ctx, table, _ = random_family(rng, db)
         for alpha, beta in PRIORS:
-            est = bc_estimate(table, PriorSpec(alpha, beta))
+            est = bc_estimate([table], PriorSpec(alpha, beta))
             expected = ctx.n_configs * ctx.child_cardinality * alpha + db.n_cases
             worst = max(worst, abs(float(est.alpha_hat.sum()) - expected))
     report("c07 precision conservation", worst <= 1e-9, f"worst abs {worst:.2e}")

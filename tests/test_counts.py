@@ -363,7 +363,7 @@ def case_by_case_score(d, child, parents):
     """A family's score under the default prior, counted case by case."""
     ctx = ParentContext.for_dataset(d, child, parents)
     counts = tally(d, ctx)
-    return log_g_bc(counts, PriorSpec(), bc_estimate(counts, PriorSpec()))
+    return log_g_bc([counts], PriorSpec(), bc_estimate([counts], PriorSpec()))[0]
 
 
 class TestRoundTables:

@@ -241,13 +241,19 @@ class TestBytePathMatchesCsvReader:
         assert got.codes.tolist() == [[1, 1], [2, 0], [-1, 2], [1, -1], [0, 3]]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
-    def test_a_named_pipe_loads_as_its_bytes_do(self, tmp_path, monkeypatch):
-        """A pipe's size is not known before it is read: all of it is read."""
-        text = b"A,B\r\n" + b"x,y\ny,x\r\n" * 25_000
+    # a quoted cell sends the file to csv.reader
+    @pytest.mark.parametrize(
+        "row", [b"x,y\ny,x\r\n", b'"x,y",1\nz,2\r\n'], ids=["numpy", "csv_reader"]
+    )
+    def test_a_named_pipe_loads_as_its_bytes_do(self, tmp_path, monkeypatch, row):
+        """A pipe's size is not known before it is read: all of it is read,
+        once, whichever path parses it."""
+        text = b"A,B\r\n" + row * 25_000
         plain, pipe = tmp_path / "plain.csv", tmp_path / "pipe.csv"
         plain.write_bytes(text)
         os.mkfifo(pipe)
-        monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+        if b'"' not in row:
+            monkeypatch.setattr(csv, "reader", refuse_csv_reader)
         # a loader that opened the pipe a second time would wait for ever
         loaded = []
         loader = threading.Thread(

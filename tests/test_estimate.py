@@ -70,7 +70,7 @@ class TestPhi:
         for shape in ((1, 2), (4, 3), (5, 2)):
             phi = CompletionDistribution(np.full(shape, 1.0 / shape[1]))
             with pytest.raises(EstimateError, match="family needs"):
-                bc_estimate(table, prior, phi)
+                bc_estimate([table], prior, phi)
 
     def test_user_table_by_config_label(self, worked_db):
         ctx, table, prior = family(worked_db, 2, (0, 1))
@@ -88,7 +88,7 @@ class TestPhi:
 class TestBounds:
     def test_worked_example_first_config(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
-        b = bc_estimate(table, prior)
+        b = bc_estimate([table], prior)
         # configuration (1,1): no observations, completions (2, 2); the
         # lower extreme gives rival state 2 its completions
         assert b.p_max[0, 0] == 0.75
@@ -99,7 +99,7 @@ class TestBounds:
         for _ in range(10):
             db = random_complete(rng, max_vars=3, max_cases=30)
             ctx, table, prior = random_family(rng, db)
-            b = bc_estimate(table, prior)
+            b = bc_estimate([table], prior)
             for j, row in enumerate(table.obs_matrix()):
                 mean = (1.0 + row) / (ctx.child_cardinality + row.sum())
                 np.testing.assert_array_equal(b.p_max[j], mean)
@@ -109,7 +109,7 @@ class TestBounds:
         m = 5
         db = make_dataset((2,), [[MISSING]] * m)
         _, table, prior = family(db, 0, ())
-        b = bc_estimate(table, prior)
+        b = bc_estimate([table], prior)
         assert b.p_max[0].tolist() == [(1 + m) / (2 + m)] * 2
         assert b.p_min[0].tolist() == [1 / (2 + m)] * 2
 
@@ -121,7 +121,7 @@ class TestBounds:
                 continue
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
             ctx, table, prior = random_family(rng, db)
-            b = bc_estimate(table, prior)
+            b = bc_estimate([table], prior)
             assert (b.p_max >= b.p_min).all()
 
     def test_lower_endpoint_is_the_bc_extreme_not_the_infimum(self):
@@ -130,7 +130,7 @@ class TestBounds:
         posterior mean 1/5 there, below p_min = 1/4; p_max is the supremum."""
         db = make_dataset((2, 3), [[MISSING, 2], [MISSING, 0]])
         _, table, prior = family(db, 1, (0,))
-        b = bc_estimate(table, prior)
+        b = bc_estimate([table], prior)
         means = []
         for j0, j1 in itertools.product(range(2), repeat=2):
             counts = np.zeros((2, 3))
@@ -276,19 +276,19 @@ class TestCollapse:
     def test_complete_data_equals_posterior_mean_exactly(self):
         db = make_dataset((2,), [[0], [0], [0], [1]])
         _, table, prior = family(db, 0, ())
-        p_hat = bc_estimate(table, prior).p_hat
+        p_hat = bc_estimate([table], prior).p_hat
         assert p_hat[0].tolist() == [(1 + 3) / (2 + 4), (1 + 1) / (2 + 4)]
 
     def test_totally_missing_column_keeps_prior_mean(self):
         for card in (2, 3):
             db = make_dataset((card,), [[MISSING]] * 7)
             _, table, prior = family(db, 0, ())
-            p_hat = bc_estimate(table, prior).p_hat
+            p_hat = bc_estimate([table], prior).p_hat
             assert p_hat[0].tolist() == [1.0 / card] * card
 
     def test_worked_example_mixes_to_half(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
-        p_hat = bc_estimate(table, prior).p_hat
+        p_hat = bc_estimate([table], prior).p_hat
         assert p_hat[0, 0] == 0.5  # 0.5 * 1/4 + 0.5 * 3/4
         assert p_hat[1].tolist() == [float(Fraction(11, 30)), float(Fraction(19, 30))]
         assert p_hat[2].tolist() == [float(Fraction(13, 24)), float(Fraction(11, 24))]
@@ -305,7 +305,7 @@ class TestCollapse:
             for _ in range(25):
                 raw = rng.dirichlet(np.ones(ctx.child_cardinality),
                                     size=ctx.n_configs)
-                b = bc_estimate(table, prior, CompletionDistribution(raw))
+                b = bc_estimate([table], prior, CompletionDistribution(raw))
                 assert np.abs(b.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
                 assert (b.p_hat >= b.p_min).all()
                 assert (b.p_hat <= b.p_max).all()
@@ -329,7 +329,7 @@ class TestCollapse:
                 db, child, tuple(i for i in range(db.n_variables) if i != child)
             )
             phi = phi_rows(table, prior, "mar")
-            p_hat = bc_estimate(table, prior).p_hat
+            p_hat = bc_estimate([table], prior).p_hat
             for j, (obs, comp) in enumerate(
                 zip(table.obs_matrix().tolist(), table.comp_matrix().tolist())
             ):
@@ -347,7 +347,7 @@ class TestPrecision:
         rng = np.random.default_rng(12)
         db = random_complete(rng, max_vars=3, max_cases=25)
         ctx, table, prior = random_family(rng, db)
-        alpha_hat = bc_estimate(table, prior).alpha_hat
+        alpha_hat = bc_estimate([table], prior).alpha_hat
         expected = ctx.child_cardinality + table.parent_obs_vector()
         np.testing.assert_array_equal(alpha_hat, expected.astype(float))
 
@@ -357,7 +357,7 @@ class TestPrecision:
         rows = [[k % 2, MISSING, MISSING] for k in range(8)]
         db = make_dataset((2, 2, 2), rows)
         _, table, prior = family(db, 0, (1, 2))
-        alpha_hat = bc_estimate(table, prior).alpha_hat
+        alpha_hat = bc_estimate([table], prior).alpha_hat
         np.testing.assert_array_equal(alpha_hat, np.full(4, 4.0))
 
     def test_parent_completions_follow_the_beta_posterior(self):
@@ -371,12 +371,12 @@ class TestPrecision:
         for alpha, beta in PRIORS:
             a, b = Fraction(alpha), Fraction(beta)
             expected = [float(2 * a + n + 2 * (b + n) / (2 * b + 4)) for n in (3, 1)]
-            est = bc_estimate(table, PriorSpec(alpha, beta))
+            est = bc_estimate([table], PriorSpec(alpha, beta))
             assert est.alpha_hat.tolist() == expected
 
     def test_worked_example_total(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
-        alpha_hat = bc_estimate(table, prior).alpha_hat
+        alpha_hat = bc_estimate([table], prior).alpha_hat
         expected = [
             float(Fraction(199, 70)),
             float(Fraction(159, 35)),
@@ -395,7 +395,7 @@ class TestPrecision:
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
             ctx, table, _ = random_family(rng, db)
             for alpha, beta in PRIORS:
-                alpha_hat = bc_estimate(table, PriorSpec(alpha, beta)).alpha_hat
+                alpha_hat = bc_estimate([table], PriorSpec(alpha, beta)).alpha_hat
                 row_prior = ctx.child_cardinality * alpha
                 assert alpha_hat.sum() == pytest.approx(
                     ctx.n_configs * row_prior + db.n_cases, rel=1e-12, abs=1e-9
@@ -405,7 +405,7 @@ class TestPrecision:
     def test_empty_parent_set_absorbs_all_cases(self):
         db = make_dataset((2, 2), [[0, MISSING], [MISSING, 0], [1, 1]])
         _, table, prior = family(db, 0, ())
-        assert bc_estimate(table, prior).alpha_hat.tolist() == [2.0 + 3.0]
+        assert bc_estimate([table], prior).alpha_hat.tolist() == [2.0 + 3.0]
 
 
 class TestBcEstimate:
@@ -418,7 +418,7 @@ class TestBcEstimate:
             db = punch_holes(rng, db, int(rng.integers(0, db.codes.size + 1)))
             ctx, table, _ = random_family(rng, db)
             for alpha, beta in PRIORS:
-                est = bc_estimate(table, PriorSpec(alpha, beta))
+                est = bc_estimate([table], PriorSpec(alpha, beta))
                 assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
                 assert (est.p_min <= est.p_hat).all()
                 assert (est.p_hat <= est.p_max).all()
@@ -431,7 +431,7 @@ class TestBcEstimate:
         db = random_complete(rng, max_vars=3, max_cases=30)
         ctx, table, _ = random_family(rng, db)
         for alpha, beta in PRIORS:
-            est = bc_estimate(table, PriorSpec(alpha, beta))
+            est = bc_estimate([table], PriorSpec(alpha, beta))
             np.testing.assert_array_equal(est.dirichlet, alpha + table.obs_matrix())
 
     def test_doubled_cases_under_doubled_prior_give_the_same_estimate(self):
@@ -449,9 +449,9 @@ class TestBcEstimate:
             doubled_table = tally(doubled, ctx)
             for alpha, beta in PRIORS:
                 for phi in ("mar", "uniform"):
-                    est = bc_estimate(table, PriorSpec(alpha, beta), phi)
+                    est = bc_estimate([table], PriorSpec(alpha, beta), phi)
                     twice = bc_estimate(
-                        doubled_table, PriorSpec(2 * alpha, 2 * beta), phi
+                        [doubled_table], PriorSpec(2 * alpha, 2 * beta), phi
                     )
                     for field in ("p_hat", "p_min", "p_max"):
                         np.testing.assert_array_equal(
@@ -483,7 +483,7 @@ class TestBcEstimate:
             for alpha, beta in PRIORS:
                 prior = PriorSpec(alpha, beta)
                 for phi in ("mar", "uniform", non_dyadic_phi(rng, ctx)):
-                    est = bc_estimate(table, prior, phi)
+                    est = bc_estimate([table], prior, phi)
                     reference = reference_estimate(table, prior, phi)
                     for name, expected in reference.items():
                         np.testing.assert_array_equal(getattr(est, name), expected)
@@ -505,7 +505,7 @@ class TestBcEstimate:
                     tuple(v.cardinality for v in db.variables), codes
                 )
                 ctx, table, prior = family(step, child, parents)
-                b = bc_estimate(table, prior)
+                b = bc_estimate([table], prior)
                 width = b.p_max - b.p_min
                 if n_holes == 0:
                     assert np.abs(width).max() == 0.0
@@ -571,18 +571,16 @@ class TestPaths:
     @pytest.mark.parametrize("grouped", [False, True])
     @pytest.mark.parametrize("wide", [False, True])
     def test_every_path_matches_the_exact_reference(self, monkeypatch, grouped, wide):
-        """Each family alone through ``bc_estimate``, then the families of
-        one child cardinality as one ``bc_estimate_stack``, whose rows are
-        each family's in turn."""
+        """``bc_estimate`` of each family alone, then of the families of one
+        child cardinality as one stack, whose rows are each family's in
+        turn."""
         rng, families = self.families()
         calls = self.spy(monkeypatch)
         self.force(monkeypatch, grouped, wide)
         by_states = {}
         for ctx, table in families:
             by_states.setdefault(ctx.child_cardinality, []).append((ctx, table))
-        stacks = [(False, [f]) for f in families]
-        stacks += [(True, stack) for stack in by_states.values()]
-        for stacked, stack in stacks:
+        for stack in [[f] for f in families] + list(by_states.values()):
             tables = [table for _, table in stack]
             stops = np.cumsum([ctx.n_configs for ctx, _ in stack]).tolist()
             slices = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
@@ -593,10 +591,7 @@ class TestPaths:
                             CompletionDistribution(np.concatenate(user_phi))):
                     user = isinstance(phi, CompletionDistribution)
                     calls.clear()
-                    if stacked:
-                        est = estimate.bc_estimate_stack(tables, prior, phi)
-                    else:
-                        est = bc_estimate(tables[0], prior, phi)
+                    est = bc_estimate(tables, prior, phi)
                     for f, (table, rows) in enumerate(zip(tables, slices)):
                         policy = CompletionDistribution(user_phi[f]) if user else phi
                         reference = reference_estimate(table, prior, policy)
@@ -630,7 +625,7 @@ class TestPaths:
         calls = self.spy(monkeypatch)
         ctx, table = families[-1]
         assert estimate._groups([table])
-        bc_estimate(table, PriorSpec(), non_dyadic_phi(rng, ctx))
+        bc_estimate([table], PriorSpec(), non_dyadic_phi(rng, ctx))
         assert calls[0] == (object, ctx.n_configs)
 
     def test_rows_whose_key_passes_2_to_the_62_are_not_grouped(self):
@@ -663,7 +658,7 @@ class TestPaths:
             prior = PriorSpec(float(w), 1.0)
             for phi in ("mar", "uniform"):
                 calls.clear()
-                est = bc_estimate(table, prior, phi)
+                est = bc_estimate([table], prior, phi)
                 assert calls[0][0] == expected
                 reference = reference_estimate(table, prior, phi)
                 for name in self.FIELDS:
@@ -675,7 +670,7 @@ class TestPaths:
         calls = self.spy(monkeypatch)
         db = make_dataset((3, 3), np.zeros((0, 2), dtype=int))
         _, table, _ = family(db, 0, (1,))
-        est = bc_estimate(table, PriorSpec(5e-324, 1.0))
+        est = bc_estimate([table], PriorSpec(5e-324, 1.0))
         assert calls[0][0] == object
         np.testing.assert_array_equal(est.p_hat, np.full((3, 3), 1 / 3))
 
@@ -687,10 +682,10 @@ class TestPaths:
         db = punch_holes(rng, db, db.codes.size // 5)
         _, table, prior = family(db, 0, tuple(range(1, 11)))
         calls = self.spy(monkeypatch)
-        fast = bc_estimate(table, prior)
+        fast = bc_estimate([table], prior)
         assert calls[0][0] == np.int64 and calls[0][1] < table.context.n_configs // 10
         self.force(monkeypatch, grouped=False, wide=False)
-        slow = bc_estimate(table, prior)
+        slow = bc_estimate([table], prior)
         assert calls[1] == (object, table.context.n_configs)
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))

@@ -87,7 +87,7 @@ class TestExactExpectation:
             parents = tuple(i for i in range(db.n_variables) if i != child)
             ctx, prior = family(db, child, parents)
             table = tally(db, ctx)
-            b = bc_estimate(table, prior)
+            b = bc_estimate([table], prior)
             exact = exact_expectation(db, ctx, prior)
             assert (exact >= b.p_min).all()
             assert (exact <= b.p_max).all()

@@ -38,8 +38,8 @@ def test_worked_family_score_and_precision_are_bit_identical(pins, worked_db):
     prior = PriorSpec()
     log_g = float(pins["worked-example family log score (X3 | X1,X2), MAR phi"])
     alpha_hat = ast.literal_eval(pins["alpha_hat per configuration"])
-    assert log_g_bc(table, prior, bc_estimate(table, prior)).log_g == log_g
-    assert bc_estimate(table, prior).alpha_hat.tolist() == alpha_hat
+    assert log_g_bc([table], prior, bc_estimate([table], prior))[0].log_g == log_g
+    assert bc_estimate([table], prior).alpha_hat.tolist() == alpha_hat
 
 
 def test_collider_mixture_matches_exact_rational(pins, worked_db):

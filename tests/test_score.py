@@ -103,7 +103,7 @@ class TestLogGBc:
             parents = tuple(i for i in range(db.n_variables) if i != child)
             for alpha, beta in PRIORS:
                 table, prior = family(db, child, parents, alpha, beta)
-                bc = log_g_bc(table, prior, bc_estimate(table, prior))
+                bc = log_g_bc([table], prior, bc_estimate([table], prior))[0]
                 assert bc.log_g == log_g_exact(table, prior)
                 assert bc.exact
 
@@ -112,14 +112,14 @@ class TestLogGBc:
         # posterior hyperparameters are (3, 3), so g = 1*2*2/120
         db = make_dataset((2,), [[MISSING]] * 4)
         table, prior = family(db, 0, ())
-        fs = log_g_bc(table, prior, bc_estimate(table, prior))
+        fs = log_g_bc([table], prior, bc_estimate([table], prior))[0]
         assert not fs.exact
         assert fs.log_g == pytest.approx(math.log(4 / 120), rel=1e-12)
 
     def test_worked_example_regression_constant(self, worked_db):
         # frozen from scripts/compute_pins.py (independent recomputation)
         table, prior = family(worked_db, 2, (0, 1))
-        fs = log_g_bc(table, prior, bc_estimate(table, prior))
+        fs = log_g_bc([table], prior, bc_estimate([table], prior))[0]
         assert fs.log_g == pytest.approx(-4.21104918384956, rel=1e-12)
         assert not fs.exact
 
@@ -133,18 +133,18 @@ class TestLogGBc:
             child = int(rng.integers(db.n_variables))
             parents = tuple(i for i in range(db.n_variables) if i != child)
             table, prior = family(db, child, parents)
-            est = bc_estimate(table, prior)
-            assert math.isfinite(log_g_bc(table, prior, est).log_g)
+            est = bc_estimate([table], prior)
+            assert math.isfinite(log_g_bc([table], prior, est)[0].log_g)
 
     def test_log_gamma_above_the_largest_float_is_refused(self, worked_db):
         """c * alpha = 2e306 for the binary child: its lgamma overflows
         although the posterior precision is still a float."""
         table, prior = family(worked_db, 2, (0, 1), alpha=1e306)
-        est = bc_estimate(table, prior)
+        est = bc_estimate([table], prior)
         with pytest.raises(
             ScoreError, match=r"prior alpha=1e\+306, beta=1.0 is too large"
         ):
-            log_g_bc(table, prior, est)
+            log_g_bc([table], prior, est)
 
     def test_ten_ternary_parents_score_within_bound(self):
         """q = 59049 configurations from 1000 cases: the estimate works on
@@ -156,8 +156,8 @@ class TestLogGBc:
         start = time.perf_counter()
         table, prior = family(db, 0, tuple(range(1, 11)))
         assert table.context.n_configs == 3 ** 10
-        est = bc_estimate(table, prior)
-        assert math.isfinite(log_g_bc(table, prior, est).log_g)
+        est = bc_estimate([table], prior)
+        assert math.isfinite(log_g_bc([table], prior, est)[0].log_g)
         assert np.abs(est.p_hat.sum(axis=1) - 1.0).max() <= 1e-12
         # ~0.12 s on a 2-vCPU Xeon VM, most of it log_g_bc's lgamma loop
         # (~70 ms) and tally (~45 ms); bc_estimate takes ~10 ms.  The bound

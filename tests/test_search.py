@@ -37,31 +37,43 @@ from helpers import make_dataset, punch_holes, random_complete, random_network
 
 def spy_counting(monkeypatch):
     """Count the scorer's ``tally`` calls and record the (child, parents) of
-    every family it estimates: one per ``bc_estimate`` call and one per
-    table of a ``bc_estimate_stack`` call."""
-    seen = {"tally": 0, "estimated": []}
+    every family handed to ``bc_estimate`` and to ``log_g_bc``, the names a
+    tracer wraps, in call order."""
+    seen = {"tally": 0, "estimated": [], "scored": []}
     real = {name: getattr(bclearn.score, name)
-            for name in ("tally", "bc_estimate", "bc_estimate_stack")}
+            for name in ("tally", "bc_estimate", "log_g_bc")}
 
-    def family_of(table):
-        return table.context.child, table.context.parents
+    def families(tables):
+        return [(table.context.child, table.context.parents) for table in tables]
 
     def tally(*args, **kwargs):
         seen["tally"] += 1
         return real["tally"](*args, **kwargs)
 
-    def bc_estimate(table, *args, **kwargs):
-        seen["estimated"].append(family_of(table))
-        return real["bc_estimate"](table, *args, **kwargs)
+    def bc_estimate(tables, *args, **kwargs):
+        seen["estimated"].extend(families(tables))
+        return real["bc_estimate"](tables, *args, **kwargs)
 
-    def bc_estimate_stack(tables, *args, **kwargs):
-        seen["estimated"].extend(map(family_of, tables))
-        return real["bc_estimate_stack"](tables, *args, **kwargs)
+    def log_g_bc(tables, *args, **kwargs):
+        seen["scored"].extend(families(tables))
+        return real["log_g_bc"](tables, *args, **kwargs)
 
     for name, wrapper in (("tally", tally), ("bc_estimate", bc_estimate),
-                          ("bc_estimate_stack", bc_estimate_stack)):
+                          ("log_g_bc", log_g_bc)):
         monkeypatch.setattr(bclearn.score, name, wrapper)
     return seen
+
+
+def assert_rescored_once(seen, model, db):
+    """Every family estimated so far was scored once, in the same order;
+    then ``log_marginal`` on ``model``, whose fresh scorer misses each of
+    the model's families, tallies, estimates and scores each once more."""
+    assert seen["scored"] == seen["estimated"]
+    start, tallies = len(seen["estimated"]), seen["tally"]
+    log_marginal(model, db)
+    expected = list(enumerate(model.parent_sets))
+    assert seen["estimated"][start:] == seen["scored"][start:] == expected
+    assert seen["tally"] - tallies == len(expected)
 
 
 def order_for(db, max_parents=None):
@@ -150,20 +162,23 @@ class TestK2:
                 assert log_marginal(weaker, db).total <= total
 
     def test_each_distinct_family_is_tallied_and_estimated_once(self, monkeypatch):
-        # M4 at n = 10,000 with 40% deleted, seeded as `simulate --seed 0`
+        # M4 at n = 10,000 with 40% deleted, seeded as `simulate --seed 0`,
+        # counted from the full-row table; each family is also scored once
         sample_seed, delete_seed = np.random.SeedSequence(0).spawn(2)
         db = delete_entries(
             sample(builtin_spec("M4", seed=sample_seed)),
             DeletionPlan(0.4, seed=delete_seed),
         )
+        assert row_table(db) is not None
         seen = spy_counting(monkeypatch)
         model = k2_bc(db, order_for(db))
         assert seen["tally"] == 24
         assert len(seen["estimated"]) == len(set(seen["estimated"])) == 24
+        assert_rescored_once(seen, model, db)
         monkeypatch.undo()
         for child, parents in enumerate(model.parent_sets):
             ctx = ParentContext.for_dataset(db, child, parents)
-            fresh = bc_estimate(tally(db, ctx), PriorSpec())
+            fresh = bc_estimate([tally(db, ctx)], PriorSpec())
             assert np.array_equal(model.cpts[child], fresh.p_hat)
 
     def test_dataset_keeps_no_state(self):
@@ -182,8 +197,8 @@ class TestK2:
         """12 ternary variables, 2000 cases, 30 % deleted: 4**12 full-row
         slots, so families are counted case by case, a round's candidates a
         group at a time.  The search equals a greedy loop scoring one family
-        at a time, tallies and estimates each family once, and makes fewer
-        counting passes than it scores families."""
+        at a time, tallies, estimates and scores each family once, and makes
+        fewer counting passes than it scores families."""
         rng = np.random.default_rng(12)
         variables = [Variable(f"V{i}", ("a", "b", "c")) for i in range(12)]
         network = random_network(rng, variables, max_parents=3)
@@ -213,6 +228,7 @@ class TestK2:
             parent_sets[child] = tuple(sorted(parents))
         reference = scorer.model_score(parent_sets)
 
+        assert row_table(db) is None
         seen = spy_counting(monkeypatch)
         bincounts = []
         real_bincount = np.bincount
@@ -223,6 +239,10 @@ class TestK2:
 
         monkeypatch.setattr(np, "bincount", bincount)
         model = k2_bc(db, order)
+        passes = len(bincounts)
+        assert seen["tally"] == len(seen["estimated"]) == len(families)
+        assert set(seen["estimated"]) == families
+        assert_rescored_once(seen, model, db)
         monkeypatch.undo()
 
         assert model.parent_sets == tuple(parent_sets)
@@ -232,9 +252,7 @@ class TestK2:
                 model.cpts[child], scorer.estimate(child, parents)
             )
         assert model.score == reference
-        assert seen["tally"] == len(seen["estimated"]) == len(families)
-        assert set(seen["estimated"]) == families
-        assert len(bincounts) < len(families)
+        assert passes < len(families)
 
 
 class TestEnumerateModels:
