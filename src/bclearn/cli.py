@@ -29,7 +29,7 @@ from .data import (
     save_schema,
     summarize_missingness,
 )
-from .estimate import PriorSpec, bc_estimate, phi_from_rows
+from .estimate import PHI_POLICIES, PriorSpec, bc_estimate, phi_from_rows
 from .oracle import DEFAULT_CAP, exact_expectation, exact_marginal
 from .score import FamilyScorer, log_marginal
 from .search import (
@@ -131,11 +131,11 @@ def cmd_estimate(args) -> int:
     dataset = _load_dataset(args)
     child = dataset.variable_index(args.child)
     parents = [dataset.variable_index(n) for n in _split_names(args.parents or "")]
-    ctx = ParentContext.for_dataset(dataset, child, sorted(parents))
+    ctx = ParentContext.of(dataset.variables, child, sorted(parents))
     table = tally(dataset, ctx)
     prior = PriorSpec(args.alpha, args.beta)
     phi = args.phi
-    if phi not in ("mar", "uniform"):
+    if phi not in PHI_POLICIES:
         with open(phi, encoding="utf-8") as fh:
             phi = phi_from_rows(ctx, json.load(fh), dataset.variables)
     est = bc_estimate([table], prior, phi=phi)

@@ -26,7 +26,10 @@ There are two sources of joint:
 ``tally`` turns any joint that covers a family into the family's
 *marginal*: it sums the joint over every other axis, one axis at a time,
 and orders what is left as the parents then the child.  Integer sums are
-exact, so every joint gives the same counts.
+exact, so every joint gives the same counts.  A scorer reaches ``tally``
+one way, ``score.FamilyScorer._add``, which takes each new family's key
+(its ``ParentContext.of`` arguments) with its joint from either source,
+or with ``None`` for its own table.
 
 A greedy search round asks for many families that share a child and a
 parent set and differ in one candidate parent.  A scorer with the
@@ -85,11 +88,11 @@ class ParentContext:
             raise ValueError("one cardinality per parent required")
 
     @classmethod
-    def for_dataset(cls, dataset: Dataset, child: int, parents) -> "ParentContext":
-        """The family of ``child`` given ``parents`` over ``dataset``'s
-        variables, reading only the family's own cardinalities."""
+    def of(cls, variables, child: int, parents) -> "ParentContext":
+        """The family of ``child`` given ``parents`` over ``variables``, a
+        dataset's or a model's, reading only the family's own
+        cardinalities."""
         parents = tuple(parents)
-        variables = dataset.variables
         return cls(
             child=child,
             parents=parents,

@@ -68,6 +68,9 @@ from .counts import ParentContext
 
 ROW_SUM_TOLERANCE = 1e-12
 
+# The named completion distributions; any other phi is a user table.
+PHI_POLICIES = ("mar", "uniform")
+
 
 class EstimateError(ValueError):
     """Raised for invalid priors or completion distributions."""

@@ -177,7 +177,7 @@ def _marginal_complete(codes: np.ndarray, model, a: int, b: int) -> Fraction:
     """
     numerator = denominator = 1
     for child in range(len(model.variables)):
-        ctx = model.context(child)
+        ctx = ParentContext.of(model.variables, child, model.parent_sets[child])
         a_sum = a * ctx.child_cardinality
         for row in _family_counts(codes, ctx).tolist():
             denominator *= _rising(a_sum, b, sum(row))
@@ -263,7 +263,8 @@ def joint_distribution(model: Model) -> np.ndarray:
     if model.cpts is None:
         raise OracleError("model has no CPTs")
     cards = tuple(v.cardinality for v in model.variables)
-    contexts = [model.context(child) for child in range(len(cards))]
+    contexts = [ParentContext.of(model.variables, child, parents)
+                for child, parents in enumerate(model.parent_sets)]
     joint = np.zeros(cards)
     for states in itertools.product(*(range(c) for c in cards)):
         p = 1.0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .counts import ParentContext, round_tables, row_table, tally
 from .data import Dataset
-from .estimate import BcCellEstimate, PriorSpec, bc_estimate
+from .estimate import PHI_POLICIES, BcCellEstimate, PriorSpec, bc_estimate
 
 
 class ScoreError(ValueError):
@@ -82,37 +82,19 @@ def log_g_bc(tables, prior: PriorSpec, est: BcCellEstimate) -> list[FamilyScore]
     return scores
 
 
-def ensure_dag(parent_sets) -> list[int]:
-    """Topological order of the variables, or ScoreError on a cycle."""
-    n = len(parent_sets)
-    remaining = {i: set(parent_sets[i]) for i in range(n)}
-    order = []
-    while remaining:
-        roots = sorted(i for i, ps in remaining.items() if not ps)
-        if not roots:
-            raise ScoreError("model is not a DAG")
-        for r in roots:
-            del remaining[r]
-            order.append(r)
-        for ps in remaining.values():
-            ps.difference_update(roots)
-    return order
-
-
 class FamilyScorer:
     """Scores (child, parent set) families over one dataset, with a memo
     cache keyed by the sorted parent set so identical queries are free.
     Each family's CPT point estimate is memoised with its score.
 
-    Every family is counted from the dataset's full-row table, built once
-    here when ``counts.row_table`` finds it worth building, else case by
-    case.  ``scores`` scores a greedy search round's candidates together:
-    each is handed that full-row table when there is one, else its group's
-    joint from ``counts.round_tables``, and goes through its own ``tally``.
-    Every new family is then estimated and scored in ``_add``, by one
-    ``bc_estimate`` and one ``log_g_bc`` call over a stack of tables: the
-    round's new families, or the one family ``score`` or ``estimate`` asks
-    for.  A family gets the same bits in any stack."""
+    Every family goes from its key to the cache through ``_add``: it is
+    counted by ``tally`` from the joint it is handed, then estimated and
+    scored by one ``bc_estimate`` and one ``log_g_bc`` call over the stack
+    of new tables.  The joint is the dataset's full-row table, built once
+    here when ``counts.row_table`` finds it worth building; else ``scores``
+    hands a greedy search round's candidates their groups' joints from
+    ``counts.round_tables``, and ``score`` and ``estimate`` count their one
+    family case by case.  A family gets the same bits in any stack."""
 
     def __init__(
         self,
@@ -121,8 +103,9 @@ class FamilyScorer:
         beta: float = 1.0,
         phi_policy: str = "mar",
     ):
-        if phi_policy not in ("mar", "uniform"):
-            raise ScoreError(f"score with phi 'mar' or 'uniform', not {phi_policy!r}")
+        if phi_policy not in PHI_POLICIES:
+            names = " or ".join(map(repr, PHI_POLICIES))
+            raise ScoreError(f"score with phi {names}, not {phi_policy!r}")
         self.dataset = dataset
         self.prior = PriorSpec(alpha, beta)
         self.phi_policy = phi_policy
@@ -131,9 +114,19 @@ class FamilyScorer:
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
 
-    def _add(self, tables) -> None:
-        """Estimate and score ``tables``, new families of one child, as one
-        stack, and cache each family's score and CPT point estimate."""
+    def _add(self, keys, joints) -> None:
+        """Tally each distinct, uncached ``(child, sorted parents)`` key of
+        one child from its joint (``None``: case by case), estimate and
+        score the new tables as one stack, and cache each family's score
+        and CPT point estimate.  ``joints`` is read lazily, so only one
+        round group's joint is alive at a time."""
+        tables = [
+            tally(self.dataset, ParentContext.of(self.dataset.variables, *key), joint)
+            for key, joint in zip(keys, joints)
+            if key not in self._cache
+        ]
+        if not tables:
+            return
         est = bc_estimate(tables, self.prior, self.phi_policy)
         splits = np.cumsum([t.context.n_configs for t in tables[:-1]])
         for score, p_hat in zip(
@@ -143,9 +136,7 @@ class FamilyScorer:
 
     def _family(self, child: int, parents) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
-        if key not in self._cache:
-            ctx = ParentContext.for_dataset(self.dataset, *key)
-            self._add([tally(self.dataset, ctx, self._rows)])
+        self._add([key], [self._rows])
         return self._cache[key]
 
     def score(self, child: int, parents) -> FamilyScore:
@@ -153,19 +144,13 @@ class FamilyScorer:
 
     def scores(self, child: int, parents, candidates) -> list[FamilyScore]:
         """The scores of ``child`` given ``parents`` plus each candidate,
-        in candidate order."""
+        in candidate order; the candidates are distinct and not in
+        ``parents``."""
         keys = [(child, tuple(sorted((*parents, c)))) for c in candidates]
-        joints = (
-            [self._rows] * len(candidates) if self._rows
+        self._add(keys, (
+            [self._rows] * len(keys) if self._rows
             else round_tables(self.dataset, child, parents, candidates)
-        )
-        tables = {}
-        for key, joint in zip(keys, joints):
-            if key not in self._cache and key not in tables:
-                ctx = ParentContext.for_dataset(self.dataset, *key)
-                tables[key] = tally(self.dataset, ctx, joint)
-        if tables:
-            self._add(list(tables.values()))
+        ))
         return [self._cache[key][0] for key in keys]
 
     def estimate(self, child: int, parents) -> np.ndarray:

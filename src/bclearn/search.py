@@ -21,11 +21,28 @@ import numpy as np
 
 from .counts import MAX_PATTERNS, ParentContext
 from .data import Dataset, Variable
-from .score import FamilyScorer, ModelScore, ensure_dag
+from .score import FamilyScorer, ModelScore, ScoreError
 
 
 class SearchError(ValueError):
     """Raised for invalid orders, structures or models."""
+
+
+def ensure_dag(parent_sets) -> list[int]:
+    """Topological order of the variables, or ScoreError on a cycle."""
+    n = len(parent_sets)
+    remaining = {i: set(parent_sets[i]) for i in range(n)}
+    order = []
+    while remaining:
+        roots = sorted(i for i, ps in remaining.items() if not ps)
+        if not roots:
+            raise ScoreError("model is not a DAG")
+        for r in roots:
+            del remaining[r]
+            order.append(r)
+        for ps in remaining.values():
+            ps.difference_update(roots)
+    return order
 
 
 @dataclass(frozen=True)
@@ -34,7 +51,8 @@ class Model:
 
     ``parent_sets[i]`` lists the parent indices of variable i (sorted);
     ``cpts[i]`` is the (configurations x states) conditional table of
-    variable i given its parents, rows in configuration-index order.
+    variable i given its parents, rows in the configuration order of
+    ``ParentContext.of(variables, i, parent_sets[i])``.
     """
 
     variables: tuple[Variable, ...]
@@ -70,17 +88,6 @@ class Model:
         return [
             (self.variables[p].name, self.variables[c].name) for p, c in self.arcs
         ]
-
-    def context(self, child: int) -> ParentContext:
-        """The family of ``child``; its configuration indices and labels
-        are the rows of ``cpts[child]``."""
-        parents = self.parent_sets[child]
-        return ParentContext(
-            child=child,
-            parents=parents,
-            child_cardinality=self.variables[child].cardinality,
-            parent_cardinalities=tuple(self.variables[p].cardinality for p in parents),
-        )
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,7 @@ def model_to_json(model: Model) -> dict:
     if model.cpts is not None:
         cpts = {}
         for child, cpt in enumerate(model.cpts):
-            ctx = model.context(child)
+            ctx = ParentContext.of(model.variables, child, model.parent_sets[child])
             cpts[model.variables[child].name] = {
                 ctx.config_label(j, model.variables): [float(x) for x in row]
                 for j, row in enumerate(cpt)

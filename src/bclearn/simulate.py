@@ -19,9 +19,9 @@ from importlib import resources
 
 import numpy as np
 
+from .counts import ParentContext
 from .data import MISSING, Dataset
-from .score import ensure_dag
-from .search import Model, model_from_json, model_to_json
+from .search import Model, ensure_dag, model_from_json, model_to_json
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng)"
 
@@ -169,7 +169,7 @@ def spec_from_dict(data: dict) -> GenerativeSpec:
     for child, variable in enumerate(variables):
         if variable.name not in cpt_rows:
             raise SimulateError(f"spec has no CPT for variable {variable.name!r}")
-        ctx = skeleton.context(child)
+        ctx = ParentContext.of(variables, child, skeleton.parent_sets[child])
         try:
             cpts.append(ctx.table_from_rows(cpt_rows[variable.name], variables))
         except ValueError as exc:

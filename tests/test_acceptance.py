@@ -46,13 +46,13 @@ def random_family(rng, dataset):
         rng.choice(others, size=int(rng.integers(0, len(others) + 1)),
                    replace=False).tolist()
     )
-    ctx = ParentContext.for_dataset(dataset, child, parents)
+    ctx = ParentContext.of(dataset.variables, child, parents)
     return ctx, tally(dataset, ctx), PriorSpec()
 
 
 def test_c01_completion_count_golden_vector():
     db = five_case_db()
-    ctx = ParentContext.for_dataset(db, 2, (0, 1))
+    ctx = ParentContext.of(db.variables, 2, (0, 1))
     t = tally(db, ctx)
     flat = t.comp_matrix().T.ravel().tolist()
     ok = flat == [2, 2, 2, 2, 2, 1, 1, 0]
@@ -176,7 +176,7 @@ def test_c05_limit_behaviors():
     ):
         n = int(rng.integers(1, 9))
         db = make_dataset(cards, np.full((n, len(cards)), MISSING))
-        ctx = ParentContext.for_dataset(db, 0, parents)
+        ctx = ParentContext.of(db.variables, 0, parents)
         table = tally(db, ctx)
         prior = PriorSpec()
         est = bc_estimate([table], prior)
@@ -210,8 +210,8 @@ def test_c06_child_only_missingness_reduction():
         codes[holes, child] = MISSING
         db = make_dataset(db.cardinalities, codes)
         ctx, table, prior = random_family(rng, db)
-        ctx = ParentContext.for_dataset(
-            db, child, [i for i in range(db.n_variables) if i != child]
+        ctx = ParentContext.of(
+            db.variables, child, [i for i in range(db.n_variables) if i != child]
         )
         table = tally(db, ctx)
         prior = PriorSpec()

@@ -545,17 +545,18 @@ class TestBench:
 
         monkeypatch.setattr("bclearn.cli.k2_bc", chain_k2)
         spec_path = self.write_independent_spec(tmp_path, 53)
-        out = tmp_path / "r.json"
+        out, timings = tmp_path / "r.json", tmp_path / "t.json"
         code = run([
             "bench", "--spec", spec_path, "--seeds", "4", "--ladder", "100,60",
-            "--out", out,
+            "--out", out, "--timings", timings,
         ])
         assert code == 1 and len(rungs) == 2
         assert capsys.readouterr().err == (
             "error: seed 4, 60% available: marginals are limited to 52 "
             "ancestors per variable, itself included; V52 has 53\n"
         )
-        assert not out.exists()
+        # all or nothing: the finished 100 % rung is not written either
+        assert not out.exists() and not timings.exists()
 
     def test_missing_token_is_not_a_bench_flag(self, tmp_path):
         # bench reads and writes no CSV

@@ -22,7 +22,7 @@ from helpers import make_dataset, punch_holes, random_complete
 
 
 def worked_context(db):
-    return ParentContext.for_dataset(db, child=2, parents=(0, 1))
+    return ParentContext.of(db.variables, child=2, parents=(0, 1))
 
 
 def assert_matches_per_case_fold(d, ctx, joint=None):
@@ -125,7 +125,7 @@ class TestEnumerateCompletions:
                 rng.choice(others, size=int(rng.integers(0, len(others) + 1)),
                            replace=False).tolist()
             )
-            ctx = ParentContext.for_dataset(d, child, parents)
+            ctx = ParentContext.of(d.variables, child, parents)
             for row in d.codes:
                 expected = 1
                 for member in (child, *parents):
@@ -140,7 +140,7 @@ class TestTallyProperties:
     def test_complete_dataset_has_no_completions(self):
         rng = np.random.default_rng(3)
         d = random_complete(rng, max_vars=3, max_cases=40)
-        ctx = ParentContext.for_dataset(d, 0, tuple(range(1, d.n_variables)))
+        ctx = ParentContext.of(d.variables, 0, tuple(range(1, d.n_variables)))
         t = tally(d, ctx)
         assert t.is_complete
         assert t.comp_matrix().sum() == 0
@@ -149,7 +149,7 @@ class TestTallyProperties:
 
     def test_empty_dataset_all_zero(self):
         d = make_dataset((2, 2), np.zeros((0, 2), dtype=np.int16))
-        ctx = ParentContext.for_dataset(d, 0, (1,))
+        ctx = ParentContext.of(d.variables, 0, (1,))
         t = tally(d, ctx)
         assert t.n_total == 0
         assert t.obs_matrix().sum() == 0
@@ -172,7 +172,7 @@ class TestTallyProperties:
             others = [i for i in range(d.n_variables) if i != child]
             size = int(rng.integers(3 if wide else 0, len(others) + 1))
             parents = sorted(rng.choice(others, size=size, replace=False).tolist())
-            assert_matches_per_case_fold(d, ParentContext.for_dataset(d, child, parents))
+            assert_matches_per_case_fold(d, ParentContext.of(d.variables, child, parents))
 
     @pytest.mark.parametrize(
         "cards, code_type",
@@ -192,7 +192,7 @@ class TestTallyProperties:
         rows[1:][rng.random((11, len(cards))) < 0.15] = MISSING
         rows[0] = np.array(cards) - 1  # the largest code, prod(card+1) - 1
         d = make_dataset(cards, rows)
-        ctx = ParentContext.for_dataset(d, 0, tuple(range(1, len(cards))))
+        ctx = ParentContext.of(d.variables, 0, tuple(range(1, len(cards))))
         size = math.prod(card + 1 for card in cards)
         if code_type is None:
             # The dense table would take 16-28 GB: refused before allocating.
@@ -219,7 +219,7 @@ class TestTallyProperties:
     def test_pattern_code_overflow_is_rejected(self):
         # 41 binary members: 3**41 entry patterns, far above MAX_PATTERNS
         d = make_dataset((2,) * 41, [[0] * 41, [1] * 41])
-        ctx = ParentContext.for_dataset(d, 0, tuple(range(1, 41)))
+        ctx = ParentContext.of(d.variables, 0, tuple(range(1, 41)))
         with pytest.raises(
             ValueError, match=f"family of X1 has {3**41} entry patterns"
         ):
@@ -228,7 +228,7 @@ class TestTallyProperties:
     def test_entries_outside_family_are_ignored(self):
         base = make_dataset((2, 2, 2), [[0, 0, 0], [0, 0, 1]])
         holey = make_dataset((2, 2, 2), [[0, 0, MISSING], [0, 0, 1]])
-        ctx = ParentContext.for_dataset(base, 1, (0,))
+        ctx = ParentContext.of(base.variables, 1, (0,))
         a, b = tally(base, ctx), tally(holey, ctx)
         assert np.array_equal(a.obs_matrix(), b.obs_matrix())
         assert np.array_equal(a.comp_matrix(), b.comp_matrix())
@@ -236,7 +236,7 @@ class TestTallyProperties:
 
     def test_parent_obs_ignores_child(self):
         d = make_dataset((2, 2), [[MISSING, 0], [1, 0], [0, MISSING]])
-        ctx = ParentContext.for_dataset(d, 0, (1,))
+        ctx = ParentContext.of(d.variables, 0, (1,))
         t = tally(d, ctx)
         # cases 1 and 2 are complete on the parent, case 3 is not
         assert t.parent_obs_vector().tolist() == [2, 0]
@@ -285,17 +285,17 @@ class TestTableSources:
                 for size in range(min(len(others), 3) + 1):
                     parents = rng.permutation(others)[:size].tolist()
                     self.assert_sources_agree(
-                        d, ParentContext.for_dataset(d, child, parents)
+                        d, ParentContext.of(d.variables, child, parents)
                     )
 
     def test_zero_parents_and_a_family_of_every_variable(self):
         d = self.random_holey(np.random.default_rng(5), (3, 2, 4), 200)
         for child in range(3):
-            self.assert_sources_agree(d, ParentContext.for_dataset(d, child, ()))
+            self.assert_sources_agree(d, ParentContext.of(d.variables, child, ()))
         # every variable is a member, so no axis is summed; parents out of
         # variable order are transposed
-        self.assert_sources_agree(d, ParentContext.for_dataset(d, 1, (2, 0)))
-        self.assert_sources_agree(d, ParentContext.for_dataset(d, 2, (0, 1)))
+        self.assert_sources_agree(d, ParentContext.of(d.variables, 1, (2, 0)))
+        self.assert_sources_agree(d, ParentContext.of(d.variables, 2, (0, 1)))
 
     def test_column_missing_in_every_case(self):
         d = self.random_holey(np.random.default_rng(6), (2, 3, 2), 100)
@@ -303,11 +303,11 @@ class TestTableSources:
         rows[:, 1] = MISSING
         d = make_dataset((2, 3, 2), rows)
         for child, parents in ((1, ()), (0, (1,)), (1, (0, 2)), (2, (1,))):
-            self.assert_sources_agree(d, ParentContext.for_dataset(d, child, parents))
+            self.assert_sources_agree(d, ParentContext.of(d.variables, child, parents))
 
     def test_no_cases(self):
         d = make_dataset((2, 3), np.zeros((0, 2)))
-        ctx = ParentContext.for_dataset(d, 0, (1,))
+        ctx = ParentContext.of(d.variables, 0, (1,))
         self.assert_sources_agree(d, ctx)
         assert row_table(d) is None
         assert tally(d, ctx).obs_matrix().sum() == 0
@@ -322,7 +322,7 @@ class TestTableSources:
             assert _uses_row_table(d.cardinalities, n) == uses_rows
             rows = row_table(d)
             assert (rows is not None) == uses_rows
-            self.assert_sources_agree(d, ParentContext.for_dataset(d, 2, (0,)))
+            self.assert_sources_agree(d, ParentContext.of(d.variables, 2, (0,)))
         table, axes = rows
         assert axes == (0, 1, 2) and not table.flags.writeable
         scorer = FamilyScorer(d)
@@ -355,13 +355,13 @@ class TestTableSources:
         rows = row_table(d)
         assert rows is not None
         for child, parents in ((0, ()), (1, (0, 3)), (3, (0, 1, 2)), (2, (3,))):
-            ctx = ParentContext.for_dataset(d, child, parents)
+            ctx = ParentContext.of(d.variables, child, parents)
             assert_matches_per_case_fold(d, ctx, rows)
 
 
 def case_by_case_score(d, child, parents):
     """A family's score under the default prior, counted case by case."""
-    ctx = ParentContext.for_dataset(d, child, parents)
+    ctx = ParentContext.of(d.variables, child, parents)
     counts = tally(d, ctx)
     return log_g_bc([counts], PriorSpec(), bc_estimate([counts], PriorSpec()))[0]
 
@@ -379,7 +379,7 @@ class TestRoundTables:
         for candidate, (table, axes) in zip(candidates, joints):
             assert table.shape == tuple(d.cardinalities[v] + 1 for v in axes)
             assert {*parents, candidate, child} <= set(axes)
-            ctx = ParentContext.for_dataset(d, child, sorted((*parents, candidate)))
+            ctx = ParentContext.of(d.variables, child, sorted((*parents, candidate)))
             assert_same_counts(tally(d, ctx, (table, axes)), tally(d, ctx))
 
     @staticmethod

@@ -22,7 +22,7 @@ from helpers import (
 
 
 def family(db, child, parents):
-    ctx = ParentContext.for_dataset(db, child, parents)
+    ctx = ParentContext.of(db.variables, child, parents)
     table = tally(db, ctx)
     return ctx, table, PriorSpec()
 

@@ -5,6 +5,8 @@ import pytest
 
 from bclearn import (
     MISSING,
+    FamilyScorer,
+    Model,
     OracleError,
     ParentContext,
     PriorSpec,
@@ -20,7 +22,7 @@ from helpers import make_dataset, random_incomplete
 
 
 def family(db, child, parents):
-    ctx = ParentContext.for_dataset(db, child, parents)
+    ctx = ParentContext.of(db.variables, child, parents)
     return ctx, PriorSpec()
 
 
@@ -122,3 +124,68 @@ class TestExactMarginal:
         # two completions of one binary hole, averaged
         by_hand = 0.5 * (1 / 2 * 1 / 3 * 2 / 4) + 0.5 * (1 / 2 * 1 / 3 * 2 / 4)
         assert exact_marginal(db, model) == pytest.approx(by_hand, rel=1e-12)
+
+
+def log_bayes_factors(db, parent_sets, child, candidate):
+    """The log Bayes factor of adding ``candidate`` to ``child``'s parents in
+    the model of ``parent_sets``, at alpha 1: BC's, the difference of the
+    two family scores, under each phi, and the exact one, log
+    ``exact_marginal`` of the larger model minus that of the smaller."""
+    parents = parent_sets[child]
+    larger = list(parent_sets)
+    larger[child] = tuple(sorted((*parents, candidate)))
+    bc = {}
+    for phi in ("mar", "uniform"):
+        scorer = FamilyScorer(db, phi_policy=phi)
+        bc[phi] = (scorer.score(child, larger[child]).log_g
+                   - scorer.score(child, parents).log_g)
+    small, large = (
+        math.log(exact_marginal(db, Model(db.variables, tuple(sets))))
+        for sets in (parent_sets, larger)
+    )
+    return bc, large - small
+
+
+class TestBayesFactorSigns:
+    """How often BC's log Bayes factor for one more parent has the sign of
+    the exact one on tiny incomplete datasets.  The counts pin today's
+    semantics; ROADMAP item 1(b), an E-step for the cases missing a parent,
+    should raise the MAR count."""
+
+    def test_agreement_counts_on_random_tiny_families(self):
+        # Each draw's last variable is the child, its last predecessor the
+        # candidate and the others its parents, as in a K2 round over the
+        # order 0..m-1; every other variable has no parent.
+        rng = np.random.default_rng(2024)
+        scoreable, agree = 0, {"mar": 0, "uniform": 0}
+        for _ in range(200):
+            db = random_incomplete(rng, max_vars=3)
+            m = db.n_variables
+            if m < 2:
+                continue
+            parent_sets = [()] * m
+            parent_sets[m - 1] = tuple(range(m - 2))
+            bc, exact = log_bayes_factors(db, parent_sets, m - 1, m - 2)
+            if exact == 0:  # the two models tie; BC's factor need not
+                continue
+            scoreable += 1
+            for phi, factor in bc.items():
+                agree[phi] += int(np.sign(factor) == np.sign(exact))
+        assert scoreable == 66
+        assert agree == {"mar": 47, "uniform": 44}
+
+    def test_a_chain_missing_half_its_middle_favours_the_extra_parent(self):
+        # X -> Y -> Z, ternary, with Y missing in half of 8 cases.  At this
+        # size the exact factor of Z | {X, Y} over Z | {Y} is positive as
+        # well: X stands in for the missing Y.  ROADMAP item 1's bias, a
+        # positive MAR factor where the exact one is negative, needs n in
+        # the thousands, far beyond the enumeration over completions (3**4
+        # here).
+        db = make_dataset((3, 3, 3), [
+            [0, 0, 0], [1, 1, 1], [2, 2, 2], [0, 0, 1],
+            [0, MISSING, 0], [1, MISSING, 1], [2, MISSING, 2], [1, MISSING, 1],
+        ])
+        bc, exact = log_bayes_factors(db, [(), (0,), (1,)], 2, 0)
+        assert exact == pytest.approx(0.4901810251465406, rel=1e-9)
+        assert bc["mar"] == pytest.approx(0.5381852668729596, rel=1e-9)
+        assert bc["uniform"] == pytest.approx(0.764298660162499, rel=1e-9)

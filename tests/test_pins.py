@@ -33,7 +33,7 @@ def pins():
 
 
 def test_worked_family_score_and_precision_are_bit_identical(pins, worked_db):
-    ctx = ParentContext.for_dataset(worked_db, 2, (0, 1))
+    ctx = ParentContext.of(worked_db.variables, 2, (0, 1))
     table = tally(worked_db, ctx)
     prior = PriorSpec()
     log_g = float(pins["worked-example family log score (X3 | X1,X2), MAR phi"])

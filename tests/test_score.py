@@ -22,7 +22,7 @@ from helpers import PRIORS, make_dataset, punch_holes, random_complete
 
 
 def family(db, child, parents, alpha=1.0, beta=1.0):
-    ctx = ParentContext.for_dataset(db, child, parents)
+    ctx = ParentContext.of(db.variables, child, parents)
     return tally(db, ctx), PriorSpec(alpha, beta)
 
 

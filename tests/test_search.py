@@ -177,7 +177,7 @@ class TestK2:
         assert_rescored_once(seen, model, db)
         monkeypatch.undo()
         for child, parents in enumerate(model.parent_sets):
-            ctx = ParentContext.for_dataset(db, child, parents)
+            ctx = ParentContext.of(db.variables, child, parents)
             fresh = bc_estimate([tally(db, ctx)], PriorSpec())
             assert np.array_equal(model.cpts[child], fresh.p_hat)
 
