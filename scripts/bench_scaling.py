@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Time each layer of a dense model's score along the n and missing axes.
+
+    python3 scripts/bench_scaling.py
+
+Run from anywhere in a source checkout; the package is imported from its
+``src/`` directory.  It scores ``perfbench``'s ``score_dense`` model (one
+family each of q = 9, 81, 729 and 6561 configurations, five of q = 1) with
+``FamilyScorer.model_score`` on cases drawn from that workload's chain, for
+every n in N_CASES and every deleted fraction in DELETED (one nested
+deletion ladder per n).  ``tally``, ``bc_estimate`` and ``log_g_bc`` are
+timed per family by wrapping the names ``bclearn.score`` calls, as
+perfbench's tracer does; each figure is the best of REPEATS fresh scorers.
+
+It writes ``BENCH_scaling.json`` at the root of the checkout: the host, the
+Python and numpy versions, ``perfbench/calibration.py``'s loop time before
+and after the sweep (the host's speed, to compare files across hosts), every
+per-family time, and each layer's t(60 %) / t(0 %) per q and n, the paper's
+flatness in the missing fraction as a number.  A ratio above FLAG is
+flagged.  The figures are wall times in seconds and nothing is gated on them.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+
+from bclearn import score  # noqa: E402
+from bclearn.simulate import GenerativeSpec, delete_ladder, sample  # noqa: E402
+from calibration import calibrate  # noqa: E402
+from workloads import ScoreDense  # noqa: E402
+
+N_CASES = (2_000, 20_000, 200_000)
+DELETED = (0.0, 0.05, 0.2, 0.4, 0.6)
+LAYERS = ("tally", "bc_estimate", "log_g_bc")
+REPEATS = 3
+SAMPLE_SEED, DELETE_SEED = 11, 12
+FLAG = 2.0
+OUT = ROOT / "BENCH_scaling.json"
+
+
+def _timed(layer, times):
+    """``bclearn.score``'s ``layer`` wrapped to add its wall time to
+    ``times[child][layer]``."""
+    original = getattr(score, layer)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            # tally takes (dataset, context, ...), the others a stack of one
+            ctx = args[1] if layer == "tally" else args[0][0].context
+            family = times.setdefault(ctx.child, dict.fromkeys(LAYERS, 0.0))
+            family[layer] += time.perf_counter() - start
+
+    return original, wrapper
+
+
+def _run(dataset, parent_sets) -> tuple[float, dict[int, dict[str, float]]]:
+    """One fresh scorer's model score: its wall time and each family's
+    per-layer times."""
+    times: dict[int, dict[str, float]] = {}
+    wrapped = {layer: _timed(layer, times) for layer in LAYERS}
+    for layer, (_, wrapper) in wrapped.items():
+        setattr(score, layer, wrapper)
+    try:
+        start = time.perf_counter()
+        score.FamilyScorer(dataset).model_score(parent_sets)
+        total = time.perf_counter() - start
+    finally:
+        for layer, (original, _) in wrapped.items():
+            setattr(score, layer, original)
+    return total, times
+
+
+def _host() -> dict:
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    return {
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _ratios(rows, qs) -> list[dict]:
+    """Each layer's t(max deleted) / t(0 %) per q and n, the families of one
+    q summed."""
+    by = {(row["n"], row["deleted"]): row["families"] for row in rows}
+    ratios = []
+    for n in N_CASES:
+        for q in qs:
+            for layer in LAYERS:
+                t0, t1 = (
+                    sum(f[f"{layer}_s"] for f in by[n, deleted] if f["q"] == q)
+                    for deleted in (DELETED[0], DELETED[-1])
+                )
+                ratio = t1 / t0
+                ratios.append({
+                    "n": n, "q": q, "layer": layer, "t0_s": t0, "t60_s": t1,
+                    "ratio": round(ratio, 3), "flagged": ratio > FLAG,
+                })
+    return ratios
+
+
+def main() -> None:
+    workload = ScoreDense()
+    parent_sets = workload.model.parent_sets
+    variables = workload.model.variables
+    calibration_before = statistics.median(calibrate() for _ in range(5))
+    rows = []
+    for n in N_CASES:
+        complete = sample(GenerativeSpec(workload.chain, n, seed=SAMPLE_SEED))
+        for deleted, dataset in zip(DELETED, delete_ladder(complete, DELETED, DELETE_SEED)):
+            runs = [_run(dataset, parent_sets) for _ in range(REPEATS)]
+            families = [
+                {
+                    "child": variables[child].name,
+                    "q": int(np.prod([variables[p].cardinality for p in parents])),
+                    **{f"{layer}_s": min(t[child][layer] for _, t in runs)
+                       for layer in LAYERS},
+                }
+                for child, parents in enumerate(parent_sets)
+            ]
+            rows.append({
+                "n": n, "deleted": deleted,
+                "model_score_s": min(total for total, _ in runs),
+                "families": families,
+            })
+            big = max(families, key=lambda f: f["q"])
+            print(f"n={n:>6} deleted={deleted:.2f} model_score="
+                  f"{rows[-1]['model_score_s'] * 1e3:7.1f} ms  q={big['q']}: "
+                  + "  ".join(f"{layer}={big[f'{layer}_s'] * 1e3:.2f} ms" for layer in LAYERS))
+    calibration_after = statistics.median(calibrate() for _ in range(5))
+    qs = sorted({f["q"] for f in rows[0]["families"]})
+    ratios = _ratios(rows, qs)
+    report = {
+        "what": "FamilyScorer.model_score of perfbench score_dense's model on "
+                "its chain's cases; per-family layer times, best of "
+                f"{REPEATS}, in seconds",
+        "host": _host(),
+        "calibration_s": {"before": calibration_before, "after": calibration_after},
+        "seeds": {"sample": SAMPLE_SEED, "delete": DELETE_SEED},
+        "repeats": REPEATS,
+        "rows": rows,
+        "ratios": ratios,
+        "flag_above": FLAG,
+        "flagged": [r for r in ratios if r["flagged"]],
+    }
+    OUT.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for r in report["flagged"]:
+        print(f"flagged: n={r['n']} q={r['q']} {r['layer']} "
+              f"t(60 %)/t(0 %) = {r['ratio']}")
+    print(f"wrote {OUT}")
+
+
+if __name__ == "__main__":
+    main()

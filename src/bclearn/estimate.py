@@ -38,7 +38,9 @@ neither changes a bit of the result:
   repeated rows, empty ones above all.  It is estimated once per distinct
   row of (family, obs, comp, parent_obs, parent_comp), found through one
   packed int64 key, and each field is scattered back to its rows.  The
-  family leads the key, so rows of two families never merge.
+  family leads the key, so rows of two families never merge.  The estimate
+  keeps the map from rows to distinct rows (``inverse``), so the score's
+  ``lgamma`` pass also runs once per distinct row.
 - The stack's integers are int64 when c * D**(c+1) < 2**53, D bounding
   every denominator b + nstar_l (``_fits_int64``): nothing overflows and a
   float64 division of two of them rounds once, as Python's int / int does.
@@ -130,6 +132,11 @@ class BcCellEstimate:
     mixes the extremes and lies between them, but these are not the
     envelope over completions: one that spreads completions over several
     rival states can give a posterior mean below ``p_min``.
+
+    ``inverse`` is set when ``bc_estimate`` estimated the stack's distinct
+    count rows: row r's fields are those of distinct row ``inverse[r]``, so
+    rows with the same ``inverse`` entry have equal fields.  It is ``None``
+    when every row was estimated on its own.
     """
 
     p_hat: np.ndarray
@@ -137,6 +144,7 @@ class BcCellEstimate:
     p_max: np.ndarray
     alpha_hat: np.ndarray
     dirichlet: np.ndarray
+    inverse: np.ndarray | None = None
 
 
 def _normalized_int_row(row) -> tuple[list[int], int]:
@@ -367,5 +375,6 @@ def bc_estimate(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
     }
     if groups is not None:
         fields = {name: np.take(value, inverse, axis=0) for name, value in fields.items()}
+        fields["inverse"] = inverse
     return BcCellEstimate(**fields)
 

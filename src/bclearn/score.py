@@ -51,16 +51,24 @@ def log_g_bc(tables, prior: PriorSpec, est: BcCellEstimate) -> list[FamilyScore]
     Dirichlet of ``est``, their ``bc_estimate`` under ``prior``, in table
     order.  Reduces to the exact score when the family data are complete.
 
-    One ``lgamma`` pass covers every row of the stack.  Each family's terms
-    are then added one at a time in row order, lg_alpha_sum -
-    lgamma(alpha_hat) and then each lgamma(weight) - lg_alpha, by
-    ``np.cumsum``, which adds sequentially as a Python loop does.
+    One ``lgamma`` pass covers the stack: every row, or one row per distinct
+    row when ``est.inverse`` says which rows share their fields, whose
+    values are then gathered back to every row.  Each family's terms are
+    then added one at a time in row order, lg_alpha_sum - lgamma(alpha_hat)
+    and then each lgamma(weight) - lg_alpha, by ``np.cumsum``, which adds
+    sequentially as a Python loop does; grouping changes no bit.
     """
     c = tables[0].context.child_cardinality
+    alpha_hat, dirichlet, inverse = est.alpha_hat, est.dirichlet, est.inverse
+    if inverse is not None:
+        # any row of a distinct row stands for it: their fields are equal
+        rep = np.empty(inverse.max() + 1, dtype=np.intp)
+        rep[inverse] = np.arange(inverse.size)
+        alpha_hat, dirichlet = alpha_hat[rep], dirichlet[rep]
     try:
         lg_alpha = lgamma(prior.alpha)
         lg_alpha_sum = lgamma(c * prior.alpha)
-        values = np.concatenate((est.alpha_hat[:, None], est.dirichlet), axis=1)
+        values = np.concatenate((alpha_hat[:, None], dirichlet), axis=1)
         values = values.ravel().tolist()
         lg = np.fromiter(map(lgamma, values), dtype=float, count=len(values))
     except OverflowError:
@@ -68,6 +76,8 @@ def log_g_bc(tables, prior: PriorSpec, est: BcCellEstimate) -> list[FamilyScore]
             f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
             "the log Gamma of a Dirichlet weight exceeds the largest float"
         ) from None
+    if inverse is not None:
+        lg = lg.reshape(-1, c + 1)[inverse].ravel()
     # each row is alpha_hat's term, then one per Dirichlet weight
     terms = lg - lg_alpha
     terms[:: c + 1] = lg_alpha_sum - lg[:: c + 1]

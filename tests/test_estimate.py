@@ -12,9 +12,10 @@ from bclearn import (
     ParentContext,
     PriorSpec,
     bc_estimate,
+    log_g_bc,
     tally,
 )
-from bclearn import estimate
+from bclearn import estimate, score
 from bclearn.estimate import _collapse, _normalized_int_row, phi_from_rows
 from helpers import (
     PRIORS, five_case_db, make_dataset, phi_rows, punch_holes, random_complete,
@@ -522,6 +523,16 @@ class TestBcEstimate:
                 PriorSpec(1.0, bad)
 
 
+def count_rows(tables, distinct):
+    """The stack's rows, or its distinct count rows within each family."""
+    if not distinct:
+        return sum(table.context.n_configs for table in tables)
+    return sum(len(np.unique(np.column_stack([
+        table.obs_matrix(), table.comp_matrix(),
+        table.parent_obs_vector(), table.parent_comp_vector(),
+    ]), axis=0)) for table in tables)
+
+
 class TestPaths:
     """``bc_estimate`` estimates each distinct count row once when the table
     has at least as many configurations as cases, and runs the collapse in
@@ -604,14 +615,8 @@ class TestPaths:
                     # not bounded
                     int64 = wide and not user and alpha != 0.1
                     assert dtype == (np.int64 if int64 else object)
-                    if grouped and not user:
-                        # no row is shared between two families
-                        assert rows == sum(len(np.unique(np.column_stack([
-                            table.obs_matrix(), table.comp_matrix(),
-                            table.parent_obs_vector(), table.parent_comp_vector(),
-                        ]), axis=0)) for table in tables)
-                    else:
-                        assert rows == stops[-1]
+                    # grouped, no row is shared between two families
+                    assert rows == count_rows(tables, grouped and not user)
 
     def test_rule_groups_only_more_configurations_than_cases(self):
         for cards, n, expected in (((3,) * 6, 243, True), ((3,) * 6, 244, False),
@@ -689,3 +694,74 @@ class TestPaths:
         assert calls[1] == (object, table.context.n_configs)
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
+
+
+class TestGroupedScore:
+    """``log_g_bc`` takes ``lgamma`` once per distinct row of a stack that
+    ``bc_estimate`` grouped, and keeps every bit of the per-row pass."""
+
+    @staticmethod
+    def stacks():
+        """Each of ``TestPaths``' grouped families alone, then those of one
+        child cardinality as one stack."""
+        _, families = TestPaths().families()
+        tables = [table for _, table in families if estimate._groups([table])]
+        by_states = {}
+        for table in tables:
+            by_states.setdefault(table.context.child_cardinality, []).append(table)
+        several = [stack for stack in by_states.values() if len(stack) > 1]
+        assert several
+        return [[table] for table in tables] + several
+
+    @staticmethod
+    def ungrouped(monkeypatch, tables, prior, phi):
+        with monkeypatch.context() as patch:
+            patch.setattr(estimate, "_groups", lambda tables: False)
+            return bc_estimate(tables, prior, phi)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    @pytest.mark.parametrize("phi", ["mar", "uniform"])
+    def test_grouped_scores_equal_per_row_scores(self, monkeypatch, alpha, phi):
+        prior = PriorSpec(alpha, 1.0)
+        for tables in self.stacks():
+            grouped = bc_estimate(tables, prior, phi)
+            single = self.ungrouped(monkeypatch, tables, prior, phi)
+            assert grouped.inverse is not None and single.inverse is None
+            assert ([s.log_g for s in log_g_bc(tables, prior, grouped)]
+                    == [s.log_g for s in log_g_bc(tables, prior, single)])
+
+    def test_lgamma_runs_once_per_distinct_row(self, monkeypatch):
+        calls = []
+        real = score.lgamma
+
+        def lgamma(x):
+            calls.append(x)
+            return real(x)
+
+        prior = PriorSpec()
+        for tables in self.stacks():
+            c = tables[0].context.child_cardinality
+            for grouped in (True, False):
+                est = (bc_estimate(tables, prior) if grouped
+                       else self.ungrouped(monkeypatch, tables, prior, "mar"))
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(score, "lgamma", lgamma)
+                    log_g_bc(tables, prior, est)
+                # lgamma(alpha) and lgamma(c * alpha), then one per value
+                assert len(calls) == 2 + (c + 1) * count_rows(tables, grouped)
+
+    def test_inverse_names_rows_with_equal_fields(self):
+        rng, families = TestPaths().families()
+        for ctx, table in families:
+            for phi in ("mar", non_dyadic_phi(rng, ctx)):
+                est = bc_estimate([table], PriorSpec(), phi)
+                if isinstance(phi, CompletionDistribution) or not estimate._groups([table]):
+                    assert est.inverse is None
+                    continue
+                assert est.inverse.shape == (ctx.n_configs,)
+                assert est.inverse.max() + 1 == count_rows([table], True)
+                _, first = np.unique(est.inverse, return_index=True)
+                for name in TestPaths.FIELDS:
+                    value = getattr(est, name)
+                    np.testing.assert_array_equal(value, value[first][est.inverse])
