@@ -18,6 +18,13 @@ and after the sweep (the host's speed, to compare files across hosts), every
 per-family time, and each layer's t(60 %) / t(0 %) per q and n, the paper's
 flatness in the missing fraction as a number.  A ratio above FLAG is
 flagged.  The figures are wall times in seconds and nothing is gated on them.
+
+A second slice walks the variables axis: ``search.k2_bc`` under a cap of
+K2_MAX_PARENTS parents, on ternary networks of each size in K2_VARIABLES,
+drawn as ``perfbench``'s ``learn_wide`` draws its network, at K2_CASES cases
+with each deleted fraction in K2_DELETED.  Each point records the best of
+REPEATS searches in seconds, its ``bc_estimate`` calls and its passes over
+the cases (``counts._cases_table`` calls), and the arcs it learned.
 """
 
 from __future__ import annotations
@@ -36,10 +43,11 @@ sys.path.insert(1, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
-from bclearn import score  # noqa: E402
+from bclearn import counts, score  # noqa: E402
+from bclearn.search import OrderConstraint, k2_bc  # noqa: E402
 from bclearn.simulate import GenerativeSpec, delete_ladder, sample  # noqa: E402
 from calibration import calibrate  # noqa: E402
-from workloads import ScoreDense  # noqa: E402
+from workloads import LearnWide, ScoreDense  # noqa: E402
 
 N_CASES = (2_000, 20_000, 200_000)
 DELETED = (0.0, 0.05, 0.2, 0.4, 0.6)
@@ -48,6 +56,10 @@ REPEATS = 3
 SAMPLE_SEED, DELETE_SEED = 11, 12
 FLAG = 2.0
 OUT = ROOT / "BENCH_scaling.json"
+K2_VARIABLES = (16, 32, 48)
+K2_CASES = 20_000
+K2_DELETED = (0.0, 0.2, 0.6)
+K2_MAX_PARENTS = 3
 
 
 def _timed(layer, times):
@@ -83,6 +95,63 @@ def _run(dataset, parent_sets) -> tuple[float, dict[int, dict[str, float]]]:
         for layer, (original, _) in wrapped.items():
             setattr(score, layer, original)
     return total, times
+
+
+class _Wide(LearnWide):
+    """``learn_wide``'s network drawing with another number of variables."""
+
+    def __init__(self, n_variables: int):
+        self.n_variables = n_variables
+        super().__init__()
+
+
+def _counted_search(dataset, order) -> tuple[int, int, int]:
+    """One ``k2_bc``: its ``bc_estimate`` calls, its passes over the cases
+    and the arcs it learned."""
+    calls = {"bc_estimate": 0, "passes": 0}
+    estimate, cases_table = score.bc_estimate, counts._cases_table
+
+    def counted_estimate(*args, **kwargs):
+        calls["bc_estimate"] += 1
+        return estimate(*args, **kwargs)
+
+    def counted_cases_table(*args, **kwargs):
+        calls["passes"] += 1
+        return cases_table(*args, **kwargs)
+
+    score.bc_estimate, counts._cases_table = counted_estimate, counted_cases_table
+    try:
+        model = k2_bc(dataset, order)
+    finally:
+        score.bc_estimate, counts._cases_table = estimate, cases_table
+    return calls["bc_estimate"], calls["passes"], len(model.arcs)
+
+
+def _k2_rows() -> list[dict]:
+    """The ``k2_bc`` slice: one row per variable count and deleted fraction."""
+    rows = []
+    for n_variables in K2_VARIABLES:
+        network = _Wide(n_variables).network
+        order = OrderConstraint(tuple(range(n_variables)), K2_MAX_PARENTS)
+        complete = sample(GenerativeSpec(network, K2_CASES, seed=SAMPLE_SEED))
+        for deleted, dataset in zip(
+            K2_DELETED, delete_ladder(complete, K2_DELETED, DELETE_SEED)
+        ):
+            estimates, passes, arcs = _counted_search(dataset, order)
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                k2_bc(dataset, order)
+                times.append(time.perf_counter() - start)
+            rows.append({
+                "variables": n_variables, "deleted": deleted,
+                "k2_bc_s": min(times), "bc_estimate_calls": estimates,
+                "case_passes": passes, "arcs": arcs,
+            })
+            print(f"variables={n_variables:>2} deleted={deleted:.2f} k2_bc="
+                  f"{min(times) * 1e3:7.1f} ms  bc_estimate calls={estimates}"
+                  f"  case passes={passes}  arcs={arcs}")
+    return rows
 
 
 def _host() -> dict:
@@ -150,6 +219,7 @@ def main() -> None:
             print(f"n={n:>6} deleted={deleted:.2f} model_score="
                   f"{rows[-1]['model_score_s'] * 1e3:7.1f} ms  q={big['q']}: "
                   + "  ".join(f"{layer}={big[f'{layer}_s'] * 1e3:.2f} ms" for layer in LAYERS))
+    k2_rows = _k2_rows()
     calibration_after = statistics.median(calibrate() for _ in range(5))
     qs = sorted({f["q"] for f in rows[0]["families"]})
     ratios = _ratios(rows, qs)
@@ -165,6 +235,15 @@ def main() -> None:
         "ratios": ratios,
         "flag_above": FLAG,
         "flagged": [r for r in ratios if r["flagged"]],
+        "k2_bc": {
+            "what": "search.k2_bc on ternary networks drawn as perfbench "
+                    "learn_wide's; best of "
+                    f"{REPEATS} searches in seconds, bc_estimate calls and "
+                    "passes over the cases of one search",
+            "cases": K2_CASES,
+            "max_parents": K2_MAX_PARENTS,
+            "rows": k2_rows,
+        },
     }
     OUT.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for r in report["flagged"]:

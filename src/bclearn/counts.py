@@ -31,13 +31,16 @@ one way, ``score.FamilyScorer._add``, which takes each new family's key
 (its ``ParentContext.of`` arguments) with its joint from either source,
 or with ``None`` for its own table.
 
-A greedy search round asks for many families that share a child and a
-parent set and differ in one candidate parent.  A scorer with the
-full-row table hands every candidate that table.  Otherwise
-``round_tables`` hands each group of candidates one shared joint over
-(group, parents, child), so one pass over the cases counts a whole group
-(Moore & Lee's cached sufficient statistics, JAIR 8, 1998, kept to one
-round).
+A greedy search level asks for one round of every node still growing: the
+round's own family and the families that add one candidate parent to it.
+A scorer with the full-row table hands every family of the level that
+table.  Otherwise ``round_tables`` hands each group of a round's
+candidates one shared joint over (group, parents, child), so one pass over
+the cases counts a whole group, and the round's own family, a node's empty
+family at the first level, is counted from its first group's joint (Moore
+& Lee's cached sufficient statistics, JAIR 8, 1998, kept to one search
+level).  Only a round with no candidate (a node with no predecessor, or
+any node under ``max_parents`` 0) counts its own family's table.
 
 In the marginal, slicing slot 0 off every parent axis leaves the cases
 observed on all parents.  Adding each parent axis's slot 0 into every
@@ -46,8 +49,9 @@ parents), leaves for each configuration every case consistent with it.
 The cost is the table's size plus one pass over the cases, whatever the
 number of missing entries; every count is int64.  ``_cases_table``, the
 only allocator of a pattern table, refuses one of more than
-``MAX_PATTERNS`` slots before allocating it, naming the family; a round
-checks every candidate's family before it counts any.
+``MAX_PATTERNS`` slots before allocating it, naming the family;
+``round_tables`` checks every candidate's family when it is called, so a
+search level checks all its rounds' families before it counts any.
 """
 
 from __future__ import annotations
@@ -281,15 +285,16 @@ def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
 
 
 def round_tables(dataset: Dataset, child: int, parents, candidates):
-    """The joint ``tally`` takes for each candidate's family ``parents +
-    (candidate,)`` of ``child``, in candidate order.
+    """An iterator of the joint ``tally`` takes for each candidate's family
+    ``parents + (candidate,)`` of ``child``, in candidate order.
 
     The candidates go greedily in order into groups whose joint table, one
     axis per group member then ``parents`` then ``child``, has at most
     ``GROUP_PATTERNS`` slots; a candidate whose family alone has more is its
-    own group.  Each group's joint is counted case by case once and handed
-    to every candidate of the group.  Every family is checked against
-    ``MAX_PATTERNS`` before anything is counted.
+    own group.  Each group's joint is counted case by case once, when the
+    iterator reaches it, and handed to every candidate of the group.  Every
+    family is checked against ``MAX_PATTERNS`` by the call itself, so a
+    search level checks all its rounds before it counts any.
     """
     cards = dataset.cardinalities
     base = math.prod(cards[member] + 1 for member in (*parents, child))
@@ -304,8 +309,13 @@ def round_tables(dataset: Dataset, child: int, parents, candidates):
         else:
             groups.append([candidate])
             size = base * slots
+    return _group_joints(dataset, groups, (*parents, child))
+
+
+def _group_joints(dataset: Dataset, groups, family):
+    """Each group's joint over (group, ``family``), once per group member."""
     for group in groups:
-        members = (*group, *parents, child)
+        members = (*group, *family)
         joint = _cases_table(dataset, members), members
         for _ in group:
             yield joint

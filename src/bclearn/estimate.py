@@ -26,8 +26,9 @@ tolerance for accumulation error.
 The collapse of a row uses p_k = a_k * S + phi_k * nstar_k / (b + nstar_k)
 with S = sum_l phi_l / (b + nstar_l), over the least common multiple of the
 row's denominators b + nstar_l.  ``bc_estimate`` takes a stack of tables:
-families whose children have the same number of states c, such as a greedy
-search round's candidates, which share their child, or one family alone.
+families whose children have the same number of states c, such as the new
+families of a greedy search level whose children have c states, or one
+family alone.
 Every per-row quantity is one numpy expression over the stack's
 concatenated (sum of q, c) rows, with no Python loop over configurations
 or families, and each cell is still one correctly rounded division.  Two

@@ -14,6 +14,7 @@ products underflow by a thousand cases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import lgamma
 
@@ -99,12 +100,15 @@ class FamilyScorer:
 
     Every family goes from its key to the cache through ``_add``: it is
     counted by ``tally`` from the joint it is handed, then estimated and
-    scored by one ``bc_estimate`` and one ``log_g_bc`` call over the stack
-    of new tables.  The joint is the dataset's full-row table, built once
-    here when ``counts.row_table`` finds it worth building; else ``scores``
-    hands a greedy search round's candidates their groups' joints from
-    ``counts.round_tables``, and ``score`` and ``estimate`` count their one
-    family case by case.  A family gets the same bits in any stack."""
+    scored by one ``bc_estimate`` and one ``log_g_bc`` call per child
+    cardinality over the stack of new tables.  The joint is the dataset's
+    full-row table, built once here when ``counts.row_table`` finds it worth
+    building.  Else ``scores`` hands the families of a greedy search level,
+    one round of each growing child, their groups' joints from
+    ``counts.round_tables``; a round's own family (a child's empty family at
+    the first level) is counted from its first group's joint.  ``score`` and
+    ``estimate`` count their one family case by case.  A family gets the
+    same bits in any stack."""
 
     def __init__(
         self,
@@ -125,24 +129,25 @@ class FamilyScorer:
         ] = {}
 
     def _add(self, keys, joints) -> None:
-        """Tally each distinct, uncached ``(child, sorted parents)`` key of
-        one child from its joint (``None``: case by case), estimate and
-        score the new tables as one stack, and cache each family's score
-        and CPT point estimate.  ``joints`` is read lazily, so only one
-        round group's joint is alive at a time."""
-        tables = [
-            tally(self.dataset, ParentContext.of(self.dataset.variables, *key), joint)
-            for key, joint in zip(keys, joints)
-            if key not in self._cache
-        ]
-        if not tables:
-            return
-        est = bc_estimate(tables, self.prior, self.phi_policy)
-        splits = np.cumsum([t.context.n_configs for t in tables[:-1]])
-        for score, p_hat in zip(
-            log_g_bc(tables, self.prior, est), np.split(est.p_hat, splits)
-        ):
-            self._cache[score.child, score.parents] = score, p_hat
+        """Tally each uncached ``(child, sorted parents)`` key from its joint
+        (``None``: case by case), estimate and score the new tables as one
+        stack per child cardinality, in order of first appearance, and cache
+        each family's score and CPT point estimate.  ``joints`` is read
+        lazily, so only one round group's joint is alive at a time."""
+        stacks: dict[int, list] = {}
+        for key, joint in zip(keys, joints):
+            if key not in self._cache:
+                ctx = ParentContext.of(self.dataset.variables, *key)
+                stacks.setdefault(ctx.child_cardinality, []).append(
+                    tally(self.dataset, ctx, joint)
+                )
+        for tables in stacks.values():
+            est = bc_estimate(tables, self.prior, self.phi_policy)
+            splits = np.cumsum([t.context.n_configs for t in tables[:-1]])
+            for score, p_hat in zip(
+                log_g_bc(tables, self.prior, est), np.split(est.p_hat, splits)
+            ):
+                self._cache[score.child, score.parents] = score, p_hat
 
     def _family(self, child: int, parents) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
@@ -152,16 +157,29 @@ class FamilyScorer:
     def score(self, child: int, parents) -> FamilyScore:
         return self._family(child, parents)[0]
 
-    def scores(self, child: int, parents, candidates) -> list[FamilyScore]:
-        """The scores of ``child`` given ``parents`` plus each candidate,
-        in candidate order; the candidates are distinct and not in
-        ``parents``."""
-        keys = [(child, tuple(sorted((*parents, c)))) for c in candidates]
-        self._add(keys, (
-            [self._rows] * len(keys) if self._rows
-            else round_tables(self.dataset, child, parents, candidates)
-        ))
-        return [self._cache[key][0] for key in keys]
+    def scores(self, rounds) -> list[list[FamilyScore]]:
+        """The scores of one greedy search level's ``(child, parents,
+        candidates)`` rounds, of distinct children: for each round, the
+        score of ``child`` given ``parents``, then given ``parents`` plus
+        each candidate, in candidate order.  The candidates are distinct
+        and not in ``parents``.  Every family is handed the full-row table,
+        else its round's ``round_tables`` joint; the first joint is also
+        the round's own family's, which is counted case by case when the
+        round has no candidates.  Every family of the level is checked
+        against ``counts.MAX_PATTERNS`` before any is counted."""
+        families = [
+            [(child, tuple(sorted(parents)))]
+            + [(child, tuple(sorted((*parents, c)))) for c in candidates]
+            for child, parents, candidates in rounds
+        ]
+        if self._rows:
+            joints = itertools.repeat(self._rows)
+        else:
+            # a list: each call checks its round's families, counting none
+            level = [round_tables(self.dataset, *round_) for round_ in rounds]
+            joints = (joint for source in level for joint in _first_twice(source))
+        self._add([key for keys in families for key in keys], joints)
+        return [[self._cache[key][0] for key in keys] for keys in families]
 
     def estimate(self, child: int, parents) -> np.ndarray:
         """The family's (q, c) CPT point estimate, ``bc_estimate().p_hat``."""
@@ -172,6 +190,17 @@ class FamilyScorer:
         return ModelScore(tuple(
             self.score(child, parents) for child, parents in enumerate(parent_sets)
         ))
+
+
+def _first_twice(joints):
+    """``joints`` with its first joint handed out twice, or one ``None``
+    when it is empty; the first is let go before the next is counted."""
+    first = next(joints, None)
+    yield first
+    if first is not None:
+        yield first
+        del first
+        yield from joints
 
 
 def log_marginal(

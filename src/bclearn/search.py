@@ -6,10 +6,18 @@ explored graph acyclic by construction.  Parents are added one at a time,
 keeping the single candidate that most increases the family score, and a
 node stops as soon as no candidate strictly improves it.  Ties between
 equal-scoring candidates go to the candidate earliest in the order.
-A round's candidates are scored together (``FamilyScorer.scores``): one
-pass over the cases counts a group of their families, and one
-``bc_estimate`` and one ``log_g_bc`` call over the stack of their tables
-estimate and score them all.
+
+Each node's search depends on no other node's, so every node's rounds run
+in lockstep: level r holds round r + 1 of each node still growing, and one
+``FamilyScorer.scores`` call scores the whole level.  Each round's
+candidates are counted from group joints, one pass over the cases per
+group; a node's empty family is counted at the first level from its first
+group's joint, so only a node with no candidate (no predecessor, or
+``max_parents`` 0) counts its own column.  One ``bc_estimate`` and one
+``log_g_bc`` call per child cardinality then estimate and score the
+level's new tables as one stack.  A family's score has the same bits in
+any stack, so the search takes the same steps as one node after another
+would.
 """
 
 from __future__ import annotations
@@ -130,30 +138,35 @@ def k2_bc(
     beta: float = 1.0,
     phi: str = "mar",
 ) -> Model:
-    """Greedy parent selection per node, driven by the estimated family score."""
+    """Greedy parent selection per node, driven by the estimated family
+    score, with every node's rounds run in lockstep, one level at a time."""
     order.validate(dataset.n_variables)
     scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
     parent_sets: list[tuple[int, ...]] = [()] * dataset.n_variables
-    for position, child in enumerate(order.order):
-        predecessors = order.order[:position]
-        parents: list[int] = []
-        current = scorer.score(child, parents).log_g
-        while True:
-            if order.max_parents is not None and len(parents) >= order.max_parents:
-                break
-            candidates = [c for c in predecessors if c not in parents]
+    cap = math.inf if order.max_parents is None else order.max_parents
+    # the first level scores each node's empty family with its first round
+    level = [
+        (child, (), order.order[:position] if cap else ())
+        for position, child in enumerate(order.order)
+    ]
+    while level:
+        grown = []
+        for (child, parents, candidates), (current, *trials) in zip(
+            level, scorer.scores(level)
+        ):
             best_candidate = None
             best_score = -math.inf
-            for candidate, trial in zip(
-                candidates, scorer.scores(child, parents, candidates)
-            ):
+            for candidate, trial in zip(candidates, trials):
                 if trial.log_g > best_score:
                     best_candidate, best_score = candidate, trial.log_g
-            if best_candidate is None or not best_score > current:
-                break
-            parents.append(best_candidate)
-            current = best_score
-        parent_sets[child] = tuple(sorted(parents))
+            if best_candidate is None or not best_score > current.log_g:
+                continue
+            parents = (*parents, best_candidate)
+            parent_sets[child] = tuple(sorted(parents))
+            candidates = tuple(c for c in candidates if c != best_candidate)
+            if candidates and len(parents) < cap:
+                grown.append((child, parents, candidates))
+        level = grown
     return _finalize(dataset, parent_sets, scorer)
 
 

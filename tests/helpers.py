@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from bclearn import MISSING, Dataset, Variable
-from bclearn.search import Model
+from bclearn.score import FamilyScorer
+from bclearn.search import Model, _finalize
 from bclearn.estimate import _on_grid, _phi_ints
 
 
@@ -123,3 +124,29 @@ def phi_rows(table, prior, policy):
         [Fraction(n, den) for n in row]
         for row, (den,) in zip(nums.tolist(), dens.tolist())
     ]
+
+
+def sequential_k2(dataset, order, alpha=1.0, beta=1.0, phi="mar") -> Model:
+    """``search.k2_bc`` searched one node after another: each node's empty
+    family is scored alone and each of its rounds as one stack, until no
+    candidate strictly improves the node.  A reference for the lockstep
+    search, whose every step it should take."""
+    order.validate(dataset.n_variables)
+    scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
+    parent_sets = [()] * dataset.n_variables
+    for position, child in enumerate(order.order):
+        parents = []
+        current = scorer.score(child, parents).log_g
+        while order.max_parents is None or len(parents) < order.max_parents:
+            candidates = [c for c in order.order[:position] if c not in parents]
+            [[_, *trials]] = scorer.scores([(child, parents, candidates)])
+            best_candidate, best_score = None, -math.inf
+            for candidate, trial in zip(candidates, trials):
+                if trial.log_g > best_score:
+                    best_candidate, best_score = candidate, trial.log_g
+            if best_candidate is None or not best_score > current:
+                break
+            parents.append(best_candidate)
+            current = best_score
+        parent_sets[child] = tuple(sorted(parents))
+    return _finalize(dataset, parent_sets, scorer)

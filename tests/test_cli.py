@@ -145,7 +145,9 @@ class TestLearn:
         self, tmp_path, capsys, monkeypatch
     ):
         """C's round has candidates A and B; the family of B and C has
-        8301 * 8201 entry patterns, and the round counts neither family."""
+        8301 * 8201 entry patterns.  The first level holds the first round
+        of A, B and C, and is refused before any of its families is
+        counted."""
         n = 8300
         data = tmp_path / "states.csv"
         data.write_text(
@@ -167,8 +169,8 @@ class TestLearn:
             f"error: the family of C has {8301 * 8201} entry patterns, above the "
             "limit of 67108864 (2**26)\n"
         )
-        # A, B, A -> B and C alone; nothing of C's round
-        assert sizes == [3, 8301, 3 * 8301, 8201]
+        # nothing of the level, so nothing of C's round
+        assert sizes == []
 
 
 class TestScore:

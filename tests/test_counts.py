@@ -332,10 +332,12 @@ class TestTableSources:
 
         monkeypatch.setattr("bclearn.counts._cases_table", unreachable)
         family = scorer.score(2, (0,))
-        round_ = scorer.scores(1, (2,), (0,))
+        [round_] = scorer.scores([(1, (2,), (0,))])
         monkeypatch.undo()
         assert family == case_by_case_score(d, 2, (0,))
-        assert round_ == [case_by_case_score(d, 1, (0, 2))]
+        assert round_ == [
+            case_by_case_score(d, 1, (2,)), case_by_case_score(d, 1, (0, 2))
+        ]
 
     def test_rule_never_exceeds_max_patterns(self):
         cards = (2,) * 16 + (3,) * 2  # 3**16 * 16 > MAX_PATTERNS slots
@@ -447,10 +449,11 @@ class TestRoundTables:
         self.assert_round_matches(d, 1, (3,), (0, 2))
 
     def test_full_row_table(self, monkeypatch):
-        """A scorer builds the full-row table once, hands every candidate of
-        a round that very table and counts no case, groups no candidates
-        and scores each once, not through ``score``; each family's counts
-        equal a standalone ``tally``'s."""
+        """A scorer builds the full-row table once, hands every family of a
+        level (each round's own and each candidate's) that very table and
+        counts no case, groups no candidates and scores each once, not
+        through ``score``; each family's counts equal a standalone
+        ``tally``'s."""
         d = TestTableSources.random_holey(
             np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
         )
@@ -475,10 +478,9 @@ class TestRoundTables:
         monkeypatch.setattr(np, "bincount", counted)
         monkeypatch.setattr(bclearn.score, "round_tables", unreachable)
         monkeypatch.setattr(FamilyScorer, "score", unreachable)
-        scorer.scores(2, (4, 0), (1, 3))
-        scorer.scores(4, (), (0, 1, 2, 3))
+        scorer.scores([(2, (4, 0), (1, 3)), (4, (), (0, 1, 2, 3))])
         monkeypatch.undo()
-        assert sizes == [] and len(tallies) == 6
+        assert sizes == [] and len(tallies) == 8
         for joint, counts in tallies:
             assert joint is rows
             assert_same_counts(counts, tally(d, counts.context))

@@ -193,8 +193,8 @@ class TestScorerRounds:
                 for phi in ("mar", "uniform"):
                     scorer = FamilyScorer(db, alpha=alpha, phi_policy=phi)
                     # a first round leaves part of the second in the cache
-                    scorer.scores(child, parents, candidates[:1])
-                    stacked = scorer.scores(child, parents, candidates)
+                    scorer.scores([(child, parents, candidates[:1])])
+                    [[_, *stacked]] = scorer.scores([(child, parents, candidates)])
                     fresh = FamilyScorer(db, alpha=alpha, phi_policy=phi)
                     for candidate, score in zip(candidates, stacked):
                         family = (*parents, candidate)

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import bclearn.counts
 import bclearn.score
 from bclearn import (
     MISSING,
@@ -32,7 +33,13 @@ from bclearn import (
 )
 from bclearn.counts import row_table
 from bclearn.oracle import OracleError, enumerate_models, joint_distribution
-from helpers import make_dataset, punch_holes, random_complete, random_network
+from helpers import (
+    make_dataset,
+    punch_holes,
+    random_complete,
+    random_network,
+    sequential_k2,
+)
 
 
 def spy_counting(monkeypatch):
@@ -253,6 +260,109 @@ class TestK2:
             )
         assert model.score == reference
         assert passes < len(families)
+
+
+class TestLockstep:
+    """Every node's rounds run in lockstep, one level at a time."""
+
+    @staticmethod
+    def draw(rng, trial):
+        """Mixed 2-5 state columns with n in {0, 8, 40, 1500} and 0 or 30 %
+        deleted, a shuffled order and a cap of None, 0, 1 or 3.  Every
+        other draw repeats a column, holes included, so that two candidates
+        can tie."""
+        cards = [int(c) for c in rng.integers(2, 6, size=int(rng.integers(2, 7)))]
+        n = (0, 8, 40, 1500)[trial % 4]
+        db = make_dataset(cards, np.column_stack(
+            [rng.integers(0, c, size=n) for c in cards]
+        ).reshape(n, len(cards)))
+        if trial % 8 >= 4:
+            db = punch_holes(rng, db, int(db.codes.size * 0.3))
+        if trial % 2:
+            twin = int(rng.integers(len(cards)))
+            cards.append(cards[twin])
+            db = make_dataset(cards, np.column_stack((db.codes, db.codes[:, twin])))
+        cap = (None, 0, 1, 3)[int(rng.integers(4))]
+        return db, OrderConstraint(tuple(rng.permutation(len(cards)).tolist()), cap)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["round_tables", "row_table"])
+    def test_matches_the_search_one_node_after_another(self, monkeypatch, rows):
+        """Equal parent sets, CPT bytes and score bits against
+        ``helpers.sequential_k2`` at alpha 1 and 0.1 under both phis, every
+        family counted from its round groups' joints or from the full-row
+        table."""
+        monkeypatch.setattr(bclearn.counts, "_uses_row_table", lambda *_: rows)
+        rng = np.random.default_rng(2301)
+        arcs = 0
+        for trial in range(16):
+            db, order = self.draw(rng, trial)
+            assert (row_table(db) is not None) == rows
+            for alpha in (1.0, 0.1):
+                for phi in ("mar", "uniform"):
+                    model = k2_bc(db, order, alpha=alpha, phi=phi)
+                    reference = sequential_k2(db, order, alpha=alpha, phi=phi)
+                    assert model.parent_sets == reference.parent_sets
+                    for cpt, expected in zip(model.cpts, reference.cpts):
+                        assert cpt.shape == expected.shape
+                        assert cpt.tobytes() == expected.tobytes()
+                    assert model.score == reference.score
+                    assert model.score.total == reference.score.total
+                    arcs += len(model.arcs)
+        assert arcs
+
+    def test_one_stack_per_level_and_child_cardinality(self, monkeypatch):
+        """Nine columns of 2-5 states, 600 cases, 30 % deleted, counted case
+        by case: ``bc_estimate`` runs once per (level, child cardinality)
+        with no mixed stack, and only the first node in the order, which has
+        no predecessor, counts its own column."""
+        rng = np.random.default_rng(2302)
+        cards = [2, 3, 4, 5, 2, 3, 4, 5, 3]
+        variables = [
+            Variable(f"V{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards)
+        ]
+        network = random_network(rng, variables, max_parents=2)
+        db = delete_entries(
+            sample(GenerativeSpec(network, 600, seed=3)), DeletionPlan(0.3, seed=4)
+        )
+        assert row_table(db) is None
+        stacks, columns, deepest = [], [], 0
+        real_estimate = bclearn.score.bc_estimate
+        real_cases = bclearn.counts._cases_table
+
+        def bc_estimate(tables, *args, **kwargs):
+            stacks.append({table.context.child_cardinality for table in tables})
+            return real_estimate(tables, *args, **kwargs)
+
+        def cases_table(dataset, members):
+            if len(members) == 1:
+                columns.append(members[0])
+            return real_cases(dataset, members)
+
+        for cap in (None, 1, 2):
+            order = OrderConstraint(tuple(rng.permutation(9).tolist()), cap)
+            monkeypatch.setattr(bclearn.score, "bc_estimate", bc_estimate)
+            monkeypatch.setattr(bclearn.counts, "_cases_table", cases_table)
+            stacks.clear()
+            columns.clear()
+            model = k2_bc(db, order)
+            monkeypatch.undo()
+            # level r holds, in order, every node that gained a parent at
+            # each level before it, is below the cap and has a predecessor
+            # left; its stacks go by child cardinality, first seen first
+            expected = {}
+            for position, child in enumerate(order.order):
+                for level in range(len(model.parent_sets[child]) + 1):
+                    if level == 0 or (
+                        (cap is None or level < cap) and position > level
+                    ):
+                        expected.setdefault(level, {})[cards[child]] = None
+            assert stacks == [
+                {card} for level in sorted(expected) for card in expected[level]
+            ]
+            deepest = max(deepest, *expected)
+            assert columns == [order.order[0]]
+            assert model.parent_sets == sequential_k2(db, order).parent_sets
+        assert deepest >= 2
 
 
 class TestEnumerateModels:
