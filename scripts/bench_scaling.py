@@ -25,6 +25,14 @@ drawn as ``perfbench``'s ``learn_wide`` draws its network, at K2_CASES cases
 with each deleted fraction in K2_DELETED.  Each point records the best of
 REPEATS searches in seconds, its ``bc_estimate`` calls and its passes over
 the cases (``counts._cases_table`` calls), and the arcs it learned.
+
+A third slice walks the n axis of ``data.load_csv``: files of LOAD_COLUMNS
+ternary columns with LOAD_MISSING of the cells ``?``, at each n in
+LOAD_CASES and each state label length in LOAD_LABEL_BYTES, written to a
+temporary directory.  Each file is loaded by REPEATS fresh child processes,
+one load each: a point records the best of their load times in seconds and
+the largest of their peak resident set sizes (Linux's ``VmHWM``), next to
+the file's size, the codes' size and a child's peak after the import alone.
 """
 
 from __future__ import annotations
@@ -33,7 +41,9 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -60,6 +70,26 @@ K2_VARIABLES = (16, 32, 48)
 K2_CASES = 20_000
 K2_DELETED = (0.0, 0.2, 0.6)
 K2_MAX_PARENTS = 3
+LOAD_CASES = (100_000, 1_000_000)
+LOAD_LABEL_BYTES = (1, 2, 5)
+LOAD_COLUMNS = 16
+LOAD_MISSING = 0.3
+LOAD_SEED = 13
+# a child's load: its seconds and its peak resident set size in MB; with no
+# file, the peak after the import alone.  The peak is Linux's VmHWM, that of
+# the child's own address space: ru_maxrss keeps the parent's across exec
+LOAD_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from bclearn.data import load_csv
+start = time.perf_counter()
+if len(sys.argv) > 2:
+    load_csv(sys.argv[2])
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"s": seconds, "peak_rss_mb": kib / 1024}))
+"""
 
 
 def _timed(layer, times):
@@ -154,6 +184,65 @@ def _k2_rows() -> list[dict]:
     return rows
 
 
+def _write_csv(path: Path, n_cases: int, label_bytes: int) -> None:
+    """LOAD_COLUMNS ternary columns of ``label_bytes``-byte labels, each cell
+    ``?`` with probability LOAD_MISSING, written a block of rows at a time."""
+    rng = np.random.default_rng(LOAD_SEED)
+    states = [("s" * (label_bytes - 1) + str(k)).encode() for k in range(3)]
+    # every token padded to one width, its separator included; ``keep``
+    # drops the padding of the short missing token
+    tokens = np.zeros((4, label_bytes + 1), dtype=np.uint8)
+    keep = np.zeros(tokens.shape, dtype=bool)
+    for t, token in enumerate(states + [b"?"]):
+        tokens[t, : len(token) + 1] = list(token + b",")
+        keep[t, : len(token) + 1] = True
+    with open(path, "wb") as fh:
+        fh.write(",".join(f"X{i}" for i in range(LOAD_COLUMNS)).encode() + b"\n")
+        for r0 in range(0, n_cases, 100_000):
+            rows = min(100_000, n_cases - r0)
+            cells = rng.integers(0, 3, size=(rows, LOAD_COLUMNS))
+            cells[rng.random(cells.shape) < LOAD_MISSING] = 3
+            block = tokens[cells]
+            last = block[:, -1]
+            last[last == ord(",")] = ord("\n")
+            fh.write(block[keep[cells]].tobytes())
+
+
+def _child_load(src: Path, path: Path | None = None) -> dict:
+    args = [sys.executable, "-c", LOAD_CHILD, str(src)]
+    if path is not None:
+        args.append(str(path))
+    done = subprocess.run(args, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def _load_rows(src: Path = ROOT / "src") -> tuple[float, list[dict]]:
+    """The ``load_csv`` slice, loading with the package at ``src``: a
+    child's peak after the import alone, and one row per n and label
+    length."""
+    import_mb = max(_child_load(src)["peak_rss_mb"] for _ in range(REPEATS))
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n_cases in LOAD_CASES:
+            for label_bytes in LOAD_LABEL_BYTES:
+                path = Path(tmp) / f"load-{n_cases}-{label_bytes}.csv"
+                _write_csv(path, n_cases, label_bytes)
+                loads = [_child_load(src, path) for _ in range(REPEATS)]
+                rows.append({
+                    "cases": n_cases, "label_bytes": label_bytes,
+                    "file_mb": path.stat().st_size / 2**20,
+                    "codes_mb": n_cases * LOAD_COLUMNS * 2 / 2**20,
+                    "load_csv_s": min(load["s"] for load in loads),
+                    "peak_rss_mb": max(load["peak_rss_mb"] for load in loads),
+                })
+                path.unlink()
+                print(f"load_csv n={n_cases:>7} labels of {label_bytes} bytes: "
+                      f"{rows[-1]['load_csv_s'] * 1e3:7.1f} ms  peak "
+                      f"{rows[-1]['peak_rss_mb']:6.1f} MB  (file "
+                      f"{rows[-1]['file_mb']:5.1f} MB)")
+    return import_mb, rows
+
+
 def _host() -> dict:
     cpu = platform.processor()
     cpuinfo = Path("/proc/cpuinfo")
@@ -220,6 +309,7 @@ def main() -> None:
                   f"{rows[-1]['model_score_s'] * 1e3:7.1f} ms  q={big['q']}: "
                   + "  ".join(f"{layer}={big[f'{layer}_s'] * 1e3:.2f} ms" for layer in LAYERS))
     k2_rows = _k2_rows()
+    import_mb, load_rows = _load_rows()
     calibration_after = statistics.median(calibrate() for _ in range(5))
     qs = sorted({f["q"] for f in rows[0]["families"]})
     ratios = _ratios(rows, qs)
@@ -243,6 +333,15 @@ def main() -> None:
             "cases": K2_CASES,
             "max_parents": K2_MAX_PARENTS,
             "rows": k2_rows,
+        },
+        "load_csv": {
+            "what": "data.load_csv of files of "
+                    f"{LOAD_COLUMNS} ternary columns, {LOAD_MISSING:.0%} of "
+                    f"cells '?'; best of {REPEATS} fresh child processes' "
+                    "load times in seconds, the largest of their peak RSS in "
+                    "MB, and the peak of a child that only imports",
+            "import_peak_rss_mb": import_mb,
+            "rows": load_rows,
         },
     }
     OUT.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

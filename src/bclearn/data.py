@@ -17,8 +17,12 @@ observed.
 label does, by one of two paths, and labels both paths' keys in one step.
 The common file -- no quoting, no blank line, every row as wide as the
 header, body cells of at most 8 bytes -- is tokenised by numpy on its
-bytes, never making a Python object per cell.  Every other file is parsed
-by ``csv.reader``, which also words every error about the layout.
+bytes, never making a Python object per cell, into keys of 1, 2, 4 or 8
+bytes: the narrowest that holds the file's longest cell.  Every other file
+is parsed by ``csv.reader``, which also words every error about the layout,
+into 2-byte keys unless it has more than 2**16 distinct labels.  A column
+of keys of at most 2 bytes is labelled by counting them into a table with
+one slot per possible key; wider keys are sorted.
 """
 
 from __future__ import annotations
@@ -165,11 +169,14 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     every row is as wide as the header and every body cell is at most 8
     bytes long, numpy tokenises it.  Any other file is parsed by
     ``csv.reader`` (RFC 4180 quoting), which also words every error about
-    the file's layout.  Both paths hand an (n, m) array of integer keys
-    that sort within a column as the labels do, and a key-to-label map, to
-    the one step below, which fixes the states and codes and words every
-    error about states, so both paths give the same ``Dataset`` or the same
-    error.
+    the file's layout.  Both paths hand an (n, m) array of unsigned integer
+    keys that sort within a column as the labels do, and a key-to-label
+    map, to the one step below, which fixes the states and codes and words
+    every error about states, so both paths give the same ``Dataset`` or
+    the same error.  That step labels a column of 1- or 2-byte keys through
+    one ``np.bincount`` (the distinct keys are the table's nonzero slots)
+    and a column of wider keys through ``np.unique``; the width follows
+    from the file alone: its longest cell, or its count of distinct labels.
     """
     try:
         # a line end for a file without a final one, then 7 zero bytes that
@@ -192,7 +199,7 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     codes = np.empty(keys.shape, dtype=np.int16, order="F")
     first_bad = None  # (row, column, label) of the first out-of-schema cell
     for i, name in enumerate(header):
-        distinct, inverse = np.unique(keys[:, i], return_inverse=True)
+        distinct, inverse = _distinct(keys[:, i])
         labels = [label_of(key) for key in distinct.tolist()]
         if schema is not None and name in schema:
             states = [str(s) for s in schema[name]]
@@ -222,14 +229,28 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     if first_bad is not None:
         _, i, label = first_bad
         raise DataError(f"{label!r} is not a state of {header[i]!r}")
+    # the Dataset copies the codes: dropping the keys and the last column's
+    # inverse first keeps them out of the load's peak memory
+    keys = inverse = None
     return Dataset(tuple(variables), codes)
 
 
+def _distinct(column: np.ndarray):
+    """The column's distinct keys, sorted, and each cell's index among them,
+    as ``np.unique(column, return_inverse=True)`` gives them."""
+    if column.itemsize > 2:
+        return np.unique(column, return_inverse=True)
+    # narrow keys: a count table with one slot per possible key, whose
+    # nonzero slots are the distinct keys, becomes their ranks
+    table = np.bincount(column)
+    distinct = np.flatnonzero(table)
+    table[distinct] = np.arange(len(distinct))
+    return distinct, table[column]
+
+
 _BLOCK_ROWS = 4096
-# _KEY_MASKS[k] keeps the first k bytes of a big-endian 8-byte word.
-_KEY_MASKS = np.array(
-    [(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64
-)
+# _KEY_BYTES[k]: the key width, in bytes, that holds a k-byte cell
+_KEY_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
 
 def _read_padded(path, spare: int):
@@ -250,12 +271,16 @@ def _split_bytes(raw: bytearray, size: int):
     """Tokenise the ``size`` bytes of an unquoted file, followed in ``raw``
     by 8 spare zero bytes, with numpy, or return None to defer to csv.
 
-    Each body cell becomes a uint64 key holding its UTF-8 bytes left-aligned
-    and zero-padded, so keys sort as the labels do and the empty cell is 0.
-    A CRLF line end ends its row's last cell at the CR.  Rows are tokenised
-    in blocks, so no per-cell temporary spans the file.  Returns ``(header,
-    keys, label_of)``, ``label_of`` decoding one key.  Only the spare bytes
-    are written to, so the file's own bytes stay as read.
+    Each body cell becomes a big-endian word of w bytes holding its UTF-8
+    bytes left-aligned and zero-padded, so keys sort as the labels do and
+    the empty cell is 0.  w is the narrowest of 1, 2, 4 and 8 that holds
+    the longest cell seen so far: the keys start as uint8, and a block with
+    a longer cell widens the keys already made, once, shifting each left
+    by the added bytes, so at most three times per file.  A CRLF line end
+    ends its row's last cell at the CR.  Rows are tokenised in blocks, so
+    no per-cell temporary spans the file.  Returns ``(header, keys,
+    label_of)``, ``label_of`` decoding one key of the final width.  Only
+    the spare bytes are written to, so the file's own bytes stay as read.
     """
     if not size or b'"' in raw or raw.find(b"\0", 0, size) >= 0:
         return None
@@ -289,9 +314,10 @@ def _split_bytes(raw: bytearray, size: int):
         return None
 
     width = len(header)
-    words = np.ndarray((size,), dtype=">u8", buffer=raw, strides=(1,))
     n_cases = len(line_ends) - 1
-    keys = np.empty((n_cases, width), dtype=np.uint64, order="F")
+    key_bytes = 1
+    keys = np.empty((n_cases, width), dtype=np.uint8, order="F")
+    words, masks = _key_words(raw, size, key_bytes)
     for r0 in range(0, n_cases, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n_cases)
         start, stop = line_ends[r0] + 1, line_ends[r1] + 1
@@ -305,16 +331,43 @@ def _split_bytes(raw: bytearray, size: int):
         lengths = seps - starts
         # a row's last cell ends before its CRLF's carriage return
         lengths[width - 1 :: width] -= crlf[r0 + 1 : r1 + 1]
-        if lengths.max() > 8:
+        longest = int(lengths.max())
+        if longest > 8:
             return None
-        keys[r0:r1] = (words[starts] & _KEY_MASKS[lengths]).reshape(r1 - r0, width)
-    return header, keys, lambda key: key.to_bytes(8, "big").rstrip(b"\0").decode()
+        if longest > key_bytes:
+            # widen the keys made so far: their bytes move left by the
+            # added ones, so each still sorts as its label does
+            shift = 8 * (_KEY_BYTES[longest] - key_bytes)
+            key_bytes = _KEY_BYTES[longest]
+            wider = np.empty(keys.shape, dtype=f"u{key_bytes}", order="F")
+            wider[:r0] = keys[:r0]
+            wider[:r0] <<= shift
+            keys = wider
+            words, masks = _key_words(raw, size, key_bytes)
+        keys[r0:r1] = (words[starts] & masks[lengths]).reshape(r1 - r0, width)
+    return header, keys, lambda key: (
+        key.to_bytes(key_bytes, "big").rstrip(b"\0").decode()
+    )
+
+
+def _key_words(raw: bytearray, size: int, key_bytes: int):
+    """A view of ``raw`` as the big-endian ``key_bytes``-byte word starting
+    at each of its first ``size`` bytes, and the masks that keep the first
+    0, 1, ..., ``key_bytes`` bytes of such a word."""
+    words = np.ndarray((size,), dtype=f">u{key_bytes}", buffer=raw, strides=(1,))
+    bits = 8 * key_bytes
+    masks = np.array(
+        [(1 << bits) - (1 << (bits - 8 * k)) for k in range(key_bytes + 1)],
+        dtype=f"u{key_bytes}",
+    )
+    return words, masks
 
 
 def _split_rows(raw, path):
     """Parse the file's bytes ``raw`` with ``csv.reader``: the path for any
     file ``_split_bytes`` declines.  A cell's key is the rank of its label
-    among the file's distinct labels; ``path`` only names the file in errors."""
+    among the file's distinct labels, uint16 unless there are more than
+    2**16 of them; ``path`` only names the file in errors."""
     try:
         text = str(raw, "utf-8")
     except UnicodeDecodeError as exc:
@@ -339,7 +392,8 @@ def _split_rows(raw, path):
     rank = {label: r for r, label in enumerate(labels)}
     keys = np.fromiter(
         (rank[cell] for row in body for cell in row),
-        dtype=np.intp, count=len(body) * len(header),
+        dtype=np.uint16 if len(labels) <= 1 << 16 else np.intp,
+        count=len(body) * len(header),
     ).reshape(len(body), len(header))
     return header, keys, labels.__getitem__
 

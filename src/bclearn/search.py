@@ -286,7 +286,10 @@ def marginals(model: Model) -> dict[str, np.ndarray]:
     call, so each call labels only the variable's ancestors.  Its greedy
     path may grow intermediates to ``MAX_PATTERNS``, the bound every count
     table keeps; numpy's default caps them at the largest CPT, which is
-    near-naive on a dense graph.
+    near-naive on a dense graph.  When no pairwise step fits, the path
+    falls back to one contraction over every remaining label, so each
+    step's index space is checked against the same bound before any
+    contraction runs.
     """
     if model.cpts is None:
         raise SearchError("model has no CPTs")
@@ -306,8 +309,29 @@ def marginals(model: Model) -> dict[str, np.ndarray]:
             family = (*model.parent_sets[a], a)
             operands.append(model.cpts[a].reshape([cards[x] for x in family]))
             operands.append([label[x] for x in family])
+        path, _ = np.einsum_path(
+            *operands, [label[i]], optimize=("greedy", MAX_PATTERNS)
+        )
+        _refuse_wide_steps(model, ancestors, path, i)
         # copy: with a single CPT, einsum returns a view of it
         margs[model.variables[i].name] = np.einsum(
-            *operands, [label[i]], optimize=("greedy", MAX_PATTERNS)
+            *operands, [label[i]], optimize=path
         ).copy()
     return margs
+
+
+def _refuse_wide_steps(model: Model, ancestors, path, i: int) -> None:
+    """Raise SearchError if a step of ``path``, ``np.einsum_path``'s over
+    the CPTs of ``ancestors`` (in that order) towards variable ``i``'s
+    marginal, spans more than ``MAX_PATTERNS`` index combinations."""
+    terms = [{*model.parent_sets[a], a} for a in ancestors]
+    for step in path[1:]:
+        joined = set().union(*(terms[k] for k in step))
+        space = math.prod(model.variables[x].cardinality for x in joined)
+        if space > MAX_PATTERNS:
+            raise SearchError(
+                f"the marginal of {model.variables[i].name} needs a contraction "
+                f"over {space} state combinations, more than {MAX_PATTERNS}"
+            )
+        terms = [t for k, t in enumerate(terms) if k not in step]
+        terms.append(joined & set().union({i}, *terms))

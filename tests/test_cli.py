@@ -560,6 +560,38 @@ class TestBench:
         # all or nothing: the finished 100 % rung is not written either
         assert not out.exists() and not timings.exists()
 
+    def test_marginal_past_max_patterns_is_validation_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the rung learns a chain of 27 binary variables, and V26's path is
+        # one step over all 27 ancestors' CPTs: 2**27 combinations
+        def chain_k2(dataset, order, **kwargs):
+            chain = [()] + [(i - 1,) for i in range(1, dataset.n_variables)]
+            return _finalize(dataset, chain, FamilyScorer(dataset))
+
+        einsum_path = np.einsum_path
+
+        def naive_for_v26(*operands, optimize):
+            path, report = einsum_path(*operands, optimize=optimize)
+            if len(operands) // 2 == 27:
+                path = ["einsum_path", tuple(range(27))]
+            return path, report
+
+        monkeypatch.setattr("bclearn.cli.k2_bc", chain_k2)
+        monkeypatch.setattr(np, "einsum_path", naive_for_v26)
+        spec_path = self.write_independent_spec(tmp_path, 27)
+        out = tmp_path / "r.json"
+        code = run([
+            "bench", "--spec", spec_path, "--seeds", "4", "--ladder", "100",
+            "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: seed 4, 100% available: the marginal of V26 needs a "
+            "contraction over 134217728 state combinations, more than 67108864\n"
+        )
+        assert not out.exists()
+
     def test_missing_token_is_not_a_bench_flag(self, tmp_path):
         # bench reads and writes no CSV
         code = run([

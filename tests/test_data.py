@@ -19,6 +19,7 @@ from bclearn import (
     save_schema,
     summarize_missingness,
 )
+from bclearn import data
 from helpers import punch_holes, random_complete
 
 
@@ -277,6 +278,127 @@ class TestBytePathMatchesCsvReader:
         d = load_csv(path)
         assert d.variables[0].states == ("", "10", "9", "a", "ab", "b", "é", "状態")
         assert d.codes[:, 0].tolist() == [4, 1, 3, 2, 7, 6, 0, 5]
+
+
+def spy_keys(monkeypatch, split):
+    """Record the dtype of the keys ``data.<split>`` returns, as ``load_csv``
+    calls it."""
+    dtypes = []
+    original = getattr(data, split)
+
+    def spy(*args):
+        result = original(*args)
+        if result is not None:
+            dtypes.append(result[1].dtype)
+        return result
+
+    monkeypatch.setattr(data, split, spy)
+    return dtypes
+
+
+class TestKeysWidenAcrossBlocks:
+    """The byte path starts on 1-byte keys and widens them, once per width,
+    when a later block of ``_BLOCK_ROWS`` rows holds a longer cell.  Each
+    file is compared with its quoted copy, which csv.reader parses."""
+
+    ROWS = 5 * data._BLOCK_ROWS + 7
+
+    def write(self, tmp_path, first_long):
+        """Three columns of 1-byte labels and '?' whose first cell of each
+        length k in ``first_long`` lies in a later block at row
+        ``first_long[k]``; k-byte labels share prefixes with the short ones
+        and recur after their first row.  Returns the plain and the quoted
+        file."""
+        rng = np.random.default_rng(2024)
+        columns = rng.choice(["a", "b", "?", "", "9"], size=(self.ROWS, 3))
+        columns = columns.astype(object)
+        for k, row in first_long.items():
+            pool = ["a" * k, "b" + "a" * (k - 1), "9" * k]
+            later = rng.random(self.ROWS) < 0.05
+            later[: row + 1] = False
+            later[row] = True
+            column = int(rng.integers(0, 3))
+            columns[later, column] = rng.choice(pool, size=int(later.sum()))
+        text = "A,B,C\n" + "".join(",".join(row) + "\n" for row in columns)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text(text, encoding="utf-8")
+        quoted.write_text('"A"' + text[1:], encoding="utf-8")
+        return plain, quoted
+
+    @pytest.mark.parametrize(
+        "first_long, key_bytes",
+        [
+            ({2: 5000}, 2),
+            ({3: 9000}, 4),
+            ({5: 13000}, 8),
+            ({8: 17000}, 8),
+            # every widening, each in its own block: 1 -> 2 -> 4 -> 8 bytes
+            ({2: 4096, 3: 8300, 5: 12400, 8: 20000}, 8),
+        ],
+        ids=["2-byte", "3-byte", "5-byte", "8-byte", "all"],
+    )
+    def test_later_longer_cells_load_as_csv_reader_loads_them(
+        self, tmp_path, monkeypatch, first_long, key_bytes
+    ):
+        plain, quoted = self.write(tmp_path, first_long)
+        expected = load_csv(quoted)
+        # the first out-of-schema cell in row-major order lies past a widening
+        dropped = {"b" + "a" * (k - 1) for k in first_long}
+        schema = {
+            v.name: [s for s in v.states if s not in dropped]
+            for v in expected.variables
+        }
+        expected_error = load_or_error(quoted, schema=schema)
+        monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+        dtypes = spy_keys(monkeypatch, "_split_bytes")
+        got = load_csv(plain)
+        assert dtypes == [np.dtype(f"u{key_bytes}")]
+        assert got == expected
+        assert got.n_cases == self.ROWS
+        assert load_or_error(plain, schema=schema) == expected_error
+        assert expected_error[0] == "DataError"
+
+    def test_widened_file_with_a_later_nine_byte_cell_goes_to_csv_reader(
+        self, tmp_path, monkeypatch
+    ):
+        plain, quoted = self.write(tmp_path, {2: 5000, 9: 14000})
+        expected = load_csv(quoted)
+        dtypes = spy_keys(monkeypatch, "_split_rows")
+        got = load_csv(plain)
+        assert dtypes == [np.dtype(np.uint16)]
+        assert got == expected
+        states = {s for v in got.variables for s in v.states}
+        assert {"aa", "9" * 9} <= states
+
+
+class TestCsvReaderKeyWidth:
+    """csv.reader's keys are label ranks: uint16, labelled by counting, up
+    to 2**16 distinct labels in the file, and intp, labelled by sorting,
+    above that."""
+
+    @pytest.mark.parametrize(
+        "per_column, dtype", [(20_000, np.uint16), (30_000, np.intp)]
+    )
+    def test_distinct_labels_beyond_two_bytes(
+        self, tmp_path, monkeypatch, per_column, dtype
+    ):
+        rng = np.random.default_rng(per_column)
+        columns = [
+            rng.permutation([f"{name}{k:05d}" for k in range(per_column)])
+            for name in "ABC"
+        ]
+        path = tmp_path / "many.csv"
+        path.write_text(
+            '"A",B,C\n' + "".join(",".join(row) + "\n" for row in zip(*columns)),
+            encoding="utf-8",
+        )
+        dtypes = spy_keys(monkeypatch, "_split_rows")
+        got = load_csv(path)
+        assert dtypes == [np.dtype(dtype)]
+        for variable, column in zip(got.variables, columns):
+            assert variable.states == tuple(sorted(column))
+        ranks = [np.argsort(np.argsort(column)) for column in columns]
+        assert np.array_equal(got.codes, np.column_stack(ranks))
 
 
 class TestFilesTheBytePathDeclines:

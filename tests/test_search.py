@@ -501,6 +501,50 @@ class TestMarginals:
         with pytest.raises(SearchError, match="itself included; V52 has 53$"):
             marginals(model(53, chain=True))
 
+    @staticmethod
+    def binary_chain(n):
+        variables = tuple(Variable(f"V{i}", ("0", "1")) for i in range(n))
+        parent_sets = tuple((i - 1,) if i else () for i in range(n))
+        cpts = tuple(np.array([[0.25, 0.75]] * 2 ** len(ps)) for ps in parent_sets)
+        return Model(variables, parent_sets, cpts=cpts)
+
+    def test_path_step_past_max_patterns_is_refused_before_contracting(
+        self, monkeypatch
+    ):
+        """Each marginal's path is one step over every ancestor's CPT, as
+        the greedy path falls back to when no pairwise step fits: V25's 26
+        binary ancestors span 2**26 combinations, the bound, and V26's 27
+        span twice that."""
+        einsum_path = np.einsum_path
+
+        def one_step(*operands, optimize):
+            path, report = einsum_path(*operands, optimize=optimize)
+            return ["einsum_path", tuple(range(len(operands) // 2))], report
+
+        contracted = []
+
+        def fake_einsum(*operands, optimize):
+            contracted.append(optimize)
+            return np.array([0.25, 0.75])
+
+        monkeypatch.setattr(np, "einsum_path", one_step)
+        monkeypatch.setattr(np, "einsum", fake_einsum)
+        with pytest.raises(
+            SearchError,
+            match="^the marginal of V26 needs a contraction over 134217728 "
+            "state combinations, more than 67108864$",
+        ):
+            marginals(self.binary_chain(27))
+        assert contracted == [["einsum_path", tuple(range(k))] for k in range(1, 27)]
+
+    def test_path_steps_are_checked_on_their_contracted_terms(self):
+        """A step's result keeps only the labels that later steps or the
+        output need, so every pairwise step along a chain of 40 binary
+        variables stays small.  Results that kept every label they joined
+        would reach 2**40 combinations and be refused."""
+        margs = marginals(self.binary_chain(40))
+        assert all(m.tolist() == [0.25, 0.75] for m in margs.values())
+
     def test_dense_windowed_network(self):
         # 28 binary variables, each with 3 parents among the 8 before it.
         # numpy's default greedy path, which keeps every intermediate within
