@@ -23,8 +23,12 @@ A second slice walks the variables axis: ``search.k2_bc`` under a cap of
 K2_MAX_PARENTS parents, on ternary networks of each size in K2_VARIABLES,
 drawn as ``perfbench``'s ``learn_wide`` draws its network, at K2_CASES cases
 with each deleted fraction in K2_DELETED.  Each point records the best of
-REPEATS searches in seconds, its ``bc_estimate`` calls and its passes over
-the cases (``counts._cases_table`` calls), and the arcs it learned.
+REPEATS searches in seconds, raw and normalized to the calibration loop's
+reference host speed (``calibration.normalized``, each search rescaled by
+the calibrations run just before and after it, so that files from two
+checkouts or two moments compare), its ``bc_estimate`` calls and its
+passes over the cases (``counts._cases_table`` calls), and the arcs it
+learned.
 
 A third slice walks the n axis of ``data.load_csv``: files of LOAD_COLUMNS
 ternary columns with LOAD_MISSING of the cells ``?``, at each n in
@@ -56,7 +60,7 @@ import numpy as np  # noqa: E402
 from bclearn import counts, score  # noqa: E402
 from bclearn.search import OrderConstraint, k2_bc  # noqa: E402
 from bclearn.simulate import GenerativeSpec, delete_ladder, sample  # noqa: E402
-from calibration import calibrate  # noqa: E402
+from calibration import calibrate, normalized  # noqa: E402
 from workloads import LearnWide, ScoreDense  # noqa: E402
 
 N_CASES = (2_000, 20_000, 200_000)
@@ -168,19 +172,23 @@ def _k2_rows() -> list[dict]:
             K2_DELETED, delete_ladder(complete, K2_DELETED, DELETE_SEED)
         ):
             estimates, passes, arcs = _counted_search(dataset, order)
-            times = []
+            # each search between the calibrations run just before and after it
+            times, calibrations = [], [calibrate()]
             for _ in range(REPEATS):
                 start = time.perf_counter()
                 k2_bc(dataset, order)
                 times.append(time.perf_counter() - start)
+                calibrations.append(calibrate())
+            norm = min(map(normalized, times, calibrations, calibrations[1:]))
             rows.append({
                 "variables": n_variables, "deleted": deleted,
-                "k2_bc_s": min(times), "bc_estimate_calls": estimates,
-                "case_passes": passes, "arcs": arcs,
+                "k2_bc_s": min(times), "k2_bc_norm_s": norm,
+                "bc_estimate_calls": estimates, "case_passes": passes, "arcs": arcs,
             })
             print(f"variables={n_variables:>2} deleted={deleted:.2f} k2_bc="
-                  f"{min(times) * 1e3:7.1f} ms  bc_estimate calls={estimates}"
-                  f"  case passes={passes}  arcs={arcs}")
+                  f"{min(times) * 1e3:7.1f} ms ({norm * 1e3:7.1f} normalized)"
+                  f"  bc_estimate calls={estimates}  case passes={passes}"
+                  f"  arcs={arcs}")
     return rows
 
 
@@ -328,8 +336,9 @@ def main() -> None:
         "k2_bc": {
             "what": "search.k2_bc on ternary networks drawn as perfbench "
                     "learn_wide's; best of "
-                    f"{REPEATS} searches in seconds, bc_estimate calls and "
-                    "passes over the cases of one search",
+                    f"{REPEATS} searches in seconds, raw and normalized by "
+                    "the calibrations around each search, bc_estimate calls "
+                    "and passes over the cases of one search",
             "cases": K2_CASES,
             "max_parents": K2_MAX_PARENTS,
             "rows": k2_rows,

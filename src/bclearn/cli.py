@@ -208,6 +208,9 @@ def cmd_bench(args) -> int:
     spec = load_spec(args.spec).with_overrides(n=args.n)
     seeds = [int(s) for s in _split_names(args.seeds)]
     ladder = [int(p) for p in _split_names(args.ladder)]
+    for option, values in (("--seeds", seeds), ("--ladder", ladder)):
+        if not values:
+            raise ValueError(f"{option} lists no value")
     for pct in ladder:
         if not 0 <= pct <= 100:
             raise ValueError(f"ladder percentage {pct} outside [0, 100]")
@@ -291,9 +294,8 @@ def cmd_bench(args) -> int:
 def _write_bench_csv(report, path) -> None:
     rows = report["rows"]
     marginal_columns = []
-    if rows:
-        for name, vector in sorted(rows[0]["marginals"].items()):
-            marginal_columns.extend(f"marginal_{name}_{k}" for k in range(len(vector)))
+    for name, vector in sorted(rows[0]["marginals"].items()):
+        marginal_columns.extend(f"marginal_{name}_{k}" for k in range(len(vector)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv_module.writer(fh)
         writer.writerow(

@@ -20,27 +20,23 @@ There are two sources of joint:
 * else the table of just the requested variables, one ``np.bincount`` of
   each case's pattern code built from the dataset's contiguous int16
   columns in int16 or int32: ``tally`` counts the family's own table when
-  handed no joint, and ``round_tables`` one table per group of a search
-  round's candidates.
+  handed no joint, and ``joints`` one table per pack of families.
 
 ``tally`` turns any joint that covers a family into the family's
 *marginal*: it sums the joint over every other axis, one axis at a time,
 and orders what is left as the parents then the child.  Integer sums are
 exact, so every joint gives the same counts.  A scorer reaches ``tally``
 one way, ``score.FamilyScorer._add``, which takes each new family's key
-(its ``ParentContext.of`` arguments) with its joint from either source,
-or with ``None`` for its own table.
+(its ``ParentContext.of`` arguments) with its joint from ``joints``.
 
-A greedy search level asks for one round of every node still growing: the
-round's own family and the families that add one candidate parent to it.
-A scorer with the full-row table hands every family of the level that
-table.  Otherwise ``round_tables`` hands each group of a round's
-candidates one shared joint over (group, parents, child), so one pass over
-the cases counts a whole group, and the round's own family, a node's empty
-family at the first level, is counted from its first group's joint (Moore
-& Lee's cached sufficient statistics, JAIR 8, 1998, kept to one search
-level).  Only a round with no candidate (a node with no predecessor, or
-any node under ``max_parents`` 0) counts its own family's table.
+``joints`` decides how each family of a list is counted.  A scorer with
+the full-row table hands every family that table.  Otherwise consecutive
+families of one child are packed into one joint over the union of their
+variables while it has at most ``GROUP_PATTERNS`` slots, so one pass over
+the cases counts a whole pack (Moore & Lee's cached sufficient statistics,
+JAIR 8, 1998), and a family left alone in its pack is counted by ``tally``
+from its own table.  Families of different children never share a joint,
+so a greedy search counts each node's families from passes of their own.
 
 In the marginal, slicing slot 0 off every parent axis leaves the cases
 observed on all parents.  Adding each parent axis's slot 0 into every
@@ -49,9 +45,8 @@ parents), leaves for each configuration every case consistent with it.
 The cost is the table's size plus one pass over the cases, whatever the
 number of missing entries; every count is int64.  ``_cases_table``, the
 only allocator of a pattern table, refuses one of more than
-``MAX_PATTERNS`` slots before allocating it, naming the family;
-``round_tables`` checks every candidate's family when it is called, so a
-search level checks all its rounds' families before it counts any.
+``MAX_PATTERNS`` slots before allocating it, naming the family; ``joints``
+checks every family it is handed when it is called, before it counts any.
 """
 
 from __future__ import annotations
@@ -209,12 +204,12 @@ class CountTable:
 # 512 MiB.
 MAX_PATTERNS = 2**26
 
-# The most slots of one joint table that ``round_tables`` counts a group of
-# candidates into.  On 16 ternary variables, 100k cases and 30 % deleted,
-# ``k2_bc`` took 121-128 ms (best of 5) at every limit from 2**10 to 2**14
-# and 141 ms at 2**8: a larger group saves passes over the cases but widens
-# each pass by more members and sums a larger table per candidate.  Every
-# code of such a table fits ``_codes``' int16.
+# The most slots of one joint table that ``joints`` counts a pack of
+# families of one child into.  On 16 ternary variables, 100k cases and 30 %
+# deleted, ``k2_bc`` took 121-128 ms (best of 5) at every limit from 2**10
+# to 2**14 and 141 ms at 2**8: a larger pack saves passes over the cases
+# but widens each pass by more members and sums a larger table per family.
+# Every code of such a table fits ``_codes``' int16.
 GROUP_PATTERNS = 2**12
 
 
@@ -284,48 +279,49 @@ def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
         )
 
 
-def round_tables(dataset: Dataset, child: int, parents, candidates):
-    """An iterator of the joint ``tally`` takes for each candidate's family
-    ``parents + (candidate,)`` of ``child``, in candidate order.
+def joints(dataset: Dataset, families, rows):
+    """An iterator of the joint ``tally`` takes for each ``(child, sorted
+    parents)`` key of ``families``, in order: ``rows``, the full-row table,
+    for every family when there is one.
 
-    The candidates go greedily in order into groups whose joint table, one
-    axis per group member then ``parents`` then ``child``, has at most
-    ``GROUP_PATTERNS`` slots; a candidate whose family alone has more is its
-    own group.  Each group's joint is counted case by case once, when the
-    iterator reaches it, and handed to every candidate of the group.  Every
-    family is checked against ``MAX_PATTERNS`` by the call itself, so a
-    search level checks all its rounds before it counts any.
+    Else every family is checked against ``MAX_PATTERNS`` by the call
+    itself, before any is counted.  Consecutive families of one child go
+    greedily into packs whose joint table, one axis per variable of the
+    pack in index order, has at most ``GROUP_PATTERNS`` slots.  Each pack's
+    joint is counted case by case once, when the iterator reaches it, and
+    handed to every family of the pack; a family alone in its pack gets
+    ``None``, so that ``tally`` counts, and frees, its own table.
     """
-    cards = dataset.cardinalities
-    base = math.prod(cards[member] + 1 for member in (*parents, child))
-    for candidate in candidates:
-        _refuse_wide(dataset, child, base * (cards[candidate] + 1))
-    groups: list[list[int]] = []
-    for candidate in candidates:
-        slots = cards[candidate] + 1
-        if groups and size * slots <= GROUP_PATTERNS:
-            groups[-1].append(candidate)
-            size *= slots
-        else:
-            groups.append([candidate])
-            size = base * slots
-    return _group_joints(dataset, groups, (*parents, child))
-
-
-def _group_joints(dataset: Dataset, groups, family):
-    """Each group's joint over (group, ``family``), once per group member."""
-    for group in groups:
-        members = (*group, *family)
-        joint = _cases_table(dataset, members), members
-        for _ in group:
-            yield joint
+    if rows:
+        return [rows] * len(families)
+    slots = [card + 1 for card in dataset.cardinalities]
+    packs = []  # (child, variables, joint slots, number of families)
+    for child, parents in families:
+        members = {*parents, child}
+        if packs and packs[-1][0] == child:
+            _, variables, joint_size, count = packs[-1]
+            grown = joint_size * math.prod(slots[v] for v in members - variables)
+            if grown <= GROUP_PATTERNS:
+                packs[-1] = child, variables | members, grown, count + 1
+                continue
+        # a family that fits a pack is far below the limit
+        size = math.prod(slots[v] for v in members)
+        _refuse_wide(dataset, child, size)
+        packs.append((child, members, size, 1))
+    axes_counts = [(tuple(sorted(variables)), n) for _, variables, _, n in packs]
+    return (
+        joint
+        for axes, count in axes_counts
+        for joint in [(_cases_table(dataset, axes), axes) if count > 1 else None]
+        * count
+    )
 
 
 def tally(dataset: Dataset, ctx: ParentContext, joint=None) -> CountTable:
     """Count observed cases and possible completions for one family, from
     the family's marginal of ``joint``, a ``(table, axes)`` pair covering
-    the family (``row_table``, ``round_tables``), or of the family's own
-    table counted case by case."""
+    the family (from ``joints``: the full-row table or a pack's), or of the
+    family's own table counted case by case when ``joint`` is ``None``."""
     q, c, k = ctx.n_configs, ctx.child_cardinality, len(ctx.parents)
     members = (*ctx.parents, ctx.child)
     # No name keeps a fresh joint alive: the sums below free it as they go,

@@ -14,13 +14,12 @@ products underflow by a thousand cases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
 
-from .counts import ParentContext, round_tables, row_table, tally
+from .counts import ParentContext, joints, row_table, tally
 from .data import Dataset
 from .estimate import PHI_POLICIES, BcCellEstimate, PriorSpec, bc_estimate
 
@@ -98,17 +97,15 @@ class FamilyScorer:
     cache keyed by the sorted parent set so identical queries are free.
     Each family's CPT point estimate is memoised with its score.
 
-    Every family goes from its key to the cache through ``_add``: it is
-    counted by ``tally`` from the joint it is handed, then estimated and
+    Every family, of ``score``, ``estimate``, ``model_score`` or ``scores``,
+    goes from its key to the cache through ``_add``: it is counted by
+    ``tally`` from the joint ``counts.joints`` hands it, then estimated and
     scored by one ``bc_estimate`` and one ``log_g_bc`` call per child
     cardinality over the stack of new tables.  The joint is the dataset's
     full-row table, built once here when ``counts.row_table`` finds it worth
-    building.  Else ``scores`` hands the families of a greedy search level,
-    one round of each growing child, their groups' joints from
-    ``counts.round_tables``; a round's own family (a child's empty family at
-    the first level) is counted from its first group's joint.  ``score`` and
-    ``estimate`` count their one family case by case.  A family gets the
-    same bits in any stack."""
+    building, else a pack's joint shared by consecutive new families of one
+    child, or ``None`` for a family alone.  A family gets the same bits in
+    any stack."""
 
     def __init__(
         self,
@@ -128,19 +125,20 @@ class FamilyScorer:
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
 
-    def _add(self, keys, joints) -> None:
-        """Tally each uncached ``(child, sorted parents)`` key from its joint
-        (``None``: case by case), estimate and score the new tables as one
+    def _add(self, keys) -> None:
+        """Tally each uncached ``(child, sorted parents)`` key from its
+        ``counts.joints`` joint, estimate and score the new tables as one
         stack per child cardinality, in order of first appearance, and cache
-        each family's score and CPT point estimate.  ``joints`` is read
-        lazily, so only one round group's joint is alive at a time."""
+        each family's score and CPT point estimate.  Every new key is
+        checked against ``counts.MAX_PATTERNS`` before any is counted, and
+        each pack's joint is counted when its first family is tallied."""
+        new = [key for key in keys if key not in self._cache]
         stacks: dict[int, list] = {}
-        for key, joint in zip(keys, joints):
-            if key not in self._cache:
-                ctx = ParentContext.of(self.dataset.variables, *key)
-                stacks.setdefault(ctx.child_cardinality, []).append(
-                    tally(self.dataset, ctx, joint)
-                )
+        for key, joint in zip(new, joints(self.dataset, new, self._rows)):
+            ctx = ParentContext.of(self.dataset.variables, *key)
+            stacks.setdefault(ctx.child_cardinality, []).append(
+                tally(self.dataset, ctx, joint)
+            )
         for tables in stacks.values():
             est = bc_estimate(tables, self.prior, self.phi_policy)
             splits = np.cumsum([t.context.n_configs for t in tables[:-1]])
@@ -151,7 +149,7 @@ class FamilyScorer:
 
     def _family(self, child: int, parents) -> tuple[FamilyScore, np.ndarray]:
         key = (child, tuple(sorted(parents)))
-        self._add([key], [self._rows])
+        self._add([key])
         return self._cache[key]
 
     def score(self, child: int, parents) -> FamilyScore:
@@ -162,23 +160,17 @@ class FamilyScorer:
         candidates)`` rounds, of distinct children: for each round, the
         score of ``child`` given ``parents``, then given ``parents`` plus
         each candidate, in candidate order.  The candidates are distinct
-        and not in ``parents``.  Every family is handed the full-row table,
-        else its round's ``round_tables`` joint; the first joint is also
-        the round's own family's, which is counted case by case when the
-        round has no candidates.  Every family of the level is checked
-        against ``counts.MAX_PATTERNS`` before any is counted."""
+        and not in ``parents``.  The level's families go to ``_add`` as one
+        list, so every new one is checked before any is counted, and a
+        round's new families share packed joints: at the first level a
+        round's own family is the first of its child's first pack, and at
+        later levels it is already cached."""
         families = [
             [(child, tuple(sorted(parents)))]
             + [(child, tuple(sorted((*parents, c)))) for c in candidates]
             for child, parents, candidates in rounds
         ]
-        if self._rows:
-            joints = itertools.repeat(self._rows)
-        else:
-            # a list: each call checks its round's families, counting none
-            level = [round_tables(self.dataset, *round_) for round_ in rounds]
-            joints = (joint for source in level for joint in _first_twice(source))
-        self._add([key for keys in families for key in keys], joints)
+        self._add([key for keys in families for key in keys])
         return [[self._cache[key][0] for key in keys] for keys in families]
 
     def estimate(self, child: int, parents) -> np.ndarray:
@@ -190,17 +182,6 @@ class FamilyScorer:
         return ModelScore(tuple(
             self.score(child, parents) for child, parents in enumerate(parent_sets)
         ))
-
-
-def _first_twice(joints):
-    """``joints`` with its first joint handed out twice, or one ``None``
-    when it is empty; the first is let go before the next is counted."""
-    first = next(joints, None)
-    yield first
-    if first is not None:
-        yield first
-        del first
-        yield from joints
 
 
 def log_marginal(

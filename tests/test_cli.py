@@ -457,6 +457,28 @@ class TestBench:
         stdout = capsys.readouterr().out
         assert "time_s=" in stdout
 
+    @pytest.mark.parametrize("option", ["--ladder", "--seeds"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_list_is_refused_before_sampling(
+        self, tmp_path, capsys, monkeypatch, option, value
+    ):
+        """An empty ``--ladder`` or ``--seeds`` would write a report of no
+        rows: it is a validation error, raised before any case is drawn, and
+        nothing is written."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sample called")
+
+        monkeypatch.setattr("bclearn.cli.sample", unreachable)
+        out, timings = tmp_path / "e.json", tmp_path / "t.json"
+        code = run([
+            "bench", "--spec", "M1", "--n", 50, option, value,
+            "--out", out, "--timings", timings,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {option} lists no value\n"
+        assert not out.exists() and not timings.exists()
+
     def test_zero_percent_rung_learns_nothing(self, tmp_path):
         out = tmp_path / "r.json"
         code = run([

@@ -12,7 +12,7 @@ from bclearn.counts import (
     _cases_table,
     _codes,
     _uses_row_table,
-    round_tables,
+    joints,
     row_table,
 )
 from bclearn.estimate import bc_estimate
@@ -368,25 +368,35 @@ def case_by_case_score(d, child, parents):
     return log_g_bc([counts], PriorSpec(), bc_estimate([counts], PriorSpec()))[0]
 
 
-class TestRoundTables:
-    """A search round's families, counted a group at a time from one joint
-    table, against each family counted alone."""
+def round_families(child, parents, candidates):
+    """The ``(child, sorted parents)`` key of each candidate's family."""
+    return [(child, tuple(sorted((*parents, c)))) for c in candidates]
+
+
+class TestJoints:
+    """Families counted a pack at a time from one joint table, against each
+    family counted alone."""
 
     @staticmethod
-    def assert_round_matches(d, child, parents, candidates):
-        """Each candidate's joint covers its family, and the tally of that
-        joint equals the plain tally."""
-        joints = list(round_tables(d, child, parents, candidates))
-        assert len(joints) == len(candidates)
-        for candidate, (table, axes) in zip(candidates, joints):
-            assert table.shape == tuple(d.cardinalities[v] + 1 for v in axes)
-            assert {*parents, candidate, child} <= set(axes)
-            ctx = ParentContext.of(d.variables, child, sorted((*parents, candidate)))
-            assert_same_counts(tally(d, ctx, (table, axes)), tally(d, ctx))
+    def assert_joints_match(d, families, rows=None):
+        """Each family's joint is ``None`` or covers the family, and its
+        tally equals the plain tally."""
+        given = list(joints(d, families, rows))
+        assert len(given) == len(families)
+        for (child, parents), joint in zip(families, given):
+            ctx = ParentContext.of(d.variables, child, parents)
+            if joint is not None:
+                table, axes = joint
+                assert table.shape == tuple(d.cardinalities[v] + 1 for v in axes)
+                assert {*parents, child} <= set(axes)
+            assert_same_counts(tally(d, ctx, joint), tally(d, ctx))
+        return given
 
     @staticmethod
-    def bincount_sizes(monkeypatch, d, child, parents, candidates):
-        """The ``minlength`` of each ``np.bincount`` call of one round."""
+    def bincount_sizes(monkeypatch, d, families):
+        """The ``minlength`` of each ``np.bincount`` call made to tally
+        ``families`` from their joints, as ``FamilyScorer`` does; no pack is
+        counted before the iterator reaches it."""
         sizes = []
         real = np.bincount
 
@@ -395,14 +405,18 @@ class TestRoundTables:
             return real(codes, minlength=minlength)
 
         monkeypatch.setattr(np, "bincount", counted)
-        list(round_tables(d, child, parents, candidates))
+        given = joints(d, families, None)
+        assert sizes == []
+        for (child, parents), joint in zip(families, given):
+            tally(d, ParentContext.of(d.variables, child, parents), joint)
         monkeypatch.undo()
         return sizes
 
-    def test_random_rounds(self, monkeypatch):
-        """Mixed cardinalities 2-5, parents in insertion order, candidates
-        on both sides of the parents' indices, groups split at
-        ``GROUP_PATTERNS`` and families above it counted alone."""
+    def test_random_families(self, monkeypatch):
+        """Mixed cardinalities 2-5, families of one child adding each
+        candidate to parents on both sides of the candidates' indices,
+        packs split at ``GROUP_PATTERNS`` and families above it counted
+        alone."""
         rng = np.random.default_rng(43)
         grouped = alone = 0
         for _ in range(40):
@@ -412,48 +426,72 @@ class TestRoundTables:
             child, *rest = rng.permutation(m).tolist()
             k = int(rng.integers(0, min(4, len(rest))))
             parents, candidates = rest[:k], rest[k:]
-            self.assert_round_matches(d, child, parents, candidates)
+            families = round_families(child, parents, candidates)
+            self.assert_joints_match(d, families)
             base = math.prod(cards[v] + 1 for v in (*parents, child))
             wide = [base * (cards[c] + 1) for c in candidates]
             wide = [size for size in wide if size > GROUP_PATTERNS]
-            sizes = self.bincount_sizes(monkeypatch, d, child, parents, candidates)
+            sizes = self.bincount_sizes(monkeypatch, d, families)
             assert len(wide) <= len(sizes) <= len(candidates)
             assert all(size <= GROUP_PATTERNS or size in wide for size in sizes)
             grouped += len(sizes) < len(candidates)
             alone += len(wide) > 0
         assert grouped and alone
 
-    def test_groups_split_greedily_in_order(self, monkeypatch):
+    def test_packs_split_greedily_in_order(self, monkeypatch):
         """A five-state child and two five-state parents take 6**3 = 216
-        slots: two three-slot candidates fit in a group (216 * 3**3 > 2**12),
-        and a six-slot one starts a group that one more three-slot fits."""
+        slots: two three-slot candidates fit in a pack (216 * 3**3 > 2**12),
+        and a six-slot one starts a pack that one more three-slot fits."""
         d = TestTableSources.random_holey(
             np.random.default_rng(44), (5, 5, 5, 2, 2, 2, 2, 5, 2), 300
         )
-        candidates = (3, 4, 5, 6, 7, 8)
-        sizes = self.bincount_sizes(monkeypatch, d, 0, (2, 1), candidates)
+        families = round_families(0, (2, 1), (3, 4, 5, 6, 7, 8))
+        sizes = self.bincount_sizes(monkeypatch, d, families)
         assert sizes == [216 * 3 * 3, 216 * 3 * 3, 216 * 6 * 3]
-        self.assert_round_matches(d, 0, (2, 1), candidates)
+        self.assert_joints_match(d, families)
 
-    def test_group_fills_to_exactly_group_patterns(self, monkeypatch):
+    def test_pack_fills_to_exactly_group_patterns(self, monkeypatch):
         """Ternary variables: a child, two parents and three candidates take
-        4**6 = 2**12 slots, the most one group holds."""
+        4**6 = 2**12 slots, the most one pack holds."""
         d = TestTableSources.random_holey(np.random.default_rng(46), (3,) * 8, 300)
-        candidates = (3, 4, 5, 6, 7)
-        sizes = self.bincount_sizes(monkeypatch, d, 0, (2, 1), candidates)
+        families = round_families(0, (2, 1), (3, 4, 5, 6, 7))
+        sizes = self.bincount_sizes(monkeypatch, d, families)
         assert sizes == [GROUP_PATTERNS, 4**5]
-        self.assert_round_matches(d, 0, (2, 1), candidates)
+        self.assert_joints_match(d, families)
+
+    def test_lone_family_gets_none(self, monkeypatch):
+        """A family alone in its pack, by itself or because the next family
+        of its child does not fit, is handed ``None`` and counted by
+        ``tally`` alone: one pass each, of the family's own slots."""
+        d = TestTableSources.random_holey(np.random.default_rng(47), (3,) * 8, 300)
+        assert self.assert_joints_match(d, [(0, (1, 2))]) == [None]
+        # 4**6 slots fill the first pack, so the last family is alone
+        families = round_families(0, (1,), (2, 3, 4, 5, 6))
+        *packed, last = self.assert_joints_match(d, families)
+        assert packed[0] is not None and all(j is packed[0] for j in packed)
+        assert last is None
+        assert self.bincount_sizes(monkeypatch, d, families) == [4**6, 4**3]
+
+    def test_two_children_never_share_a_joint(self, monkeypatch):
+        """Binary variables: each child's families fit one pack, and so would
+        both children's, but each child gets its own joint; a family between
+        two of its child's packs leaves them apart."""
+        d = TestTableSources.random_holey(np.random.default_rng(48), (2,) * 5, 200)
+        families = [(0, ()), (0, (1,)), (1, ()), (1, (2,)), (0, (2,)), (0, (3,))]
+        first, again, second, twice, third, _ = self.assert_joints_match(d, families)
+        assert first is again and second is twice and third is _
+        assert first[1] == (0, 1) and second[1] == (1, 2) and third[1] == (0, 2, 3)
+        assert self.bincount_sizes(monkeypatch, d, families) == [9, 9, 27]
 
     def test_no_cases(self):
         d = make_dataset((2, 3, 4, 5), np.zeros((0, 4)))
-        self.assert_round_matches(d, 1, (3,), (0, 2))
+        self.assert_joints_match(d, round_families(1, (3,), (0, 2)))
 
     def test_full_row_table(self, monkeypatch):
         """A scorer builds the full-row table once, hands every family of a
         level (each round's own and each candidate's) that very table and
-        counts no case, groups no candidates and scores each once, not
-        through ``score``; each family's counts equal a standalone
-        ``tally``'s."""
+        counts no case, scoring each once, not through ``score``; each
+        family's counts equal a standalone ``tally``'s."""
         d = TestTableSources.random_holey(
             np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
         )
@@ -476,7 +514,6 @@ class TestRoundTables:
 
         monkeypatch.setattr(bclearn.score, "tally", recorded)
         monkeypatch.setattr(np, "bincount", counted)
-        monkeypatch.setattr(bclearn.score, "round_tables", unreachable)
         monkeypatch.setattr(FamilyScorer, "score", unreachable)
         scorer.scores([(2, (4, 0), (1, 3)), (4, (), (0, 1, 2, 3))])
         monkeypatch.undo()
@@ -484,13 +521,15 @@ class TestRoundTables:
         for joint, counts in tallies:
             assert joint is rows
             assert_same_counts(counts, tally(d, counts.context))
-        self.assert_round_matches(d, 2, (4, 0), (1, 3))
-        self.assert_round_matches(d, 4, (), (0, 1, 2, 3))
+        families = round_families(2, (4, 0), (1, 3)) + round_families(
+            4, (), (0, 1, 2, 3)
+        )
+        given = self.assert_joints_match(d, families, rows)
+        assert all(joint is rows for joint in given)
 
     def test_family_over_max_patterns_is_refused_before_counting(self, monkeypatch):
-        """The second candidate's family has 4 * 3**14 * 4 > MAX_PATTERNS
-        patterns; the first candidate's, 4 * 3**14 * 3, is not counted
-        either."""
+        """The second family has 4 * 3**14 * 4 > MAX_PATTERNS patterns; the
+        first family's, 4 * 3**14 * 3, is not counted either."""
         cards = (3, 2, 3) + (2,) * 14
         d = make_dataset(cards, np.zeros((4, len(cards))))
         size = 4 * 3**14 * 4
@@ -501,7 +540,24 @@ class TestRoundTables:
 
         monkeypatch.setattr(np, "bincount", unreachable)
         with pytest.raises(ValueError, match=f"family of X1 has {size} entry patterns"):
-            list(round_tables(d, 0, range(3, 17), (1, 2)))
+            joints(d, round_families(0, range(3, 17), (1, 2)), None)
+
+    def test_a_scores_level_checks_every_key_before_counting(self, monkeypatch):
+        """A level of two rounds whose last family, the second round's, is
+        too wide: ``scores`` refuses it before counting any family of the
+        first round, and caches none."""
+        cards = (3, 2, 3) + (2,) * 14
+        d = make_dataset(cards, np.zeros((4, len(cards))))
+        scorer = FamilyScorer(d)
+        assert scorer._rows is None
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bincount called")
+
+        monkeypatch.setattr(np, "bincount", unreachable)
+        with pytest.raises(ValueError, match="family of X1 has"):
+            scorer.scores([(3, (), (4, 5)), (0, tuple(range(3, 17)), (1, 2))])
+        assert scorer._cache == {}
 
 
 class TestParentContext:

@@ -203,7 +203,7 @@ class TestK2:
     def test_rounds_match_a_greedy_loop_over_single_families(self, monkeypatch):
         """12 ternary variables, 2000 cases, 30 % deleted: 4**12 full-row
         slots, so families are counted case by case, a round's candidates a
-        group at a time.  The search equals a greedy loop scoring one family
+        pack at a time.  The search equals a greedy loop scoring one family
         at a time, tallies, estimates and scores each family once, and makes
         fewer counting passes than it scores families."""
         rng = np.random.default_rng(12)
@@ -285,11 +285,11 @@ class TestLockstep:
         cap = (None, 0, 1, 3)[int(rng.integers(4))]
         return db, OrderConstraint(tuple(rng.permutation(len(cards)).tolist()), cap)
 
-    @pytest.mark.parametrize("rows", [False, True], ids=["round_tables", "row_table"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["packed", "row_table"])
     def test_matches_the_search_one_node_after_another(self, monkeypatch, rows):
         """Equal parent sets, CPT bytes and score bits against
         ``helpers.sequential_k2`` at alpha 1 and 0.1 under both phis, every
-        family counted from its round groups' joints or from the full-row
+        family counted from its packed joint, its own table or the full-row
         table."""
         monkeypatch.setattr(bclearn.counts, "_uses_row_table", lambda *_: rows)
         rng = np.random.default_rng(2301)
