@@ -9,34 +9,25 @@ child state) cell its observed family entries are consistent with.
 Every count comes from a *joint* table: a dense int64 table with one axis
 per variable it covers, where slot 0 of an axis means missing and slot
 s + 1 state s, and each slot counts the cases with that entry pattern.
-There are two sources of joint:
-
-* ``row_table``, the full-row table over all the dataset's variables, one
-  ``np.bincount`` of every case's whole-row code, when it has at most one
-  slot per case (and at most ``MAX_PATTERNS``; see ``_uses_row_table``):
-  summing it then costs less than a pass over the cases.  It caches
-  nothing: each ``score.FamilyScorer`` builds it once and hands it to
-  every family it counts;
-* else the table of just the requested variables, one ``np.bincount`` of
-  each case's pattern code built from the dataset's contiguous int16
-  columns in int16 or int32: ``tally`` counts the family's own table when
-  handed no joint, and ``joints`` one table per pack of families.
-
 ``tally`` turns any joint that covers a family into the family's
 *marginal*: it sums the joint over every other axis, one axis at a time,
 and orders what is left as the parents then the child.  Integer sums are
-exact, so every joint gives the same counts.  A scorer reaches ``tally``
-one way, ``score.FamilyScorer._add``, which takes each new family's key
-(its ``ParentContext.of`` arguments) with its joint from ``joints``.
+exact, so every joint gives the same counts.
 
-``joints`` decides how each family of a list is counted.  A scorer with
-the full-row table hands every family that table.  Otherwise consecutive
-families of one child are packed into one joint over the union of their
-variables while it has at most ``GROUP_PATTERNS`` slots, so one pass over
-the cases counts a whole pack (Moore & Lee's cached sufficient statistics,
-JAIR 8, 1998), and a family left alone in its pack is counted by ``tally``
-from its own table.  Families of different children never share a joint,
-so a greedy search counts each node's families from passes of their own.
+``joints`` is the one counting rule; a scorer reaches ``tally`` one way,
+``score.FamilyScorer._add``, which hands each new family's key (its
+``ParentContext.of`` arguments) with its joint from ``joints`` and keeps
+the last pack joint it is handed.  A family whose variables all lie in
+that joint takes it and counts no case.  The other families go greedily,
+in order and whatever their child, into packs whose joint over the union
+of their variables has at most ``GROUP_PATTERNS`` slots; one
+``np.bincount`` of each case's pattern code, built from the dataset's
+contiguous int16 columns in int16 or int32, counts a whole pack (Moore &
+Lee's cached sufficient statistics, JAIR 8, 1998).  A family left alone in
+its pack is handed ``None`` and counted, and freed, by ``tally`` from its
+own table.  When the first level of a greedy search fits one pack, that
+pack covers every later family, and the search makes one pass over the
+cases.
 
 In the marginal, slicing slot 0 off every parent axis leaves the cases
 observed on all parents.  Adding each parent axis's slot 0 into every
@@ -46,7 +37,7 @@ The cost is the table's size plus one pass over the cases, whatever the
 number of missing entries; every count is int64.  ``_cases_table``, the
 only allocator of a pattern table, refuses one of more than
 ``MAX_PATTERNS`` slots before allocating it, naming the family; ``joints``
-checks every family it is handed when it is called, before it counts any.
+checks every family it packs when it is called, before it counts any.
 """
 
 from __future__ import annotations
@@ -205,27 +196,8 @@ class CountTable:
 MAX_PATTERNS = 2**26
 
 # The most slots of one joint table that ``joints`` counts a pack of
-# families of one child into.  On 16 ternary variables, 100k cases and 30 %
-# deleted, ``k2_bc`` took 121-128 ms (best of 5) at every limit from 2**10
-# to 2**14 and 141 ms at 2**8: a larger pack saves passes over the cases
-# but widens each pass by more members and sums a larger table per family.
-# Every code of such a table fits ``_codes``' int16.
+# families into.  Every code of such a table fits ``_codes``' int16.
 GROUP_PATTERNS = 2**12
-
-
-def _uses_row_table(cardinalities, n_cases: int) -> bool:
-    """Whether a dataset's families are counted from its full-row table: when
-    that table, prod(card + 1) slots over all variables, has at most one slot
-    per case and at most ``MAX_PATTERNS``.
-
-    On random cases a family's sum of the table costs as much as counting
-    the cases at 2-3 slots per case for 65536 and 15625 slots, and less at
-    every ratio for 1024, where each source's fixed cost rules.  One slot
-    per case leaves room for building the table, which costs one count of
-    every case's whole row, once per scorer.
-    """
-    size = math.prod(card + 1 for card in cardinalities)
-    return size <= min(n_cases, MAX_PATTERNS)
 
 
 def _codes(dataset: Dataset, members) -> np.ndarray:
@@ -257,18 +229,6 @@ def _cases_table(dataset: Dataset, members) -> np.ndarray:
     return np.bincount(_codes(dataset, members), minlength=size).reshape(shape)
 
 
-def row_table(dataset: Dataset):
-    """The read-only full-row joint ``(table, axes)`` over every variable,
-    one count of every case's whole row, when ``_uses_row_table`` holds,
-    else ``None``."""
-    if not _uses_row_table(dataset.cardinalities, dataset.n_cases):
-        return None
-    axes = tuple(range(dataset.n_variables))
-    table = _cases_table(dataset, axes)
-    table.flags.writeable = False
-    return table, axes
-
-
 def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
     """Refuse a family of ``child`` with ``size`` entry patterns above
     ``MAX_PATTERNS``, before its table is allocated."""
@@ -279,48 +239,56 @@ def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
         )
 
 
-def joints(dataset: Dataset, families, rows):
+def joints(dataset: Dataset, families, last=None):
     """An iterator of the joint ``tally`` takes for each ``(child, sorted
-    parents)`` key of ``families``, in order: ``rows``, the full-row table,
-    for every family when there is one.
+    parents)`` key of ``families``, in order: ``last``, a ``(table, axes)``
+    joint counted before, for every family it covers.
 
-    Else every family is checked against ``MAX_PATTERNS`` by the call
-    itself, before any is counted.  Consecutive families of one child go
-    greedily into packs whose joint table, one axis per variable of the
-    pack in index order, has at most ``GROUP_PATTERNS`` slots.  Each pack's
-    joint is counted case by case once, when the iterator reaches it, and
-    handed to every family of the pack; a family alone in its pack gets
-    ``None``, so that ``tally`` counts, and frees, its own table.
+    Every other family is checked against ``MAX_PATTERNS`` by the call
+    itself, before any is counted, and goes greedily into packs whose joint
+    table, one axis per variable of the pack in index order, has at most
+    ``GROUP_PATTERNS`` slots.  Each pack's joint is counted case by case
+    once, when the iterator reaches it, and handed to every family of the
+    pack; a family alone in its pack gets ``None``, so that ``tally``
+    counts, and frees, its own table.
     """
-    if rows:
-        return [rows] * len(families)
     slots = [card + 1 for card in dataset.cardinalities]
-    packs = []  # (child, variables, joint slots, number of families)
+    covered = set(last[1]) if last else set()
+    pack = None  # [variables, joint slots, number of families]
+    plan = []  # each family's pack, or None when ``last`` covers it
     for child, parents in families:
         members = {*parents, child}
-        if packs and packs[-1][0] == child:
-            _, variables, joint_size, count = packs[-1]
-            grown = joint_size * math.prod(slots[v] for v in members - variables)
-            if grown <= GROUP_PATTERNS:
-                packs[-1] = child, variables | members, grown, count + 1
+        if members <= covered:
+            plan.append(None)
+            continue
+        grown = pack and pack[1] * math.prod(slots[v] for v in members - pack[0])
+        if pack and grown <= GROUP_PATTERNS:
+            pack[:] = pack[0] | members, grown, pack[2] + 1
+        else:
+            # a family that fits a pack is far below the limit
+            size = math.prod(slots[v] for v in members)
+            _refuse_wide(dataset, child, size)
+            pack = [members, size, 1]
+        plan.append(pack)
+
+    def given():
+        counted = None, None  # the pack counted last and its joint
+        for pack in plan:
+            if pack is None or pack[2] == 1:
+                yield last if pack is None else None
                 continue
-        # a family that fits a pack is far below the limit
-        size = math.prod(slots[v] for v in members)
-        _refuse_wide(dataset, child, size)
-        packs.append((child, members, size, 1))
-    axes_counts = [(tuple(sorted(variables)), n) for _, variables, _, n in packs]
-    return (
-        joint
-        for axes, count in axes_counts
-        for joint in [(_cases_table(dataset, axes), axes) if count > 1 else None]
-        * count
-    )
+            if counted[0] is not pack:
+                axes = tuple(sorted(pack[0]))
+                counted = pack, (_cases_table(dataset, axes), axes)
+            yield counted[1]
+
+    return given()
 
 
 def tally(dataset: Dataset, ctx: ParentContext, joint=None) -> CountTable:
     """Count observed cases and possible completions for one family, from
     the family's marginal of ``joint``, a ``(table, axes)`` pair covering
-    the family (from ``joints``: the full-row table or a pack's), or of the
+    the family (a pack's, from ``joints``), or of the
     family's own table counted case by case when ``joint`` is ``None``."""
     q, c, k = ctx.n_configs, ctx.child_cardinality, len(ctx.parents)
     members = (*ctx.parents, ctx.child)

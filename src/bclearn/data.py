@@ -76,7 +76,7 @@ class Dataset:
 
     ``codes`` is a read-only int16 copy in column-major (Fortran) order.
     Nothing is cached on a dataset: counts drawn from it are kept by their
-    user, such as ``score.FamilyScorer``'s full-row table.
+    user, such as ``score.FamilyScorer``'s last pack joint.
     """
 
     variables: tuple[Variable, ...]

@@ -19,7 +19,7 @@ from math import lgamma
 
 import numpy as np
 
-from .counts import ParentContext, joints, row_table, tally
+from .counts import ParentContext, joints, tally
 from .data import Dataset
 from .estimate import PHI_POLICIES, BcCellEstimate, PriorSpec, bc_estimate
 
@@ -101,11 +101,8 @@ class FamilyScorer:
     goes from its key to the cache through ``_add``: it is counted by
     ``tally`` from the joint ``counts.joints`` hands it, then estimated and
     scored by one ``bc_estimate`` and one ``log_g_bc`` call per child
-    cardinality over the stack of new tables.  The joint is the dataset's
-    full-row table, built once here when ``counts.row_table`` finds it worth
-    building, else a pack's joint shared by consecutive new families of one
-    child, or ``None`` for a family alone.  A family gets the same bits in
-    any stack."""
+    cardinality over the stack of new tables.  A family gets the same bits
+    in any stack."""
 
     def __init__(
         self,
@@ -120,7 +117,7 @@ class FamilyScorer:
         self.dataset = dataset
         self.prior = PriorSpec(alpha, beta)
         self.phi_policy = phi_policy
-        self._rows = row_table(dataset)
+        self._joint = None  # the last pack joint ``_add`` was handed
         self._cache: dict[
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
@@ -129,16 +126,15 @@ class FamilyScorer:
         """Tally each uncached ``(child, sorted parents)`` key from its
         ``counts.joints`` joint, estimate and score the new tables as one
         stack per child cardinality, in order of first appearance, and cache
-        each family's score and CPT point estimate.  Every new key is
-        checked against ``counts.MAX_PATTERNS`` before any is counted, and
-        each pack's joint is counted when its first family is tallied."""
+        each family's score and CPT point estimate."""
         new = [key for key in keys if key not in self._cache]
         stacks: dict[int, list] = {}
-        for key, joint in zip(new, joints(self.dataset, new, self._rows)):
+        for key, joint in zip(new, joints(self.dataset, new, self._joint)):
             ctx = ParentContext.of(self.dataset.variables, *key)
             stacks.setdefault(ctx.child_cardinality, []).append(
                 tally(self.dataset, ctx, joint)
             )
+            self._joint = joint or self._joint
         for tables in stacks.values():
             est = bc_estimate(tables, self.prior, self.phi_policy)
             splits = np.cumsum([t.context.n_configs for t in tables[:-1]])
@@ -161,10 +157,7 @@ class FamilyScorer:
         score of ``child`` given ``parents``, then given ``parents`` plus
         each candidate, in candidate order.  The candidates are distinct
         and not in ``parents``.  The level's families go to ``_add`` as one
-        list, so every new one is checked before any is counted, and a
-        round's new families share packed joints: at the first level a
-        round's own family is the first of its child's first pack, and at
-        later levels it is already cached."""
+        list, so every new one is checked before any is counted."""
         families = [
             [(child, tuple(sorted(parents)))]
             + [(child, tuple(sorted((*parents, c)))) for c in candidates]

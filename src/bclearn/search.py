@@ -9,12 +9,10 @@ equal-scoring candidates go to the candidate earliest in the order.
 
 Each node's search depends on no other node's, so every node's rounds run
 in lockstep: level r holds round r + 1 of each node still growing, and one
-``FamilyScorer.scores`` call scores the whole level.  ``counts.joints``
-packs each round's new families, the node's empty family first at the
-first level, into joints of one pass over the cases each, so only a node
-with no candidate (no predecessor, or ``max_parents`` 0) counts its own
-column alone.  One ``bc_estimate`` and one ``log_g_bc`` call per child
-cardinality then estimate and score the level's new tables as one stack.
+``FamilyScorer.scores`` call scores the whole level, counting its
+families by ``counts.joints``' rule.  One ``bc_estimate`` and one
+``log_g_bc`` call per child cardinality then estimate and score the
+level's new tables as one stack.
 A family's score has the same bits in any stack, so the search takes the
 same steps as one node after another would.
 """

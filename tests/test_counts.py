@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 import bclearn.score
-from bclearn import MISSING, FamilyScorer, ParentContext, PriorSpec, tally
+import bclearn.counts
+from bclearn import (
+    MISSING, FamilyScorer, OrderConstraint, ParentContext, PriorSpec, k2_bc, tally,
+)
 from bclearn.counts import (
     GROUP_PATTERNS,
     MAX_PATTERNS,
     _cases_table,
     _codes,
-    _uses_row_table,
     joints,
-    row_table,
 )
 from bclearn.estimate import bc_estimate
 from bclearn.score import log_g_bc
@@ -255,16 +256,16 @@ def assert_same_counts(got, want):
 
 
 class TestTableSources:
-    """A family's tally over the full-row joint (``row_table``'s where the
-    rule picks it), over its own per-case joint and over a per-case joint
-    with extra axes in shuffled order."""
+    """A family's tally over the joint of every variable, over its own
+    per-case joint and over a per-case joint with extra axes in shuffled
+    order."""
 
     @staticmethod
     def assert_sources_agree(d, ctx):
         members = (*ctx.parents, ctx.child)
         everything = tuple(range(d.n_variables))
         shuffled = tuple(np.random.default_rng(len(members)).permutation(everything))
-        rows = row_table(d) or (_cases_table(d, everything), everything)
+        rows = _cases_table(d, everything), everything
         cases = tally(d, ctx, (_cases_table(d, members), members))
         assert_same_counts(tally(d, ctx, rows), cases)
         assert_same_counts(tally(d, ctx, (_cases_table(d, shuffled), shuffled)), cases)
@@ -309,56 +310,16 @@ class TestTableSources:
         d = make_dataset((2, 3), np.zeros((0, 2)))
         ctx = ParentContext.of(d.variables, 0, (1,))
         self.assert_sources_agree(d, ctx)
-        assert row_table(d) is None
         assert tally(d, ctx).obs_matrix().sum() == 0
 
-    def test_either_side_of_the_threshold(self, monkeypatch):
-        """4 * 3 * 5 = 60 slots: the row table serves 60 cases, not 59.  A
-        scorer of the 60 cases builds it once and then counts no family
-        case by case, and its scores equal the per-case ones."""
-        rng = np.random.default_rng(7)
-        for n, uses_rows in ((59, False), (60, True)):
-            d = self.random_holey(rng, (3, 2, 4), n)
-            assert _uses_row_table(d.cardinalities, n) == uses_rows
-            rows = row_table(d)
-            assert (rows is not None) == uses_rows
-            self.assert_sources_agree(d, ParentContext.of(d.variables, 2, (0,)))
-        table, axes = rows
-        assert axes == (0, 1, 2) and not table.flags.writeable
-        scorer = FamilyScorer(d)
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("_cases_table called")
-
-        monkeypatch.setattr("bclearn.counts._cases_table", unreachable)
-        family = scorer.score(2, (0,))
-        [round_] = scorer.scores([(1, (2,), (0,))])
-        monkeypatch.undo()
-        assert family == case_by_case_score(d, 2, (0,))
-        assert round_ == [
-            case_by_case_score(d, 1, (2,)), case_by_case_score(d, 1, (0, 2))
-        ]
-
-    def test_rule_never_exceeds_max_patterns(self):
-        cards = (2,) * 16 + (3,) * 2  # 3**16 * 16 > MAX_PATTERNS slots
-        assert math.prod(card + 1 for card in cards) > MAX_PATTERNS
-        assert not _uses_row_table(cards, 10**12)
-
-    @pytest.mark.parametrize("cards, n_cases", [
-        ((3,) * 16, 100_000),  # learn_wide: 4**16 slots
-        ((3,) * 9, 2_000),  # score_dense: 4**9 slots
-    ], ids=["learn_wide", "score_dense"])
-    def test_benchmark_shapes_count_case_by_case(self, cards, n_cases):
-        assert not _uses_row_table(cards, n_cases)
-
-    def test_row_table_matches_per_case_fold(self):
+    def test_full_joint_matches_per_case_fold(self):
         rng = np.random.default_rng(8)
         d = self.random_holey(rng, (2, 3, 2, 2), 200)
-        rows = row_table(d)
-        assert rows is not None
+        everything = tuple(range(d.n_variables))
+        joint = _cases_table(d, everything), everything
         for child, parents in ((0, ()), (1, (0, 3)), (3, (0, 1, 2)), (2, (3,))):
             ctx = ParentContext.of(d.variables, child, parents)
-            assert_matches_per_case_fold(d, ctx, rows)
+            assert_matches_per_case_fold(d, ctx, joint)
 
 
 def case_by_case_score(d, child, parents):
@@ -378,10 +339,10 @@ class TestJoints:
     family counted alone."""
 
     @staticmethod
-    def assert_joints_match(d, families, rows=None):
+    def assert_joints_match(d, families, last=None):
         """Each family's joint is ``None`` or covers the family, and its
         tally equals the plain tally."""
-        given = list(joints(d, families, rows))
+        given = list(joints(d, families, last))
         assert len(given) == len(families)
         for (child, parents), joint in zip(families, given):
             ctx = ParentContext.of(d.variables, child, parents)
@@ -472,60 +433,159 @@ class TestJoints:
         assert last is None
         assert self.bincount_sizes(monkeypatch, d, families) == [4**6, 4**3]
 
-    def test_two_children_never_share_a_joint(self, monkeypatch):
-        """Binary variables: each child's families fit one pack, and so would
-        both children's, but each child gets its own joint; a family between
-        two of its child's packs leaves them apart."""
+    def test_two_children_share_a_pack(self, monkeypatch):
+        """Binary variables: the families of two children, and a later family
+        of the first child, fit one pack of 3**4 slots and share its joint;
+        a fifth variable's family would make 3**5 > 2**7 slots and starts a
+        pack of its own."""
         d = TestTableSources.random_holey(np.random.default_rng(48), (2,) * 5, 200)
         families = [(0, ()), (0, (1,)), (1, ()), (1, (2,)), (0, (2,)), (0, (3,))]
-        first, again, second, twice, third, _ = self.assert_joints_match(d, families)
-        assert first is again and second is twice and third is _
-        assert first[1] == (0, 1) and second[1] == (1, 2) and third[1] == (0, 2, 3)
-        assert self.bincount_sizes(monkeypatch, d, families) == [9, 9, 27]
+        first, *rest = self.assert_joints_match(d, families)
+        assert first[1] == (0, 1, 2, 3) and all(joint is first for joint in rest)
+        assert self.bincount_sizes(monkeypatch, d, families) == [3**4]
+        monkeypatch.setattr(bclearn.counts, "GROUP_PATTERNS", 2**7)
+        families += [(4, (0,)), (4, (1,))]
+        *packed, fifth, again = self.assert_joints_match(d, families)
+        assert all(joint is packed[0] for joint in packed)
+        assert fifth is again and fifth[1] == (0, 1, 4)
+        assert self.bincount_sizes(monkeypatch, d, families) == [3**4, 3**3]
 
     def test_no_cases(self):
         d = make_dataset((2, 3, 4, 5), np.zeros((0, 4)))
         self.assert_joints_match(d, round_families(1, (3,), (0, 2)))
 
-    def test_full_row_table(self, monkeypatch):
-        """A scorer builds the full-row table once, hands every family of a
-        level (each round's own and each candidate's) that very table and
-        counts no case, scoring each once, not through ``score``; each
-        family's counts equal a standalone ``tally``'s."""
+    def test_a_later_level_takes_the_scorers_joint(self, monkeypatch):
+        """The first level of a search over 3 * 4 * 3 * 5 * 3 = 540 slots is
+        one pack of every variable, kept by the scorer.  A later level's
+        families, each round's own and each candidate's, are handed that
+        very joint and count no case; each is scored once, not through
+        ``score``, and equals its count case by case."""
         d = TestTableSources.random_holey(
             np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
         )
         scorer = FamilyScorer(d)
-        rows = scorer._rows
-        assert rows is not None
-        tallies, sizes = [], []
+        sizes = []
         real_tally, real_bincount = bclearn.score.tally, np.bincount
-
-        def recorded(dataset, ctx, joint=None):
-            tallies.append((joint, real_tally(dataset, ctx, joint)))
-            return tallies[-1][1]
 
         def counted(codes, minlength=0):
             sizes.append(minlength)
             return real_bincount(codes, minlength=minlength)
 
+        monkeypatch.setattr(np, "bincount", counted)
+        scorer.scores([(v, (), range(v)) for v in range(5)])
+        assert sizes == [540]
+        joint = scorer._joint
+        assert joint[1] == (0, 1, 2, 3, 4)
+        tallies = []
+
+        def recorded(dataset, ctx, joint=None):
+            tallies.append((joint, real_tally(dataset, ctx, joint)))
+            return tallies[-1][1]
+
         def unreachable(*args, **kwargs):
             raise AssertionError("called")
 
         monkeypatch.setattr(bclearn.score, "tally", recorded)
-        monkeypatch.setattr(np, "bincount", counted)
         monkeypatch.setattr(FamilyScorer, "score", unreachable)
-        scorer.scores([(2, (4, 0), (1, 3)), (4, (), (0, 1, 2, 3))])
+        level = scorer.scores([(2, (4, 0), (1, 3)), (4, (3,), (0, 1, 2))])
         monkeypatch.undo()
-        assert sizes == [] and len(tallies) == 8
-        for joint, counts in tallies:
-            assert joint is rows
+        assert sizes == [540] and len(tallies) == 6 and scorer._joint is joint
+        for given, counts in tallies:
+            assert given is joint
             assert_same_counts(counts, tally(d, counts.context))
+        assert level[0] == [
+            case_by_case_score(d, 2, (0, 4)),
+            case_by_case_score(d, 2, (0, 1, 4)),
+            case_by_case_score(d, 2, (0, 3, 4)),
+        ]
         families = round_families(2, (4, 0), (1, 3)) + round_families(
-            4, (), (0, 1, 2, 3)
+            4, (3,), (0, 1, 2)
         )
-        given = self.assert_joints_match(d, families, rows)
-        assert all(joint is rows for joint in given)
+        assert all(
+            handed is joint for handed in self.assert_joints_match(d, families, joint)
+        )
+
+    def test_a_covered_family_after_a_new_pack_gets_the_joint_before_the_call(
+        self, monkeypatch
+    ):
+        """The scorer keeps the pack of X1 and X2.  A level that counts a new
+        pack of X3, X4 and X5 first and then reaches X1's and X2's family
+        hands that family the joint from before the call, as the very
+        object."""
+        d = TestTableSources.random_holey(np.random.default_rng(49), (2,) * 5, 300)
+        scorer = FamilyScorer(d)
+        scorer.scores([(1, (), (0,))])
+        before = scorer._joint
+        assert before[1] == (0, 1)
+        tallies = []
+        real_tally = bclearn.score.tally
+
+        def recorded(dataset, ctx, joint=None):
+            tallies.append((ctx.child, joint))
+            return real_tally(dataset, ctx, joint)
+
+        monkeypatch.setattr(bclearn.score, "tally", recorded)
+        scores = scorer.scores([(3, (), (2, 4)), (0, (1,), ())])
+        monkeypatch.undo()
+        (_, pack), *_, (child, last) = tallies
+        assert pack[1] == (2, 3, 4) and child == 0 and last is before
+        assert scores[1] == [case_by_case_score(d, 0, (1,))]
+        families = round_families(3, (), (2, 4)) + [(0, (1,))]
+        *packed, covered = self.assert_joints_match(d, families, before)
+        assert packed[0][1] == (2, 3, 4) and covered is before
+
+    def test_seven_ternary_variables_count_no_table_above_a_pack(self, monkeypatch):
+        """4**7 = 16384 slots over 20000 cases: a search whose families all
+        fit a pack counts no table above ``GROUP_PATTERNS`` slots."""
+        rng = np.random.default_rng(50)
+        d = TestTableSources.random_holey(rng, (3,) * 7, 20_000)
+        sizes = []
+        real_bincount = np.bincount
+
+        def counted(codes, minlength=0):
+            sizes.append(minlength)
+            return real_bincount(codes, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        k2_bc(d, OrderConstraint(tuple(range(7)), max_parents=3))
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= GROUP_PATTERNS
+
+    @pytest.mark.parametrize("workload", ["learn_wide", "score_dense"])
+    def test_benchmark_shapes_count_no_table_above_a_pack(self, monkeypatch, workload):
+        """The benchmark shapes on 300 cases.  A search over 16 ternary
+        variables with up to 3 parents (learn_wide) counts no table above
+        ``GROUP_PATTERNS`` slots.  The dense model over 9 ternary variables
+        (score_dense) counts its families of 6 and 8 parents, too wide for a
+        pack, once each from their own tables and nothing else above the
+        limit, and each family's score equals its score counted case by
+        case."""
+        n_variables = {"learn_wide": 16, "score_dense": 9}[workload]
+        d = TestTableSources.random_holey(
+            np.random.default_rng(51), (3,) * n_variables, 300
+        )
+        sizes = []
+        real_bincount = np.bincount
+
+        def counted(codes, minlength=0):
+            sizes.append(minlength)
+            return real_bincount(codes, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        if workload == "learn_wide":
+            k2_bc(d, OrderConstraint(tuple(range(n_variables)), max_parents=3))
+            monkeypatch.undo()
+            assert sizes and max(sizes) <= GROUP_PATTERNS
+            return
+        dense = {8: range(8), 7: range(1, 7), 6: range(2, 6), 5: range(3, 5)}
+        parent_sets = [tuple(dense.get(v, ())) for v in range(n_variables)]
+        score = FamilyScorer(d).model_score(parent_sets)
+        monkeypatch.undo()
+        assert [size for size in sizes if size > GROUP_PATTERNS] == [4**7, 4**9]
+        assert score.families == tuple(
+            case_by_case_score(d, child, parents)
+            for child, parents in enumerate(parent_sets)
+        )
 
     def test_family_over_max_patterns_is_refused_before_counting(self, monkeypatch):
         """The second family has 4 * 3**14 * 4 > MAX_PATTERNS patterns; the
@@ -549,7 +609,6 @@ class TestJoints:
         cards = (3, 2, 3) + (2,) * 14
         d = make_dataset(cards, np.zeros((4, len(cards))))
         scorer = FamilyScorer(d)
-        assert scorer._rows is None
 
         def unreachable(*args, **kwargs):
             raise AssertionError("bincount called")

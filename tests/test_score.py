@@ -172,8 +172,7 @@ class TestScorerRounds:
         that family alone, to the bit: ragged stacks of 2-5 state parents,
         priors on int64 (alpha 1, 1e3) and object (alpha 0.1) integers, MAR
         and uniform phi, complete data, no cases, fewer cases than
-        configurations (distinct rows) and more (the full-row table at
-        n = 1500)."""
+        configurations (distinct rows) and more (n = 1500)."""
         rng = np.random.default_rng(61)
         for trial in range(12):
             cards = [int(c) for c in rng.integers(2, 6, size=int(rng.integers(3, 6)))]

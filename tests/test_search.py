@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import bclearn.counts
 import bclearn.score
 from bclearn import (
     MISSING,
+    Dataset,
     DeletionPlan,
     FamilyScorer,
     GenerativeSpec,
@@ -31,7 +33,7 @@ from bclearn import (
     sample,
     tally,
 )
-from bclearn.counts import row_table
+from bclearn.counts import GROUP_PATTERNS
 from bclearn.oracle import OracleError, enumerate_models, joint_distribution
 from helpers import (
     make_dataset,
@@ -108,6 +110,12 @@ class TestK2:
         model = k2_bc(db, order_for(db))
         assert model.arcs == ()
 
+    def test_no_variables_give_the_empty_model(self):
+        db = Dataset((), np.zeros((3, 0)))
+        model = k2_bc(db, OrderConstraint(()))
+        assert model.parent_sets == () and model.score.total == 0
+        assert log_marginal(model, db).total == 0
+
     def test_empty_database_gives_empty_graph_with_zero_score(self):
         db = make_dataset((2, 2, 2), np.zeros((0, 3), dtype=np.int16))
         model = k2_bc(db, order_for(db))
@@ -170,13 +178,12 @@ class TestK2:
 
     def test_each_distinct_family_is_tallied_and_estimated_once(self, monkeypatch):
         # M4 at n = 10,000 with 40% deleted, seeded as `simulate --seed 0`,
-        # counted from the full-row table; each family is also scored once
+        # counted from one pack; each family is also scored once
         sample_seed, delete_seed = np.random.SeedSequence(0).spawn(2)
         db = delete_entries(
             sample(builtin_spec("M4", seed=sample_seed)),
             DeletionPlan(0.4, seed=delete_seed),
         )
-        assert row_table(db) is not None
         seen = spy_counting(monkeypatch)
         model = k2_bc(db, order_for(db))
         assert seen["tally"] == 24
@@ -189,23 +196,22 @@ class TestK2:
             assert np.array_equal(model.cpts[child], fresh.p_hat)
 
     def test_dataset_keeps_no_state(self):
-        """M4 at 2000 cases is counted from the full-row table, which the
-        scorers keep: the dataset ends as it was built."""
+        """M4 at 2000 cases is counted from one pack, which the scorer
+        keeps: the dataset ends as it was built."""
         sample_seed, delete_seed = np.random.SeedSequence(0).spawn(2)
         db = delete_entries(
             sample(builtin_spec("M4", n=2000, seed=sample_seed)),
             DeletionPlan(0.4, seed=delete_seed),
         )
-        assert row_table(db) is not None
         log_marginal(k2_bc(db, order_for(db)), db)
         assert set(vars(db)) == {"variables", "codes"}
 
     def test_rounds_match_a_greedy_loop_over_single_families(self, monkeypatch):
-        """12 ternary variables, 2000 cases, 30 % deleted: 4**12 full-row
-        slots, so families are counted case by case, a round's candidates a
-        pack at a time.  The search equals a greedy loop scoring one family
-        at a time, tallies, estimates and scores each family once, and makes
-        fewer counting passes than it scores families."""
+        """12 ternary variables, 2000 cases, 30 % deleted: 4**12 slots in
+        all, so a level's families are counted a pack at a time.  The search
+        equals a greedy loop scoring one family at a time, tallies, estimates
+        and scores each family once, and makes fewer counting passes than it
+        scores families."""
         rng = np.random.default_rng(12)
         variables = [Variable(f"V{i}", ("a", "b", "c")) for i in range(12)]
         network = random_network(rng, variables, max_parents=3)
@@ -235,7 +241,6 @@ class TestK2:
             parent_sets[child] = tuple(sorted(parents))
         reference = scorer.model_score(parent_sets)
 
-        assert row_table(db) is None
         seen = spy_counting(monkeypatch)
         bincounts = []
         real_bincount = np.bincount
@@ -262,6 +267,11 @@ class TestK2:
         assert passes < len(families)
 
 
+def joint_slots(db):
+    """The slots of the joint table of every variable of ``db``."""
+    return math.prod(card + 1 for card in db.cardinalities)
+
+
 class TestLockstep:
     """Every node's rounds run in lockstep, one level at a time."""
 
@@ -285,18 +295,30 @@ class TestLockstep:
         cap = (None, 0, 1, 3)[int(rng.integers(4))]
         return db, OrderConstraint(tuple(rng.permutation(len(cards)).tolist()), cap)
 
-    @pytest.mark.parametrize("rows", [False, True], ids=["packed", "row_table"])
-    def test_matches_the_search_one_node_after_another(self, monkeypatch, rows):
+    @pytest.mark.parametrize("fits", [True, False], ids=["one_pack", "packs"])
+    def test_matches_the_search_one_node_after_another(self, monkeypatch, fits):
         """Equal parent sets, CPT bytes and score bits against
         ``helpers.sequential_k2`` at alpha 1 and 0.1 under both phis, every
-        family counted from its packed joint, its own table or the full-row
-        table."""
-        monkeypatch.setattr(bclearn.counts, "_uses_row_table", lambda *_: rows)
+        family counted from a packed joint or its own table.  Each drawn
+        network's joint fits a pack, so that the search makes one pass over
+        the cases, or each one's does not."""
         rng = np.random.default_rng(2301)
+        real_cases = bclearn.counts._cases_table
         arcs = 0
         for trial in range(16):
             db, order = self.draw(rng, trial)
-            assert (row_table(db) is not None) == rows
+            while (joint_slots(db) <= GROUP_PATTERNS) != fits:
+                db, order = self.draw(rng, trial)
+            passes = []
+
+            def cases_table(*args):
+                passes.append(None)
+                return real_cases(*args)
+
+            monkeypatch.setattr(bclearn.counts, "_cases_table", cases_table)
+            k2_bc(db, order)
+            monkeypatch.undo()
+            assert len(passes) == 1 if fits else len(passes) > 1
             for alpha in (1.0, 0.1):
                 for phi in ("mar", "uniform"):
                     model = k2_bc(db, order, alpha=alpha, phi=phi)
@@ -311,10 +333,10 @@ class TestLockstep:
         assert arcs
 
     def test_one_stack_per_level_and_child_cardinality(self, monkeypatch):
-        """Nine columns of 2-5 states, 600 cases, 30 % deleted, counted case
-        by case: ``bc_estimate`` runs once per (level, child cardinality)
-        with no mixed stack, and only the first node in the order, which has
-        no predecessor, counts its own column."""
+        """Nine columns of 2-5 states, 600 cases, 30 % deleted, counted a
+        pack at a time: ``bc_estimate`` runs once per (level, child
+        cardinality) with no mixed stack, and no node counts its own column
+        alone, not even the first in the order, which has no predecessor."""
         rng = np.random.default_rng(2302)
         cards = [2, 3, 4, 5, 2, 3, 4, 5, 3]
         variables = [
@@ -324,7 +346,6 @@ class TestLockstep:
         db = delete_entries(
             sample(GenerativeSpec(network, 600, seed=3)), DeletionPlan(0.3, seed=4)
         )
-        assert row_table(db) is None
         stacks, columns, deepest = [], [], 0
         real_estimate = bclearn.score.bc_estimate
         real_cases = bclearn.counts._cases_table
@@ -360,7 +381,7 @@ class TestLockstep:
                 {card} for level in sorted(expected) for card in expected[level]
             ]
             deepest = max(deepest, *expected)
-            assert columns == [order.order[0]]
+            assert columns == []
             assert model.parent_sets == sequential_k2(db, order).parent_sets
         assert deepest >= 2
 
