@@ -8,9 +8,11 @@ Run from anywhere in a source checkout; the package is imported from its
 family each of q = 9, 81, 729 and 6561 configurations, five of q = 1) with
 ``FamilyScorer.model_score`` on cases drawn from that workload's chain, for
 every n in N_CASES and every deleted fraction in DELETED (one nested
-deletion ladder per n).  ``tally``, ``bc_estimate`` and ``log_g_bc`` are
-timed per family by wrapping the names ``bclearn.score`` calls, as
-perfbench's tracer does; each figure is the best of REPEATS fresh scorers.
+deletion ladder per n).  The layer times come from perfbench's tracer
+(``perfbench/tracing.py``): each ``counts.tally``, ``estimate.bc_estimate``
+and ``score.log_g_bc`` span is charged to the family of the
+``score.family`` span it runs in; each figure is the best of REPEATS fresh
+scorers.
 
 It writes ``BENCH_scaling.json`` at the root of the checkout: the host, the
 Python and numpy versions, ``perfbench/calibration.py``'s loop time before
@@ -22,13 +24,16 @@ flagged.  The figures are wall times in seconds and nothing is gated on them.
 A second slice walks the variables axis: ``search.k2_bc`` under a cap of
 K2_MAX_PARENTS parents, on ternary networks of each size in K2_VARIABLES,
 drawn as ``perfbench``'s ``learn_wide`` draws its network, at K2_CASES cases
-with each deleted fraction in K2_DELETED.  Each point records the best of
-REPEATS searches in seconds, raw and normalized to the calibration loop's
-reference host speed (``calibration.normalized``, each search rescaled by
-the calibrations run just before and after it, so that files from two
-checkouts or two moments compare), its ``bc_estimate`` calls and its
-passes over the cases (``counts._cases_table`` calls), and the arcs it
-learned.
+with each deleted fraction in K2_DELETED, under each phi of
+``estimate.PHI_POLICIES``.  Each point records the best of REPEATS searches
+in seconds, raw and normalized to the calibration loop's reference host
+speed (``calibration.normalized``, each search rescaled by the calibrations
+run just before and after it, so that files from two checkouts or two
+moments compare), its ``bc_estimate`` calls (the tracer's spans) and its
+passes over the cases (``counts._cases_table`` calls, a name the tracer
+does not wrap), and the arcs it learned, with how many of them the
+generating network lacks (extra) and how many of its arcs it did not learn
+(missed).
 
 A third slice walks the n axis of ``data.load_csv``: files of LOAD_COLUMNS
 ternary columns with LOAD_MISSING of the cells ``?``, at each n in
@@ -58,9 +63,11 @@ sys.path.insert(1, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 from bclearn import counts, score  # noqa: E402
-from bclearn.search import OrderConstraint, k2_bc  # noqa: E402
+from bclearn.estimate import PHI_POLICIES  # noqa: E402
+from bclearn.search import Model, OrderConstraint, k2_bc  # noqa: E402
 from bclearn.simulate import GenerativeSpec, delete_ladder, sample  # noqa: E402
 from calibration import calibrate, normalized  # noqa: E402
+from tracing import Tracer  # noqa: E402
 from workloads import LearnWide, ScoreDense  # noqa: E402
 
 N_CASES = (2_000, 20_000, 200_000)
@@ -96,39 +103,22 @@ print(json.dumps({"s": seconds, "peak_rss_mb": kib / 1024}))
 """
 
 
-def _timed(layer, times):
-    """``bclearn.score``'s ``layer`` wrapped to add its wall time to
-    ``times[child][layer]``."""
-    original = getattr(score, layer)
-
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return original(*args, **kwargs)
-        finally:
-            # tally takes (dataset, context, ...), the others a stack of one
-            ctx = args[1] if layer == "tally" else args[0][0].context
-            family = times.setdefault(ctx.child, dict.fromkeys(LAYERS, 0.0))
-            family[layer] += time.perf_counter() - start
-
-    return original, wrapper
-
-
-def _run(dataset, parent_sets) -> tuple[float, dict[int, dict[str, float]]]:
-    """One fresh scorer's model score: its wall time and each family's
-    per-layer times."""
-    times: dict[int, dict[str, float]] = {}
-    wrapped = {layer: _timed(layer, times) for layer in LAYERS}
-    for layer, (_, wrapper) in wrapped.items():
-        setattr(score, layer, wrapper)
-    try:
-        start = time.perf_counter()
-        score.FamilyScorer(dataset).model_score(parent_sets)
-        total = time.perf_counter() - start
-    finally:
-        for layer, (original, _) in wrapped.items():
-            setattr(score, layer, original)
-    return total, times
+def _run(dataset, parent_sets) -> tuple[float, list[dict[str, float]]]:
+    """One fresh scorer's model score under perfbench's tracer: its wall
+    time and, in child order, each family's per-layer times."""
+    tracer = Tracer()
+    with tracer.installed():
+        tracer.run_op(score.FamilyScorer(dataset).model_score, parent_sets)
+    root, *spans = tracer.spans
+    # model_score scores its families in child order, each in one
+    # ``score.family`` span, the parent of that family's layer spans
+    families = {span.id: dict.fromkeys(LAYERS, 0.0)
+                for span in spans if span.name == "score.family"}
+    for span in spans:
+        layer = span.name.partition(".")[2]
+        if layer in LAYERS:
+            families[span.parent][layer] += span.duration
+    return root.duration, list(families.values())
 
 
 class _Wide(LearnWide):
@@ -139,56 +129,65 @@ class _Wide(LearnWide):
         super().__init__()
 
 
-def _counted_search(dataset, order) -> tuple[int, int, int]:
-    """One ``k2_bc``: its ``bc_estimate`` calls, its passes over the cases
-    and the arcs it learned."""
-    calls = {"bc_estimate": 0, "passes": 0}
-    estimate, cases_table = score.bc_estimate, counts._cases_table
-
-    def counted_estimate(*args, **kwargs):
-        calls["bc_estimate"] += 1
-        return estimate(*args, **kwargs)
+def _counted_search(dataset, order, phi) -> tuple[int, int, Model]:
+    """One ``k2_bc`` under perfbench's tracer: its ``bc_estimate`` calls,
+    its passes over the cases and the model it learned."""
+    passes = 0
+    cases_table = counts._cases_table
 
     def counted_cases_table(*args, **kwargs):
-        calls["passes"] += 1
+        nonlocal passes
+        passes += 1
         return cases_table(*args, **kwargs)
 
-    score.bc_estimate, counts._cases_table = counted_estimate, counted_cases_table
+    tracer = Tracer()
+    counts._cases_table = counted_cases_table
     try:
-        model = k2_bc(dataset, order)
+        with tracer.installed():
+            model = k2_bc(dataset, order, phi=phi)
     finally:
-        score.bc_estimate, counts._cases_table = estimate, cases_table
-    return calls["bc_estimate"], calls["passes"], len(model.arcs)
+        counts._cases_table = cases_table
+    estimates = sum(span.name == "estimate.bc_estimate" for span in tracer.spans)
+    return estimates, passes, model
 
 
 def _k2_rows() -> list[dict]:
-    """The ``k2_bc`` slice: one row per variable count and deleted fraction."""
+    """The ``k2_bc`` slice: one row per variable count, deleted fraction and
+    phi."""
     rows = []
     for n_variables in K2_VARIABLES:
         network = _Wide(n_variables).network
+        true_arcs = set(network.arcs)
         order = OrderConstraint(tuple(range(n_variables)), K2_MAX_PARENTS)
         complete = sample(GenerativeSpec(network, K2_CASES, seed=SAMPLE_SEED))
         for deleted, dataset in zip(
             K2_DELETED, delete_ladder(complete, K2_DELETED, DELETE_SEED)
         ):
-            estimates, passes, arcs = _counted_search(dataset, order)
-            # each search between the calibrations run just before and after it
-            times, calibrations = [], [calibrate()]
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                k2_bc(dataset, order)
-                times.append(time.perf_counter() - start)
-                calibrations.append(calibrate())
-            norm = min(map(normalized, times, calibrations, calibrations[1:]))
-            rows.append({
-                "variables": n_variables, "deleted": deleted,
-                "k2_bc_s": min(times), "k2_bc_norm_s": norm,
-                "bc_estimate_calls": estimates, "case_passes": passes, "arcs": arcs,
-            })
-            print(f"variables={n_variables:>2} deleted={deleted:.2f} k2_bc="
-                  f"{min(times) * 1e3:7.1f} ms ({norm * 1e3:7.1f} normalized)"
-                  f"  bc_estimate calls={estimates}  case passes={passes}"
-                  f"  arcs={arcs}")
+            for phi in PHI_POLICIES:
+                estimates, passes, model = _counted_search(dataset, order, phi)
+                arcs = set(model.arcs)
+                # each search between the calibrations run just before and
+                # after it
+                times, calibrations = [], [calibrate()]
+                for _ in range(REPEATS):
+                    start = time.perf_counter()
+                    k2_bc(dataset, order, phi=phi)
+                    times.append(time.perf_counter() - start)
+                    calibrations.append(calibrate())
+                norm = min(map(normalized, times, calibrations, calibrations[1:]))
+                rows.append({
+                    "variables": n_variables, "deleted": deleted, "phi": phi,
+                    "k2_bc_s": min(times), "k2_bc_norm_s": norm,
+                    "bc_estimate_calls": estimates, "case_passes": passes,
+                    "arcs": len(arcs), "extra_arcs": len(arcs - true_arcs),
+                    "missed_arcs": len(true_arcs - arcs),
+                })
+                print(f"variables={n_variables:>2} deleted={deleted:.2f} "
+                      f"phi={phi:<7} k2_bc={min(times) * 1e3:7.1f} ms "
+                      f"({norm * 1e3:7.1f} normalized)  bc_estimate calls="
+                      f"{estimates}  case passes={passes}  arcs={len(arcs)} "
+                      f"(extra {rows[-1]['extra_arcs']}, missed "
+                      f"{rows[-1]['missed_arcs']})")
     return rows
 
 
@@ -335,10 +334,11 @@ def main() -> None:
         "flagged": [r for r in ratios if r["flagged"]],
         "k2_bc": {
             "what": "search.k2_bc on ternary networks drawn as perfbench "
-                    "learn_wide's; best of "
+                    "learn_wide's, under each phi; best of "
                     f"{REPEATS} searches in seconds, raw and normalized by "
                     "the calibrations around each search, bc_estimate calls "
-                    "and passes over the cases of one search",
+                    "and passes over the cases of one search, and its arcs, "
+                    "extra and missed against the generating network",
             "cases": K2_CASES,
             "max_parents": K2_MAX_PARENTS,
             "rows": k2_rows,

@@ -27,6 +27,7 @@ one slot per possible key; wider keys are sorted.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -163,11 +164,12 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     columns not covered by a schema default to a binary ("1", "2")
     universe, there being no cells to contradict it.
 
-    The file is read once, as bytes, which both paths parse.  If it is
-    valid UTF-8 and has no quote character, NUL byte, carriage return
-    outside a CRLF line end or blank line, its header names are unique,
-    every row is as wide as the header and every body cell is at most 8
-    bytes long, numpy tokenises it.  Any other file is parsed by
+    The file is read once, as bytes, which both paths parse after one
+    leading UTF-8 byte-order mark, if there is one.  If they are valid
+    UTF-8 and have no quote character, NUL byte, carriage return outside a
+    CRLF line end or blank line, the header names are unique, every row is
+    as wide as the header and every body cell is at most 8 bytes long,
+    numpy tokenises them.  Any other file is parsed by
     ``csv.reader`` (RFC 4180 quoting), which also words every error about
     the file's layout.  Both paths hand an (n, m) array of unsigned integer
     keys that sort within a column as the labels do, and a key-to-label
@@ -184,8 +186,12 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
         raw, size = _read_padded(path, 8)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    # a UTF-8 byte-order mark is no part of the first name
+    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    del raw[:bom]
+    size -= bom
     header, keys, label_of = (
-        _split_bytes(raw, size) or _split_rows(memoryview(raw)[:size], path)
+        _split_bytes(raw, size) or _split_rows(memoryview(raw)[:size], path, bom)
     )
     # the labelling below reads only the keys: freeing the file's bytes
     # first keeps them out of its peak memory
@@ -363,16 +369,17 @@ def _key_words(raw: bytearray, size: int, key_bytes: int):
     return words, masks
 
 
-def _split_rows(raw, path):
-    """Parse the file's bytes ``raw`` with ``csv.reader``: the path for any
-    file ``_split_bytes`` declines.  A cell's key is the rank of its label
-    among the file's distinct labels, uint16 unless there are more than
-    2**16 of them; ``path`` only names the file in errors."""
+def _split_rows(raw, path, skipped: int):
+    """Parse ``raw``, the file's bytes after its first ``skipped``, with
+    ``csv.reader``: the path for any file ``_split_bytes`` declines.  A
+    cell's key is the rank of its label among the file's distinct labels,
+    uint16 unless there are more than 2**16 of them; ``path`` only names the
+    file in errors, which count bytes from the file's first."""
     try:
         text = str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(
-            f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})"
+            f"{path}: byte {skipped + exc.start} is not valid UTF-8 ({exc.reason})"
         ) from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:

@@ -285,16 +285,14 @@ def _groups(tables) -> bool:
 
 def _distinct_rows(*columns):
     """(index, inverse, counts) of the distinct rows of the count columns, as
-    ``np.unique`` returns them for one int64 key per row that packs the
-    columns in mixed radix (each column's maximum + 1); None when the key
-    could pass 2**62."""
+    ``np.unique`` returns them for one int64 key per row: the row's index in
+    a C-ordered array whose dimensions are each column's maximum + 1, the
+    first column most significant.  None when the key could pass 2**62."""
     rows = np.column_stack(columns)
     radices = (rows.max(axis=0) + 1).tolist()
     if math.prod(radices) > 2**62:
         return None
-    key = rows[:, 0]
-    for column, radix in zip(rows.T[1:], radices[1:]):
-        key = key * radix + column
+    key = np.ravel_multi_index(rows.T, radices)
     _, index, inverse, counts = np.unique(
         key, return_index=True, return_inverse=True, return_counts=True
     )

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -279,6 +280,26 @@ class TestBytePathMatchesCsvReader:
         assert d.variables[0].states == ("", "10", "9", "a", "ab", "b", "é", "状態")
         assert d.codes[:, 0].tolist() == [4, 1, 3, 2, 7, 6, 0, 5]
 
+    @pytest.mark.parametrize(
+        "header", [b"A,B", b'"A",B'], ids=["numpy", "csv_reader"]
+    )
+    def test_a_byte_order_mark_is_no_part_of_the_first_name(
+        self, tmp_path, monkeypatch, header
+    ):
+        text = header + b"\r\nx,1\ny,2\n?,?\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        expected = load_csv(plain)
+        if b'"' not in header:
+            monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+        got = load_csv(marked)
+        assert got == expected
+        assert [v.name for v in got.variables] == ["A", "B"]
+        # only one mark is skipped
+        marked.write_bytes(codecs.BOM_UTF8 * 2 + text)
+        assert load_csv(marked).variables[0].name.startswith("\ufeff")
+
 
 def spy_keys(monkeypatch, split):
     """Record the dtype of the keys ``data.<split>`` returns, as ``load_csv``
@@ -456,6 +477,13 @@ class TestFilesTheBytePathDeclines:
         path = self.write(tmp_path, b"A,B\n1,\xff\n2,1\n")
         with pytest.raises(
             DataError, match=r"byte 6 is not valid UTF-8 \(invalid start byte\)$"
+        ):
+            load_csv(path)
+
+    def test_invalid_utf8_after_a_byte_order_mark_counts_the_mark(self, tmp_path):
+        path = self.write(tmp_path, codecs.BOM_UTF8 + b"A,B\n1,\xff\n2,1\n")
+        with pytest.raises(
+            DataError, match=r"byte 9 is not valid UTF-8 \(invalid start byte\)$"
         ):
             load_csv(path)
 

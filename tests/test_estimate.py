@@ -17,6 +17,7 @@ from bclearn import (
 )
 from bclearn import estimate, score
 from bclearn.estimate import _collapse, _normalized_int_row, phi_from_rows
+from bclearn.search import OrderConstraint, k2_bc
 from helpers import (
     PRIORS, five_case_db, make_dataset, phi_rows, punch_holes, random_complete,
 )
@@ -694,6 +695,47 @@ class TestPaths:
         assert calls[1] == (object, table.context.n_configs)
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
+
+    @pytest.mark.parametrize("workload", ["learn_wide", "score_dense"])
+    def test_benchmark_shapes_take_one_path_each(self, monkeypatch, workload):
+        """The benchmark shapes, on a noisy chain of ternary variables.  A
+        search over 16 of them with up to 3 parents at n = 100000 with 30 %
+        deleted (learn_wide) collapses every stack on Python ints and groups
+        no row.  The dense model over 9 of them at n = 2000 with 20 %
+        deleted (score_dense) collapses every family on int64 and groups
+        only its q = 6561 family's rows."""
+        n_variables, n, deleted = {
+            "learn_wide": (16, 100_000, 0.3), "score_dense": (9, 2_000, 0.2)
+        }[workload]
+        rng = np.random.default_rng(53)
+        codes = rng.integers(0, 3, size=(n, n_variables))
+        for i in range(1, n_variables):
+            keep = rng.random(n) < 0.6
+            codes[keep, i] = codes[keep, i - 1]
+        codes[rng.random(codes.shape) < deleted] = MISSING
+        db = make_dataset((3,) * n_variables, codes)
+        calls = self.spy(monkeypatch)
+        stacks = []  # each bc_estimate call's configurations
+        real = score.bc_estimate
+
+        def counted(tables, *args):
+            stacks.append([table.context.n_configs for table in tables])
+            return real(tables, *args)
+
+        monkeypatch.setattr(score, "bc_estimate", counted)
+        if workload == "learn_wide":
+            k2_bc(db, OrderConstraint(tuple(range(n_variables)), max_parents=3))
+            assert len(stacks) > 1
+            assert calls == [(object, sum(q)) for q in stacks]
+            return
+        dense = {8: range(8), 7: range(1, 7), 6: range(2, 6), 5: range(3, 5)}
+        score.FamilyScorer(db).model_score(
+            [tuple(dense.get(v, ())) for v in range(n_variables)]
+        )
+        assert stacks == [[1]] * 5 + [[9], [81], [729], [6561]]
+        assert [dtype for dtype, _ in calls] == [np.int64] * 9
+        assert [rows for _, rows in calls[:-1]] == [1] * 5 + [9, 81, 729]
+        assert calls[-1][1] < 6561
 
 
 class TestGroupedScore:
