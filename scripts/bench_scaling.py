@@ -11,15 +11,19 @@ every n in N_CASES and every deleted fraction in DELETED (one nested
 deletion ladder per n).  The layer times come from perfbench's tracer
 (``perfbench/tracing.py``): each ``counts.tally``, ``estimate.bc_estimate``
 and ``score.log_g_bc`` span is charged to the family of the
-``score.family`` span it runs in; each figure is the best of REPEATS fresh
-scorers.
+``score.family`` span it runs in; each figure is the median of REPEATS
+fresh scorers, the repeats of one n taken in turns over its deleted
+fractions, so that repeat r of every fraction runs close in time.
 
 It writes ``BENCH_scaling.json`` at the root of the checkout: the host, the
 Python and numpy versions, ``perfbench/calibration.py``'s loop time before
 and after the sweep (the host's speed, to compare files across hosts), every
 per-family time, and each layer's t(60 %) / t(0 %) per q and n, the paper's
-flatness in the missing fraction as a number.  A ratio above FLAG is
-flagged.  The figures are wall times in seconds and nothing is gated on them.
+flatness in the missing fraction as a number.  A ratio is that of the
+medians; its spread is the range of the repeats' own ratios, repeat r at
+60 % over repeat r at 0 %.  A ratio above FLAG is flagged, and its verdict
+is stable when every repeat's ratio falls on the same side of FLAG.  The
+figures are wall times in seconds and nothing is gated on them.
 
 A second slice walks the variables axis: ``search.k2_bc`` under a cap of
 K2_MAX_PARENTS parents, on ternary networks of each size in K2_VARIABLES,
@@ -29,11 +33,15 @@ with each deleted fraction in K2_DELETED, under each phi of
 in seconds, raw and normalized to the calibration loop's reference host
 speed (``calibration.normalized``, each search rescaled by the calibrations
 run just before and after it, so that files from two checkouts or two
-moments compare), its ``bc_estimate`` calls (the tracer's spans) and its
-passes over the cases (``counts._cases_table`` calls, a name the tracer
-does not wrap), and the arcs it learned, with how many of them the
-generating network lacks (extra) and how many of its arcs it did not learn
-(missed).
+moments compare), its ``bc_estimate`` calls (the tracer's spans), the rows
+they estimated and the median over REPEATS traced searches of their
+normalized time per row, its passes over the cases (``counts._cases_table``
+calls, a name the tracer does not wrap), and the arcs it learned, with how
+many of them the generating network lacks (extra) and how many of its arcs
+it did not learn (missed).  Per variable count and phi it reports two
+t(60 %) / t(0 %) ratios, taken and flagged as the first slice's: the
+search's normalized time, and ``bc_estimate``'s normalized time per row
+(the estimator alone).
 
 A third slice walks the n axis of ``data.load_csv``: files of LOAD_COLUMNS
 ternary columns with LOAD_MISSING of the cells ``?``, at each n in
@@ -73,7 +81,7 @@ from workloads import LearnWide, ScoreDense  # noqa: E402
 N_CASES = (2_000, 20_000, 200_000)
 DELETED = (0.0, 0.05, 0.2, 0.4, 0.6)
 LAYERS = ("tally", "bc_estimate", "log_g_bc")
-REPEATS = 3
+REPEATS = 5
 SAMPLE_SEED, DELETE_SEED = 11, 12
 FLAG = 2.0
 OUT = ROOT / "BENCH_scaling.json"
@@ -129,9 +137,10 @@ class _Wide(LearnWide):
         super().__init__()
 
 
-def _counted_search(dataset, order, phi) -> tuple[int, int, Model]:
+def _counted_search(dataset, order, phi) -> tuple[int, int, Model, int, float]:
     """One ``k2_bc`` under perfbench's tracer: its ``bc_estimate`` calls,
-    its passes over the cases and the model it learned."""
+    its passes over the cases, the model it learned, the rows its
+    ``bc_estimate`` calls estimated and their seconds."""
     passes = 0
     cases_table = counts._cases_table
 
@@ -147,14 +156,31 @@ def _counted_search(dataset, order, phi) -> tuple[int, int, Model]:
             model = k2_bc(dataset, order, phi=phi)
     finally:
         counts._cases_table = cases_table
-    estimates = sum(span.name == "estimate.bc_estimate" for span in tracer.spans)
-    return estimates, passes, model
+    estimates = [span for span in tracer.spans if span.name == "estimate.bc_estimate"]
+    # every variable is ternary, so a row is 3 cells
+    rows = sum(span.counts["cells"] for span in estimates) // 3
+    return (len(estimates), passes, model, rows,
+            sum(span.duration for span in estimates))
 
 
-def _k2_rows() -> list[dict]:
+def _ratio(t0s, t1s) -> dict:
+    """t(60 %) / t(0 %) from REPEATS paired times: the ratio of their
+    medians, the range of the repeats' own ratios, whether it is above
+    FLAG, and whether every repeat's ratio says the same."""
+    each = [t1 / t0 for t0, t1 in zip(t0s, t1s)]
+    t0, t1 = statistics.median(t0s), statistics.median(t1s)
+    flagged = t1 / t0 > FLAG
+    return {
+        "t0_s": t0, "t60_s": t1, "ratio": round(t1 / t0, 3),
+        "spread": [round(min(each), 3), round(max(each), 3)],
+        "flagged": flagged, "stable": all((r > FLAG) == flagged for r in each),
+    }
+
+
+def _k2_rows() -> tuple[list[dict], list[dict]]:
     """The ``k2_bc`` slice: one row per variable count, deleted fraction and
-    phi."""
-    rows = []
+    phi, and the two ratios per variable count and phi."""
+    rows, repeats = [], {}
     for n_variables in K2_VARIABLES:
         network = _Wide(n_variables).network
         true_arcs = set(network.arcs)
@@ -164,31 +190,48 @@ def _k2_rows() -> list[dict]:
             K2_DELETED, delete_ladder(complete, K2_DELETED, DELETE_SEED)
         ):
             for phi in PHI_POLICIES:
-                estimates, passes, model = _counted_search(dataset, order, phi)
-                arcs = set(model.arcs)
-                # each search between the calibrations run just before and
-                # after it
-                times, calibrations = [], [calibrate()]
+                # each search, untraced then traced in turn, between the
+                # calibrations run just before and after it
+                times, traced, calibrations = [], [], [calibrate()]
                 for _ in range(REPEATS):
                     start = time.perf_counter()
                     k2_bc(dataset, order, phi=phi)
                     times.append(time.perf_counter() - start)
                     calibrations.append(calibrate())
-                norm = min(map(normalized, times, calibrations, calibrations[1:]))
+                    traced.append(_counted_search(dataset, order, phi))
+                    calibrations.append(calibrate())
+                estimates, passes, model, estimated, _ = traced[0]
+                arcs = set(model.arcs)
+                norms = list(map(normalized, times, calibrations[::2], calibrations[1::2]))
+                per_row = [normalized(seconds, before, after) / estimated
+                           for (*_, seconds), before, after
+                           in zip(traced, calibrations[1::2], calibrations[2::2])]
+                repeats[n_variables, phi, deleted] = norms, per_row
                 rows.append({
                     "variables": n_variables, "deleted": deleted, "phi": phi,
-                    "k2_bc_s": min(times), "k2_bc_norm_s": norm,
+                    "k2_bc_s": min(times), "k2_bc_norm_s": min(norms),
                     "bc_estimate_calls": estimates, "case_passes": passes,
+                    "rows_estimated": estimated,
+                    "bc_estimate_us_per_row": statistics.median(per_row) * 1e6,
                     "arcs": len(arcs), "extra_arcs": len(arcs - true_arcs),
                     "missed_arcs": len(true_arcs - arcs),
                 })
                 print(f"variables={n_variables:>2} deleted={deleted:.2f} "
                       f"phi={phi:<7} k2_bc={min(times) * 1e3:7.1f} ms "
-                      f"({norm * 1e3:7.1f} normalized)  bc_estimate calls="
-                      f"{estimates}  case passes={passes}  arcs={len(arcs)} "
+                      f"({min(norms) * 1e3:7.1f} normalized)  bc_estimate calls="
+                      f"{estimates}  rows={estimated} "
+                      f"({rows[-1]['bc_estimate_us_per_row']:.2f} us each)  "
+                      f"case passes={passes}  arcs={len(arcs)} "
                       f"(extra {rows[-1]['extra_arcs']}, missed "
                       f"{rows[-1]['missed_arcs']})")
-    return rows
+    ratios = []
+    for n_variables in K2_VARIABLES:
+        for phi in PHI_POLICIES:
+            first, last = (repeats[n_variables, phi, d] for d in (K2_DELETED[0], K2_DELETED[-1]))
+            for quantity, t0s, t1s in zip(("k2_bc", "bc_estimate_per_row"), first, last):
+                ratios.append({"variables": n_variables, "phi": phi,
+                               "quantity": quantity, **_ratio(t0s, t1s)})
+    return rows, ratios
 
 
 def _write_csv(path: Path, n_cases: int, label_bytes: int) -> None:
@@ -267,23 +310,19 @@ def _host() -> dict:
     }
 
 
-def _ratios(rows, qs) -> list[dict]:
+def _ratios(runs, qs_of) -> list[dict]:
     """Each layer's t(max deleted) / t(0 %) per q and n, the families of one
-    q summed."""
-    by = {(row["n"], row["deleted"]): row["families"] for row in rows}
+    q summed in each repeat; ``qs_of`` is each family's q, in child order."""
     ratios = []
     for n in N_CASES:
-        for q in qs:
+        for q in sorted(set(qs_of)):
             for layer in LAYERS:
-                t0, t1 = (
-                    sum(f[f"{layer}_s"] for f in by[n, deleted] if f["q"] == q)
+                t0s, t1s = (
+                    [sum(t[layer] for t, f_q in zip(families, qs_of) if f_q == q)
+                     for _, families in runs[n, deleted]]
                     for deleted in (DELETED[0], DELETED[-1])
                 )
-                ratio = t1 / t0
-                ratios.append({
-                    "n": n, "q": q, "layer": layer, "t0_s": t0, "t60_s": t1,
-                    "ratio": round(ratio, 3), "flagged": ratio > FLAG,
-                })
+                ratios.append({"n": n, "q": q, "layer": layer, **_ratio(t0s, t1s)})
     return ratios
 
 
@@ -291,38 +330,42 @@ def main() -> None:
     workload = ScoreDense()
     parent_sets = workload.model.parent_sets
     variables = workload.model.variables
+    qs_of = [int(np.prod([variables[p].cardinality for p in parents]))
+             for parents in parent_sets]
     calibration_before = statistics.median(calibrate() for _ in range(5))
-    rows = []
+    rows, runs = [], {}
     for n in N_CASES:
         complete = sample(GenerativeSpec(workload.chain, n, seed=SAMPLE_SEED))
-        for deleted, dataset in zip(DELETED, delete_ladder(complete, DELETED, DELETE_SEED)):
-            runs = [_run(dataset, parent_sets) for _ in range(REPEATS)]
+        ladder = list(zip(DELETED, delete_ladder(complete, DELETED, DELETE_SEED)))
+        for _ in range(REPEATS):
+            for deleted, dataset in ladder:
+                runs.setdefault((n, deleted), []).append(_run(dataset, parent_sets))
+        for deleted, _ in ladder:
+            point = runs[n, deleted]
             families = [
                 {
-                    "child": variables[child].name,
-                    "q": int(np.prod([variables[p].cardinality for p in parents])),
-                    **{f"{layer}_s": min(t[child][layer] for _, t in runs)
+                    "child": variables[child].name, "q": q,
+                    **{f"{layer}_s": statistics.median(t[child][layer] for _, t in point)
                        for layer in LAYERS},
                 }
-                for child, parents in enumerate(parent_sets)
+                for child, q in enumerate(qs_of)
             ]
             rows.append({
                 "n": n, "deleted": deleted,
-                "model_score_s": min(total for total, _ in runs),
+                "model_score_s": statistics.median(total for total, _ in point),
                 "families": families,
             })
             big = max(families, key=lambda f: f["q"])
             print(f"n={n:>6} deleted={deleted:.2f} model_score="
                   f"{rows[-1]['model_score_s'] * 1e3:7.1f} ms  q={big['q']}: "
                   + "  ".join(f"{layer}={big[f'{layer}_s'] * 1e3:.2f} ms" for layer in LAYERS))
-    k2_rows = _k2_rows()
+    k2_rows, k2_ratios = _k2_rows()
     import_mb, load_rows = _load_rows()
     calibration_after = statistics.median(calibrate() for _ in range(5))
-    qs = sorted({f["q"] for f in rows[0]["families"]})
-    ratios = _ratios(rows, qs)
+    ratios = _ratios(runs, qs_of)
     report = {
         "what": "FamilyScorer.model_score of perfbench score_dense's model on "
-                "its chain's cases; per-family layer times, best of "
+                "its chain's cases; per-family layer times, median of "
                 f"{REPEATS}, in seconds",
         "host": _host(),
         "calibration_s": {"before": calibration_before, "after": calibration_after},
@@ -336,12 +379,18 @@ def main() -> None:
             "what": "search.k2_bc on ternary networks drawn as perfbench "
                     "learn_wide's, under each phi; best of "
                     f"{REPEATS} searches in seconds, raw and normalized by "
-                    "the calibrations around each search, bc_estimate calls "
-                    "and passes over the cases of one search, and its arcs, "
-                    "extra and missed against the generating network",
+                    "the calibrations around each search, bc_estimate calls, "
+                    "the rows they estimated and passes over the cases of one "
+                    "search, the median of its bc_estimate's normalized time "
+                    f"per row over {REPEATS} traced searches, and its arcs, "
+                    "extra and missed against the generating network; per "
+                    "variable count and phi, the t(60 %) / t(0 %) ratios of "
+                    "the search's normalized time and of bc_estimate's per row",
             "cases": K2_CASES,
             "max_parents": K2_MAX_PARENTS,
             "rows": k2_rows,
+            "ratios": k2_ratios,
+            "flagged": [r for r in k2_ratios if r["flagged"]],
         },
         "load_csv": {
             "what": "data.load_csv of files of "
@@ -356,7 +405,13 @@ def main() -> None:
     OUT.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for r in report["flagged"]:
         print(f"flagged: n={r['n']} q={r['q']} {r['layer']} "
-              f"t(60 %)/t(0 %) = {r['ratio']}")
+              f"t(60 %)/t(0 %) = {r['ratio']} {r['spread']}"
+              f"{'' if r['stable'] else ' (unstable)'}")
+    for r in k2_ratios:
+        print(f"k2_bc variables={r['variables']} phi={r['phi']} {r['quantity']} "
+              f"t(60 %)/t(0 %) = {r['ratio']} {r['spread']}"
+              f"{' flagged' if r['flagged'] else ''}"
+              f"{'' if r['stable'] else ' (unstable)'}")
     print(f"wrote {OUT}")
 
 

@@ -16,8 +16,9 @@ cell and, for the precision estimate, beta on every parent configuration.
 
 All cell values are exact ratios of integers: alpha and beta are written
 as integer ratios (floats convert exactly), counts are put on the same
-grid, and each output is produced by a single correctly rounded integer
-division.  This keeps the algebraic identities of the method (rows
+grid, and each output is the correctly rounded value of its ratio, from a
+single integer division or a certified double-double evaluation (below).
+This keeps the algebraic identities of the method (rows
 summing to one, exact reduction on complete data, the prior-mean limit
 under total missingness, conservation of total precision) true up to one
 rounding, so downstream checks can compare against closed forms without
@@ -31,9 +32,9 @@ families of a greedy search level whose children have c states, or one
 family alone.
 Every per-row quantity is one numpy expression over the stack's
 concatenated (sum of q, c) rows, with no Python loop over configurations
-or families, and each cell is still one correctly rounded division.  Two
-rules keep it cheap; each is decided once from the stack's own rows, and
-neither changes a bit of the result:
+or families, and each cell is still the correctly rounded value of its
+exact ratio.  Three rules keep it cheap; each is decided once from the
+stack's own rows, and none changes a bit of the result:
 
 - A stack with at least as many rows as its families have cases is mostly
   repeated rows, empty ones above all.  It is estimated once per distinct
@@ -42,20 +43,34 @@ neither changes a bit of the result:
   family leads the key, so rows of two families never merge.  The estimate
   keeps the map from rows to distinct rows (``inverse``), so the score's
   ``lgamma`` pass also runs once per distinct row.
-- The stack's integers are int64 when c * D**(c+1) < 2**53, D bounding
-  every denominator b + nstar_l (``_fits_int64``): nothing overflows and a
-  float64 division of two of them rounds once, as Python's int / int does.
-  Otherwise they are Python ints on object dtype, as for a non-dyadic
-  alpha such as 0.1 (a 2**55 grid) and for a user phi, whose rows are the
-  exact ratios of their floats.
+- A stack of at least CERTIFIED_MIN_CELLS cells, under phi "mar" or
+  "uniform" and a prior within 2**-200 to 2**200, takes the certified path.
+  Each ratio is evaluated in double-double arithmetic (Dekker's TwoSum and
+  TwoProduct, numpy having no FMA, and Ogita, Rump & Oishi's compensated
+  sum for each family's precision), with a bound on its relative error,
+  and a rounding test (Ziv's) emits the nearest float wherever the bound
+  settles it.  The rows it leaves unsettled take the exact path: their own
+  collapse, and the precision of their families.  Those are exact ties,
+  such as alpha_hat = 3 * 0.1 of an empty configuration on complete data,
+  halfway between two floats, and anything the bound cannot settle.
+- The exact path's integers are int64 when c * D**(c+1) < 2**53, D
+  bounding every denominator b + nstar_l (``_fits_int64``): nothing
+  overflows and a float64 division of two of them rounds once, as Python's
+  int / int does; the certified path then keeps this exact collapse and
+  certifies only the precision and the Dirichlet.  Otherwise they are
+  Python ints on object dtype, as for a non-dyadic alpha such as 0.1 (a
+  2**55 grid) and for a user phi, whose rows are the exact ratios of their
+  floats.
 
-Big integers appear in the precision, which always takes object dtype:
-each family's q parent-configuration probabilities collapse as one row of
-its own, whose least common multiple spans one denominator per distinct
-parent-completion count, so it grows with the missing fraction, and the
-precision and the matched Dirichlet carry it.  A family's row never shares
-its least common multiple with another family's, which would grow with
-the stack.
+On the exact path, big integers appear in the precision, which always
+takes object dtype: each family's q parent-configuration probabilities
+collapse as one row of its own, whose least common multiple spans one
+denominator per distinct parent-completion count, so it grows with the
+missing fraction, and the precision and the matched Dirichlet carry it.
+A family's row never shares its least common multiple with another
+family's, which would grow with the stack.  The certified path's cost
+does not depend on those denominators, so it is flat in the missing
+fraction.
 """
 
 from __future__ import annotations
@@ -318,6 +333,258 @@ def _round(num, den) -> np.ndarray:
     return (num / den).astype(float)
 
 
+# A stack of at least this many cells (rows estimated times child states) is
+# estimated in certified double-double arithmetic when its prior allows it;
+# below it, the exact path costs less than the certified path's fixed cost,
+# on int64 and on Python ints alike.
+CERTIFIED_MIN_CELLS = 640
+
+# Relative error bounds of one double-double step on positive operands, in
+# units of u**2 with u = 2**-53: each is at least a quarter above the step's
+# proven bound, a slack that covers the second-order terms and the rounding
+# of the bounds' own arithmetic.
+_U2 = 2.0**-106
+_ADD, _MUL, _DIV = 4 * _U2, 10 * _U2, 32 * _U2
+
+
+def _two_sum(a, b):
+    """s + e == a + b exactly, s the nearest float (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _fast_two_sum(a, b):
+    """TwoSum when |a| >= |b| (Dekker)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """hi + lo == a with hi and lo of at most 26 bits each (Veltkamp)."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """p + e == a * b exactly (Dekker's TwoProduct; numpy has no FMA)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class _DD:
+    """Double-double arrays hi + lo, |lo| <= ulp(hi) / 2, of positive values,
+    each within a relative ``err`` of the exact value it stands for (Dekker,
+    Numer. Math. 18, 1971).  ``+`` and ``*`` take a _DD or floats on the
+    right and ``/`` on either side; each adds the step's own bound to its
+    operands' bounds.  The only subtraction, a division's residual, is
+    exact, so no step cancels."""
+
+    __slots__ = ("hi", "lo", "err")
+    __array_ufunc__ = None  # an array on the left defers to the methods below
+
+    def __init__(self, hi, lo=0.0, err=0.0):
+        self.hi, self.lo, self.err = hi, lo, err
+
+    def __getitem__(self, index):
+        err = self.err[index] if np.ndim(self.err) else self.err
+        return _DD(self.hi[index], self.lo[index], err)
+
+    def __add__(self, other):
+        other = _dd(other)
+        hi, lo = _two_sum(self.hi, other.hi)
+        hi, lo = _fast_two_sum(hi, lo + (self.lo + other.lo))
+        return _DD(hi, lo, np.maximum(self.err, other.err) + _ADD)
+
+    def __mul__(self, other):
+        other = _dd(other)
+        hi, lo = _two_prod(self.hi, other.hi)
+        hi, lo = _fast_two_sum(hi, lo + (self.hi * other.lo + self.lo * other.hi))
+        return _DD(hi, lo, self.err + other.err + _MUL)
+
+    def __truediv__(self, other):
+        other = _dd(other)
+        q = self.hi / other.hi
+        r = other * q
+        # r.hi is within a factor 2 of self.hi, so their difference is exact
+        tail = ((self.hi - r.hi) + (self.lo - r.lo)) / other.hi
+        hi, lo = _fast_two_sum(q, tail)
+        return _DD(hi, lo, self.err + other.err + _DIV)
+
+    def __rtruediv__(self, other):
+        return _dd(other) / self
+
+
+def _dd(x) -> _DD:
+    return x if isinstance(x, _DD) else _DD(np.asarray(x, dtype=float))
+
+
+def _sums(x: _DD, bounds) -> _DD:
+    """Each segment's sum of ``x``, segment f from bounds[f] to bounds[f + 1].
+
+    The running sum ``np.cumsum`` adds in order, so TwoSum recovers each
+    step's rounding error exactly (Ogita, Rump & Oishi's Sum2, SIAM J. Sci.
+    Comput. 26, 2005): a segment's sum is the difference of two running sums,
+    exact as a pair, plus its steps' errors and low parts, whose float sum is
+    within gamma_k of their absolute sum over k terms, in any order."""
+    bounds = np.asarray(bounds)
+    starts, rows = bounds[:-1], np.diff(bounds)
+    running = np.cumsum(x.hi)
+    before = np.concatenate(([0.0], running[:-1]))
+    _, steps = _two_sum(before, x.hi)
+    tails = steps + x.lo
+    total = _DD(*_two_sum(running[bounds[1:] - 1], -before[starts]))
+    total += np.add.reduceat(tails, starts)
+    spread = np.add.reduceat(np.abs(steps) + np.abs(x.lo), starts)
+    # a sum that cancels to zero or below is left unsettled
+    spread = np.divide(spread, total.hi, out=np.full(len(rows), np.inf),
+                       where=total.hi > 0)
+    total.err = np.max(x.err) + _ADD + (rows + 1) * 2.0**-52 * spread
+    return total
+
+
+def _settled(x: _DD):
+    """The nearest float of each value and whether it is certain: the exact
+    value lies within err * hi of hi + lo, strictly inside half the gap below
+    hi, the narrower of hi's two gaps, so no tie and no error can move it to
+    a neighbour (Ziv's rounding test)."""
+    gap = x.hi - (x.hi.view(np.int64) - 1).view(float)
+    return x.hi, 2 * (np.abs(x.lo) + x.err * x.hi) < gap
+
+
+def _certifiable(prior: PriorSpec) -> bool:
+    """Whether no double-double step of the stack can overflow or underflow:
+    with the counts below 2**53, every value and every error term of a step
+    then stays far inside float64's normal range."""
+    return all(2.0**-200 <= v <= 2.0**200 for v in (prior.alpha, prior.beta))
+
+
+def _certified_collapse(alpha: float, phi: str, obs, comp):
+    """p_hat, p_min and p_max of every row as _DD, the exact ratios of
+    ``_collapse``: with phi_l = a_l / b under MAR and 1 / c under uniform,
+
+        p_hat_k = a_k * S + phi_k * nstar_k / d_k,   S = sum_l phi_l / d_l,
+
+    p_max_k = (a_k + nstar_k) / d_k and p_min_k = a_k / (b + max_l nstar_l),
+    where a_k = alpha + obs_k, b = sum_k a_k and d_k = b + nstar_k.  The
+    values are laid out (c, rows), so that a row's values broadcast along
+    the contiguous axis."""
+    c = obs.shape[1]
+    a = _DD(*_two_sum(alpha, np.array(obs.T, dtype=float)))
+    nstar = np.array(comp.T, dtype=float)
+    b = _DD(*_two_prod(float(c), alpha)) + obs.sum(axis=1)
+    inv = 1.0 / (b + nstar)
+    t, r = inv * nstar, a * inv
+    if phi == "mar":
+        p_hat = a / b * (sum((r[k] for k in range(1, c)), r[0]) + t)
+    else:
+        p_hat = (a * sum((inv[k] for k in range(1, c)), inv[0]) + t) / float(c)
+    return p_hat, a / (b + nstar.max(axis=0)), r + t
+
+
+def _certified_precision(tables, prior: PriorSpec, n_obs, n_comp, counts, bounds) -> _DD:
+    """alpha_hat of every row estimated as a _DD, the exact ratio of
+    ``_precision_ints``: in family f, with a_j = beta + n_obs_j, b the sum of
+    a_j over the family's configurations and d_j = b + nstar_j,
+
+        alpha_hat_j = c * alpha + n_obs_j + spare_f * P_j,
+        P_j = a_j / b * (S + nstar_j / d_j),   S = sum_l a_l / d_l,
+
+    each family's S summed by ``_sums``."""
+    bounds = np.asarray(bounds)
+    configs, observed = np.diff(bounds), n_obs
+    family = np.repeat(np.arange(len(tables)), configs)
+    if counts is not None:
+        configs, observed = np.add.reduceat(counts, bounds[:-1]), n_obs * counts
+    b = (_DD(*_two_prod(configs.astype(float), prior.beta))
+         + np.add.reduceat(observed, bounds[:-1]))
+    spare = np.array([table.parent_incomplete_cases for table in tables], dtype=float)
+    a = _DD(*_two_sum(prior.beta, n_obs.astype(float)))
+    nstar = n_comp.astype(float)
+    d = b[family] + nstar
+    share = a / d
+    s = _sums(share if counts is None else share * counts, bounds)[family]
+    c = float(tables[0].context.child_cardinality)
+    return (_DD(*_two_prod(c, prior.alpha)) + n_obs
+            + a * (s + nstar / d) * (spare / b)[family])
+
+
+def _exact_collapse(alpha: float, phi, obs, comp, dtype):
+    """The collapse of every row as exact (numerators, denominators), and
+    the p_hat, p_min and p_max fields from it."""
+    a, nstar = _on_grid(alpha, obs, comp, dtype)
+    b = a.sum(axis=1, keepdims=True)
+    nums, den = _collapse(a, nstar, b, *_phi_ints(phi, a, b))
+    return nums, den, {
+        "p_hat": _round(nums, den),
+        "p_min": _round(a, b + nstar.max(axis=1, keepdims=True)),
+        "p_max": _round(a + nstar, b + nstar),
+    }
+
+
+def _exact(tables, prior: PriorSpec, phi, columns, counts, bounds, dtype,
+           rows=slice(None)) -> dict:
+    """Every field of ``rows`` of the stack, each an exact integer ratio
+    rounded once: the collapse of those rows and the precision of every
+    family of ``tables``."""
+    obs, comp, n_obs, n_comp = columns
+    nums, den, fields = _exact_collapse(prior.alpha, phi, obs[rows], comp[rows], dtype)
+    ah_num, ah_den = _precision_ints(tables, prior, n_obs, n_comp, counts, bounds)
+    ah_num, ah_den = ah_num[rows], ah_den[rows]
+    try:
+        fields["alpha_hat"] = _round(ah_num, ah_den)
+    except OverflowError:
+        # p_hat <= 1, so every other field is at most alpha_hat
+        raise EstimateError(
+            f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
+            "the posterior precision of a configuration exceeds the largest float"
+        ) from None
+    fields["dirichlet"] = _round(nums.astype(object, copy=False) * ah_num[:, None],
+                                 den.astype(object, copy=False) * ah_den[:, None])
+    return fields
+
+
+def _certified(tables, prior: PriorSpec, phi, columns, counts, bounds, dtype) -> dict:
+    """Every field of the stack from ``_DD`` values, each the nearest float
+    where ``_settled`` certifies it.  The rows left unsettled take the exact
+    path: their own collapse, and the precision of their families."""
+    obs, comp, n_obs, n_comp = columns
+    alpha_hat = _certified_precision(tables, prior, n_obs, n_comp, counts, bounds)
+    if dtype is object:
+        fields, values = {}, dict(zip(("p_hat", "p_min", "p_max"),
+                                      _certified_collapse(prior.alpha, phi, obs, comp)))
+        p_hat = values["p_hat"]
+    else:
+        # the int64 collapse is exact and cheap; its ratios are exact floats
+        nums, den, fields = _exact_collapse(prior.alpha, phi, obs, comp, dtype)
+        p_hat, values = _DD(np.array(nums.T, dtype=float)) / den[:, 0].astype(float), {}
+    values["alpha_hat"] = alpha_hat
+    values["dirichlet"] = p_hat * alpha_hat
+    unsettled = np.zeros(len(obs), dtype=bool)
+    for name, value in values.items():
+        floats, certain = _settled(value)
+        fields[name] = np.ascontiguousarray(floats.T)
+        unsettled |= ~certain if certain.ndim == 1 else ~certain.all(axis=0)
+    rows = np.flatnonzero(unsettled)
+    if rows.size:
+        bounds = np.asarray(bounds)
+        kept = np.unique(np.searchsorted(bounds, rows, side="right") - 1)
+        members = np.concatenate([np.arange(bounds[f], bounds[f + 1]) for f in kept])
+        exact = _exact(
+            [tables[f] for f in kept], prior, phi,
+            tuple(column[members] for column in columns),
+            None if counts is None else counts[members],
+            [0, *itertools.accumulate(np.diff(bounds)[kept].tolist())],
+            object, np.searchsorted(members, rows),
+        )
+        for name, value in exact.items():
+            fields[name][rows] = value
+    return fields
+
+
 def bc_estimate(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
     """Full estimate of each family of ``tables``, whose children have the
     same number of states: interval endpoints, collapsed means, precision
@@ -352,26 +619,10 @@ def bc_estimate(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
     # scale, which multiplies the counts even when they are all zero
     bound = max(c * w + scale * (int(obs.sum(axis=1).max()) + int(comp.max())), scale)
     dtype = object if user_phi or not _fits_int64(c, bound) else np.int64
-    a, nstar = _on_grid(prior.alpha, obs, comp, dtype)
-    b = a.sum(axis=1, keepdims=True)
-    nums, den = _collapse(a, nstar, b, *_phi_ints(phi, a, b))
-    ah_num, ah_den = _precision_ints(tables, prior, n_obs, n_comp, counts, bounds)
-    try:
-        alpha_hat = _round(ah_num, ah_den)
-    except OverflowError:
-        # p_hat <= 1, so every other field is at most alpha_hat
-        raise EstimateError(
-            f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
-            "the posterior precision of a configuration exceeds the largest float"
-        ) from None
-    fields = {
-        "p_hat": _round(nums, den),
-        "p_min": _round(a, b + nstar.max(axis=1, keepdims=True)),
-        "p_max": _round(a + nstar, b + nstar),
-        "alpha_hat": alpha_hat,
-        "dirichlet": _round(nums.astype(object, copy=False) * ah_num[:, None],
-                            den.astype(object, copy=False) * ah_den[:, None]),
-    }
+    path = _exact
+    if not user_phi and obs.size >= CERTIFIED_MIN_CELLS and _certifiable(prior):
+        path = _certified
+    fields = path(tables, prior, phi, columns, counts, bounds, dtype)
     if groups is not None:
         fields = {name: np.take(value, inverse, axis=0) for name, value in fields.items()}
         fields["inverse"] = inverse

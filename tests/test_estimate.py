@@ -558,7 +558,9 @@ class TestPaths:
 
     @staticmethod
     def force(monkeypatch, grouped, wide):
-        """Group rows or not; int64 where the bound allows it, or never."""
+        """The exact path, grouping rows or not; int64 where the bound allows
+        it, or never."""
+        monkeypatch.setattr(estimate, "CERTIFIED_MIN_CELLS", math.inf)
         monkeypatch.setattr(estimate, "_groups", lambda tables: grouped)
         if not wide:
             monkeypatch.setattr(estimate, "_fits_int64", lambda c, bound: False)
@@ -700,10 +702,12 @@ class TestPaths:
     def test_benchmark_shapes_take_one_path_each(self, monkeypatch, workload):
         """The benchmark shapes, on a noisy chain of ternary variables.  A
         search over 16 of them with up to 3 parents at n = 100000 with 30 %
-        deleted (learn_wide) collapses every stack on Python ints and groups
-        no row.  The dense model over 9 of them at n = 2000 with 20 %
-        deleted (score_dense) collapses every family on int64 and groups
-        only its q = 6561 family's rows."""
+        deleted (learn_wide) estimates every stack on the certified path,
+        collapses none on integers and groups no row.  The dense model over
+        9 of them at n = 2000 with 20 % deleted (score_dense) collapses
+        every family on int64, groups only its q = 6561 family's rows, and
+        estimates its q = 729 and q = 6561 families on the certified path,
+        the others on the exact path; no row falls back."""
         n_variables, n, deleted = {
             "learn_wide": (16, 100_000, 0.3), "score_dense": (9, 2_000, 0.2)
         }[workload]
@@ -715,6 +719,7 @@ class TestPaths:
         codes[rng.random(codes.shape) < deleted] = MISSING
         db = make_dataset((3,) * n_variables, codes)
         calls = self.spy(monkeypatch)
+        paths = TestCertified.paths(monkeypatch)
         stacks = []  # each bc_estimate call's configurations
         real = score.bc_estimate
 
@@ -726,7 +731,8 @@ class TestPaths:
         if workload == "learn_wide":
             k2_bc(db, OrderConstraint(tuple(range(n_variables)), max_parents=3))
             assert len(stacks) > 1
-            assert calls == [(object, sum(q)) for q in stacks]
+            assert calls == []
+            assert paths == [("certified", sum(q)) for q in stacks]
             return
         dense = {8: range(8), 7: range(1, 7), 6: range(2, 6), 5: range(3, 5)}
         score.FamilyScorer(db).model_score(
@@ -736,6 +742,218 @@ class TestPaths:
         assert [dtype for dtype, _ in calls] == [np.int64] * 9
         assert [rows for _, rows in calls[:-1]] == [1] * 5 + [9, 81, 729]
         assert calls[-1][1] < 6561
+        assert [name for name, _ in paths] == ["exact"] * 7 + ["certified"] * 2
+        assert paths[-1][1] == calls[-1][1]
+
+
+class TestCertified:
+    """Stacks of at least ``CERTIFIED_MIN_CELLS`` cells are estimated in
+    double-double arithmetic with an error bound per value; a value the
+    rounding test settles is emitted, and the rows it leaves unsettled take
+    the exact path.  Every field must equal the Fraction reference's."""
+
+    FIELDS = TestPaths.FIELDS
+
+    @staticmethod
+    def everywhere(monkeypatch):
+        """Send every stack whose prior allows it down the certified path."""
+        monkeypatch.setattr(estimate, "CERTIFIED_MIN_CELLS", 0)
+
+    @staticmethod
+    def paths(monkeypatch):
+        """Record ("certified" or "exact", rows) of each estimate's path; a
+        certified estimate's fallback rows go to ``_exact`` within it."""
+        calls = []
+        for name in ("_certified", "_exact"):
+            real = getattr(estimate, name)
+
+            def path(tables, prior, phi, columns, *args, real=real, name=name):
+                calls.append((name[1:], len(columns[0])))
+                return real(tables, prior, phi, columns, *args)
+
+            monkeypatch.setattr(estimate, name, path)
+        return calls
+
+    def assert_reference(self, tables, prior, phi, est):
+        stops = np.cumsum([table.context.n_configs for table in tables]).tolist()
+        for table, lo, hi in zip(tables, [0, *stops], stops):
+            reference = reference_estimate(table, prior, phi)
+            for name in self.FIELDS:
+                np.testing.assert_array_equal(getattr(est, name)[lo:hi], reference[name])
+
+    @staticmethod
+    def stacks(families):
+        """Each family alone, then the families of one child cardinality as
+        one stack."""
+        by_states = {}
+        for ctx, table in families:
+            by_states.setdefault(ctx.child_cardinality, []).append(table)
+        return [[table] for _, table in families] + list(by_states.values())
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("alpha, beta", PRIORS + ((1e3, 1.0), (1.0, 1e3)))
+    def test_seeded_stacks_match_the_reference(self, monkeypatch, grouped, alpha, beta):
+        self.everywhere(monkeypatch)
+        calls = self.paths(monkeypatch)
+        monkeypatch.setattr(estimate, "_groups", lambda tables: grouped)
+        _, families = TestPaths().families()
+        prior = PriorSpec(alpha, beta)
+        for tables in self.stacks(families):
+            for phi in ("mar", "uniform"):
+                calls.clear()
+                self.assert_reference(tables, prior, phi, bc_estimate(tables, prior, phi))
+                assert calls[0] == ("certified", count_rows(tables, grouped))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1, 1e3])
+    def test_complete_data_matches_the_reference(self, monkeypatch, alpha):
+        """Complete data, where the collapse reduces to the posterior mean
+        (a_k + 0) / b and alpha_hat to c * alpha + n_obs."""
+        self.everywhere(monkeypatch)
+        rng = np.random.default_rng(67)
+        cards = (3, 2, 3, 4)
+        db = make_dataset(cards, np.column_stack(
+            [rng.integers(0, card, size=500) for card in cards]))
+        families = [family(db, child, parents)[:2] for child, parents in
+                    ((0, ()), (0, (1,)), (0, (1, 2)), (0, (1, 2, 3)), (2, (0, 3)))]
+        prior = PriorSpec(alpha, 1.0)
+        for tables in self.stacks(families):
+            for phi in ("mar", "uniform"):
+                self.assert_reference(tables, prior, phi, bc_estimate(tables, prior, phi))
+
+    def test_a_half_row_is_exactly_one_half(self, monkeypatch):
+        """A binary child with the same observed and completion counts in
+        both states: p_hat, p_min and p_max are symmetric, p_hat is 1/2."""
+        self.everywhere(monkeypatch)
+        rows = [[0, 0]] * 3 + [[1, 0]] * 3 + [[0, MISSING], [1, MISSING]] * 2 + [[0, 1]]
+        _, table, prior = family(make_dataset((2, 2), rows), 0, (1,))
+        est = bc_estimate([table], prior)
+        assert est.p_hat[0].tolist() == [0.5, 0.5]
+        self.assert_reference([table], prior, "mar", est)
+
+    def test_a_wide_family_at_60_percent_deleted(self, monkeypatch):
+        """A q = 6561 family whose precision row spans many distinct
+        parent-completion counts: its least common multiple is large."""
+        calls = self.paths(monkeypatch)
+        rng = np.random.default_rng(61)
+        codes = rng.integers(0, 3, size=(2000, 9))
+        codes[rng.random(codes.shape) < 0.6] = MISSING
+        db = make_dataset((3,) * 9, codes)
+        _, table, prior = family(db, 0, tuple(range(1, 9)))
+        est = bc_estimate([table], prior)
+        assert calls[0][0] == "certified" and len(calls) == 1
+        self.assert_reference([table], prior, "mar", est)
+
+    def test_a_learn_wide_shaped_search(self, monkeypatch):
+        """k2_bc over 10 ternary variables of a noisy chain with up to 3
+        parents, 30 % deleted: three levels, each one certified stack whose
+        families all match the reference."""
+        rng = np.random.default_rng(71)
+        n, m = 20_000, 10
+        codes = rng.integers(0, 3, size=(n, m))
+        for i in range(1, m):
+            keep = rng.random(n) < 0.6
+            codes[keep, i] = codes[keep, i - 1]
+        codes[rng.random(codes.shape) < 0.3] = MISSING
+        db = make_dataset((3,) * m, codes)
+        self.everywhere(monkeypatch)
+        calls = self.paths(monkeypatch)
+        stacks = []
+        real = score.bc_estimate
+
+        def recorded(tables, prior, phi):
+            est = real(tables, prior, phi)
+            stacks.append((tables, prior, phi, est))
+            return est
+
+        monkeypatch.setattr(score, "bc_estimate", recorded)
+        k2_bc(db, OrderConstraint(tuple(range(m)), max_parents=3))
+        assert len(stacks) == 3
+        assert calls == [("certified", sum(t.context.n_configs for t in tables))
+                         for tables, *_ in stacks]
+        for tables, prior, phi, est in stacks:
+            self.assert_reference(tables, prior, phi, est)
+
+    def test_only_a_tie_takes_the_exact_path(self, monkeypatch):
+        """Complete data at alpha 0.1: an empty configuration's alpha_hat is
+        exactly 3 * 0.1, halfway between two floats.  Only that row's
+        collapse runs exactly, and the tie rounds to even as the reference
+        does."""
+        self.everywhere(monkeypatch)
+        collapses = TestPaths.spy(monkeypatch)
+        rng = np.random.default_rng(73)
+        rows = rng.integers(0, 3, size=(60, 3))
+        rows = rows[(rows[:, 1] != 2) | (rows[:, 2] != 2)]  # configuration 8 is empty
+        _, table, _ = family(make_dataset((3, 3, 3), rows), 0, (1, 2))
+        prior = PriorSpec(0.1, 1.0)
+        est = bc_estimate([table], prior)
+        assert Fraction(3) * Fraction(0.1) == (
+            Fraction(0.3) + Fraction(math.nextafter(0.3, 1))) / 2
+        assert est.alpha_hat[8] == 0.30000000000000004
+        assert collapses == [(object, 1)]
+        self.assert_reference([table], prior, "mar", est)
+
+    @staticmethod
+    def random_dd(rng, size):
+        """Positive double-doubles over 2**-40..2**40, each the exact sum of
+        two random floats."""
+        hi = np.exp2(rng.uniform(-40, 40, size)) * rng.uniform(1, 2, size)
+        return estimate._DD(*estimate._two_sum(hi, hi * rng.uniform(-2**-50, 2**-50, size)))
+
+    @staticmethod
+    def exact(x, k):
+        return Fraction(float(x.hi[k])) + Fraction(float(x.lo[k]))
+
+    def assert_within(self, result, exact):
+        """Each value of ``result`` is within its bound of the exact one."""
+        for k, value in enumerate(exact):
+            err = result.err[k] if np.ndim(result.err) else result.err
+            assert abs(self.exact(result, k) - value) <= Fraction(float(err)) * value
+
+    def test_each_step_stays_within_its_bound(self):
+        rng = np.random.default_rng(79)
+        x, y = self.random_dd(rng, 2000), self.random_dd(rng, 2000)
+        xs = [self.exact(x, k) for k in range(2000)]
+        ys = [self.exact(y, k) for k in range(2000)]
+        self.assert_within(x + y, [a + b for a, b in zip(xs, ys)])
+        self.assert_within(x * y, [a * b for a, b in zip(xs, ys)])
+        self.assert_within(x / y, [a / b for a, b in zip(xs, ys)])
+        self.assert_within(x + y.hi, [a + Fraction(float(b)) for a, b in zip(xs, y.hi)])
+
+    def test_segment_sums_stay_within_their_bound(self):
+        """Segments of 1 to 60 terms, each segment's terms scaled by one
+        power of two from 2**-70 to 2**29, so small segments follow large
+        ones in the running sum."""
+        rng = np.random.default_rng(83)
+        rows = rng.integers(1, 61, size=40)
+        bounds = np.concatenate(([0], np.cumsum(rows)))
+        x = self.random_dd(rng, bounds[-1])
+        scale = np.exp2(np.repeat(rng.integers(-70, 30, size=40), rows))
+        x = estimate._DD(x.hi * scale, x.lo * scale)
+        terms = [self.exact(x, k) for k in range(bounds[-1])]
+        total = estimate._sums(x, bounds)
+        self.assert_within(total, [sum(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+
+    def test_the_rounding_test_leaves_the_boundary_unsettled(self):
+        """A value whose error interval reaches half the gap below hi is not
+        certain, and one an ulp inside it is; so is an exact tie."""
+        one = np.array([1.0])
+        half_gap = 2.0**-54  # the float below 1.0 is 1 - 2**-53
+        for lo, err, certain in ((0.0, half_gap, False),
+                                 (0.0, math.nextafter(half_gap, 0), True),
+                                 (-half_gap, 0.0, False), (half_gap, 0.0, False),
+                                 (math.nextafter(half_gap, 0), 0.0, True)):
+            value, settled = estimate._settled(estimate._DD(one, np.array([lo]), err))
+            assert value.tolist() == [1.0] and settled.tolist() == [certain]
+
+    def test_a_user_phi_or_an_extreme_prior_stays_exact(self, monkeypatch):
+        self.everywhere(monkeypatch)
+        calls = self.paths(monkeypatch)
+        rng, families = TestPaths().families()
+        ctx, table = families[-1]
+        bc_estimate([table], PriorSpec(), non_dyadic_phi(rng, ctx))
+        for alpha, beta in ((5e-324, 1.0), (1.0, 2.0**201), (2.0**-200, 2.0**200)):
+            bc_estimate([table], PriorSpec(alpha, beta))
+        assert [name for name, _ in calls] == ["exact"] * 3 + ["certified"]
 
 
 class TestGroupedScore:
