@@ -35,8 +35,10 @@ speed (``calibration.normalized``, each search rescaled by the calibrations
 run just before and after it, so that files from two checkouts or two
 moments compare), its ``bc_estimate`` calls (the tracer's spans), the rows
 they estimated and the median over REPEATS traced searches of their
-normalized time per row, its passes over the cases (``counts._cases_table``
-calls, a name the tracer does not wrap), and the arcs it learned, with how
+normalized time per row, the same two figures for each search level (every
+variable is ternary, so a level's new families are one ``bc_estimate``
+stack), its passes over the cases (``counts._cases_table`` calls, a name
+the tracer does not wrap), and the arcs it learned, with how
 many of them the generating network lacks (extra) and how many of its arcs
 it did not learn (missed).  Per variable count and phi it reports two
 t(60 %) / t(0 %) ratios, taken and flagged as the first slice's: the
@@ -137,10 +139,10 @@ class _Wide(LearnWide):
         super().__init__()
 
 
-def _counted_search(dataset, order, phi) -> tuple[int, int, Model, int, float]:
-    """One ``k2_bc`` under perfbench's tracer: its ``bc_estimate`` calls,
-    its passes over the cases, the model it learned, the rows its
-    ``bc_estimate`` calls estimated and their seconds."""
+def _counted_search(dataset, order, phi) -> tuple[int, Model, list[tuple[int, float]]]:
+    """One ``k2_bc`` under perfbench's tracer: its passes over the cases,
+    the model it learned, and the rows and seconds of each of its
+    ``bc_estimate`` calls, one per search level."""
     passes = 0
     cases_table = counts._cases_table
 
@@ -156,11 +158,9 @@ def _counted_search(dataset, order, phi) -> tuple[int, int, Model, int, float]:
             model = k2_bc(dataset, order, phi=phi)
     finally:
         counts._cases_table = cases_table
-    estimates = [span for span in tracer.spans if span.name == "estimate.bc_estimate"]
     # every variable is ternary, so a row is 3 cells
-    rows = sum(span.counts["cells"] for span in estimates) // 3
-    return (len(estimates), passes, model, rows,
-            sum(span.duration for span in estimates))
+    return passes, model, [(span.counts["cells"] // 3, span.duration)
+                           for span in tracer.spans if span.name == "estimate.bc_estimate"]
 
 
 def _ratio(t0s, t1s) -> dict:
@@ -200,28 +200,38 @@ def _k2_rows() -> tuple[list[dict], list[dict]]:
                     calibrations.append(calibrate())
                     traced.append(_counted_search(dataset, order, phi))
                     calibrations.append(calibrate())
-                estimates, passes, model, estimated, _ = traced[0]
+                passes, model, levels = traced[0]
+                estimated = sum(level_rows for level_rows, _ in levels)
                 arcs = set(model.arcs)
                 norms = list(map(normalized, times, calibrations[::2], calibrations[1::2]))
-                per_row = [normalized(seconds, before, after) / estimated
-                           for (*_, seconds), before, after
+                # each traced search's normalized bc_estimate seconds per level
+                level_s = [[normalized(seconds, before, after) for _, seconds in search]
+                           for (*_, search), before, after
                            in zip(traced, calibrations[1::2], calibrations[2::2])]
+                per_row = [sum(search) / estimated for search in level_s]
                 repeats[n_variables, phi, deleted] = norms, per_row
                 rows.append({
                     "variables": n_variables, "deleted": deleted, "phi": phi,
                     "k2_bc_s": min(times), "k2_bc_norm_s": min(norms),
-                    "bc_estimate_calls": estimates, "case_passes": passes,
+                    "bc_estimate_calls": len(levels), "case_passes": passes,
                     "rows_estimated": estimated,
                     "bc_estimate_us_per_row": statistics.median(per_row) * 1e6,
+                    "levels": [
+                        {"rows": level_rows, "bc_estimate_us_per_row":
+                         statistics.median(search[k] for search in level_s) / level_rows * 1e6}
+                        for k, (level_rows, _) in enumerate(levels)
+                    ],
                     "arcs": len(arcs), "extra_arcs": len(arcs - true_arcs),
                     "missed_arcs": len(true_arcs - arcs),
                 })
                 print(f"variables={n_variables:>2} deleted={deleted:.2f} "
                       f"phi={phi:<7} k2_bc={min(times) * 1e3:7.1f} ms "
                       f"({min(norms) * 1e3:7.1f} normalized)  bc_estimate calls="
-                      f"{estimates}  rows={estimated} "
-                      f"({rows[-1]['bc_estimate_us_per_row']:.2f} us each)  "
-                      f"case passes={passes}  arcs={len(arcs)} "
+                      f"{len(levels)}  rows={estimated} "
+                      f"({rows[-1]['bc_estimate_us_per_row']:.2f} us each; by level "
+                      + ", ".join(f"{level['rows']} at {level['bc_estimate_us_per_row']:.2f}"
+                                  for level in rows[-1]["levels"])
+                      + f")  case passes={passes}  arcs={len(arcs)} "
                       f"(extra {rows[-1]['extra_arcs']}, missed "
                       f"{rows[-1]['missed_arcs']})")
     ratios = []
@@ -382,7 +392,8 @@ def main() -> None:
                     "the calibrations around each search, bc_estimate calls, "
                     "the rows they estimated and passes over the cases of one "
                     "search, the median of its bc_estimate's normalized time "
-                    f"per row over {REPEATS} traced searches, and its arcs, "
+                    f"per row over {REPEATS} traced searches, the same rows "
+                    "and time per row for each search level, and its arcs, "
                     "extra and missed against the generating network; per "
                     "variable count and phi, the t(60 %) / t(0 %) ratios of "
                     "the search's normalized time and of bc_estimate's per row",

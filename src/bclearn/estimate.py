@@ -49,21 +49,20 @@ stack's own rows, and none changes a bit of the result:
   TwoProduct, numpy having no FMA, and Ogita, Rump & Oishi's compensated
   sum for each family's precision), with a bound on its relative error,
   and a rounding test (Ziv's) emits the nearest float wherever the bound
-  settles it.  The rows it leaves unsettled take the exact path: their own
-  collapse, and the precision of their families.  Those are exact ties,
+  settles it.  Each family that holds a row it leaves unsettled is
+  estimated again, whole, on the exact path.  Those rows are exact ties,
   such as alpha_hat = 3 * 0.1 of an empty configuration on complete data,
   halfway between two floats, and anything the bound cannot settle.
-- The exact path's integers are int64 when c * D**(c+1) < 2**53, D
+- The certified path collapses on int64 when c * D**(c+1) < 2**53, D
   bounding every denominator b + nstar_l (``_fits_int64``): nothing
   overflows and a float64 division of two of them rounds once, as Python's
-  int / int does; the certified path then keeps this exact collapse and
-  certifies only the precision and the Dirichlet.  Otherwise they are
-  Python ints on object dtype, as for a non-dyadic alpha such as 0.1 (a
-  2**55 grid) and for a user phi, whose rows are the exact ratios of their
-  floats.
+  int / int does, so it keeps this exact collapse and certifies only the
+  precision and the Dirichlet.  Otherwise, as for a non-dyadic alpha such
+  as 0.1 (a 2**55 grid), the collapse is certified too.
 
-On the exact path, big integers appear in the precision, which always
-takes object dtype: each family's q parent-configuration probabilities
+The exact path runs on Python ints (object dtype) throughout; a user phi's
+rows are the exact ratios of its floats.  Its big integers appear in the
+precision: each family's q parent-configuration probabilities
 collapse as one row of its own, whose least common multiple spans one
 denominator per distinct parent-completion count, so it grows with the
 missing fraction, and the precision and the matched Dirichlet carry it.
@@ -188,10 +187,10 @@ def _collapse(a, nstar, b, phi_num, phi_den):
     a[j, k] is the prior-plus-observed weight of state k in row j, b[j, 0]
     the row sum, nstar[j, k] the completion count and phi_num[j] /
     phi_den[j, 0] the exactly normalized mixing row; all are integer arrays
-    of one dtype, int64 when their magnitudes are bounded (see
-    ``_fits_int64``) and Python ints otherwise.  Mixing the upper bound
-    (a_k + nstar_k)/(b + nstar_k) with the lower extremes a_k/(b + nstar_l),
-    l != k, gives
+    of one dtype: Python ints on the exact path, and int64 for the certified
+    path's collapse when ``_fits_int64`` bounds its values.  Mixing the
+    upper bound (a_k + nstar_k)/(b + nstar_k) with the lower extremes
+    a_k/(b + nstar_l), l != k, gives
 
         p_k = a_k * S + phi_k * nstar_k / (b + nstar_k),
         S   = sum_l phi_l / (b + nstar_l),
@@ -289,13 +288,14 @@ def _precision_ints(tables, prior: PriorSpec, n_obs, n_comp, counts, bounds):
     return nums, per_row([scale * p_den for p_den in p_dens])
 
 
-def _groups(tables) -> bool:
-    """Whether ``bc_estimate`` works on the stack's distinct count rows:
+def _groups(sizes, cases: int) -> bool:
+    """Whether ``bc_estimate`` works on the distinct count rows of a stack
+    of families of ``sizes`` configurations each, over ``cases`` cases:
     when the stack has more rows than families and at least as many rows as
     its families have cases, so most rows repeat.  For one table that is
     q > 1 and q >= n."""
-    rows = sum(table.context.n_configs for table in tables)
-    return rows > len(tables) and rows >= len(tables) * tables[0].n_total
+    rows = sum(sizes)
+    return rows > len(sizes) and rows >= len(sizes) * cases
 
 
 def _distinct_rows(*columns):
@@ -314,17 +314,24 @@ def _distinct_rows(*columns):
     return index, inverse, counts
 
 
-def _fits_int64(c: int, bound: int) -> bool:
-    """Whether the collapse of rows of c states whose denominators b + nstar_l
-    are at most ``bound`` runs in int64 with every value below 2**53.
+def _fits_int64(alpha: float, obs, comp) -> bool:
+    """Whether the collapse of the rows ``obs`` and ``comp`` of c states
+    under prior ``alpha`` runs in int64 with every value below 2**53.
 
-    L <= bound**c.  Under MAR, sum_l phi_l * L / (b + nstar_l) <= L, so each
-    numerator a_k * S + phi_k * nstar_k * L / (b + nstar_k) is at most
-    L * (a_k + nstar_k) and each denominator b * L, both <= bound**(c+1).
+    With alpha = w / scale in lowest terms, every denominator b + nstar_l is
+    at most D = c * w + scale * (the largest row sum of ``obs`` plus the
+    largest completion count), and so is the grid's scale, which multiplies
+    the counts even when they are all zero.  L <= D**c.  Under MAR,
+    sum_l phi_l * L / (b + nstar_l) <= L, so each numerator
+    a_k * S + phi_k * nstar_k * L / (b + nstar_k) is at most
+    L * (a_k + nstar_k) and each denominator b * L, both <= D**(c+1).
     Under uniform phi they are at most (c+1) * L and c * L.  Below 2**53 an
-    int64 converts to float64 exactly, so float division rounds each cell once,
-    as Python's int / int does.
+    int64 converts to float64 exactly, so float division rounds each cell
+    once, as Python's int / int does.
     """
+    c = obs.shape[1]
+    w, scale = alpha.as_integer_ratio()
+    bound = max(c * w + scale * (int(obs.sum(axis=1).max()) + int(comp.max())), scale)
     return c * bound ** (c + 1) < 2**53
 
 
@@ -334,9 +341,10 @@ def _round(num, den) -> np.ndarray:
 
 
 # A stack of at least this many cells (rows estimated times child states) is
-# estimated in certified double-double arithmetic when its prior allows it;
-# below it, the exact path costs less than the certified path's fixed cost,
-# on int64 and on Python ints alike.
+# estimated in certified double-double arithmetic when its prior allows it.
+# The exact path's Python ints and the certified path's fixed cost break even
+# between about 250 and 620 cells, by the stack's shape; a lower floor would
+# slow the stacks that break even near the top of that range.
 CERTIFIED_MIN_CELLS = 640
 
 # Relative error bounds of one double-double step on positive operands, in
@@ -512,9 +520,9 @@ def _certified_precision(tables, prior: PriorSpec, n_obs, n_comp, counts, bounds
             + a * (s + nstar / d) * (spare / b)[family])
 
 
-def _exact_collapse(alpha: float, phi, obs, comp, dtype):
-    """The collapse of every row as exact (numerators, denominators), and
-    the p_hat, p_min and p_max fields from it."""
+def _exact_collapse(alpha: float, phi, obs, comp, dtype=object):
+    """The collapse of every row as exact (numerators, denominators) of
+    ``dtype`` integers, and the p_hat, p_min and p_max fields from it."""
     a, nstar = _on_grid(alpha, obs, comp, dtype)
     b = a.sum(axis=1, keepdims=True)
     nums, den = _collapse(a, nstar, b, *_phi_ints(phi, a, b))
@@ -525,15 +533,12 @@ def _exact_collapse(alpha: float, phi, obs, comp, dtype):
     }
 
 
-def _exact(tables, prior: PriorSpec, phi, columns, counts, bounds, dtype,
-           rows=slice(None)) -> dict:
-    """Every field of ``rows`` of the stack, each an exact integer ratio
-    rounded once: the collapse of those rows and the precision of every
-    family of ``tables``."""
+def _exact(tables, prior: PriorSpec, phi, columns, counts, bounds) -> dict:
+    """Every field of the stack, each an exact ratio of Python ints rounded
+    once: the collapse of its rows and the precision of its families."""
     obs, comp, n_obs, n_comp = columns
-    nums, den, fields = _exact_collapse(prior.alpha, phi, obs[rows], comp[rows], dtype)
+    nums, den, fields = _exact_collapse(prior.alpha, phi, obs, comp)
     ah_num, ah_den = _precision_ints(tables, prior, n_obs, n_comp, counts, bounds)
-    ah_num, ah_den = ah_num[rows], ah_den[rows]
     try:
         fields["alpha_hat"] = _round(ah_num, ah_den)
     except OverflowError:
@@ -542,25 +547,24 @@ def _exact(tables, prior: PriorSpec, phi, columns, counts, bounds, dtype,
             f"prior alpha={prior.alpha!r}, beta={prior.beta!r} is too large: "
             "the posterior precision of a configuration exceeds the largest float"
         ) from None
-    fields["dirichlet"] = _round(nums.astype(object, copy=False) * ah_num[:, None],
-                                 den.astype(object, copy=False) * ah_den[:, None])
+    fields["dirichlet"] = _round(nums * ah_num[:, None], den * ah_den[:, None])
     return fields
 
 
-def _certified(tables, prior: PriorSpec, phi, columns, counts, bounds, dtype) -> dict:
+def _certified(tables, prior: PriorSpec, phi, columns, counts, bounds) -> dict:
     """Every field of the stack from ``_DD`` values, each the nearest float
-    where ``_settled`` certifies it.  The rows left unsettled take the exact
-    path: their own collapse, and the precision of their families."""
+    where ``_settled`` certifies it.  Each family that holds an unsettled
+    row takes the exact path, whole."""
     obs, comp, n_obs, n_comp = columns
     alpha_hat = _certified_precision(tables, prior, n_obs, n_comp, counts, bounds)
-    if dtype is object:
+    if _fits_int64(prior.alpha, obs, comp):
+        # the int64 collapse is exact and cheap; its ratios are exact floats
+        nums, den, fields = _exact_collapse(prior.alpha, phi, obs, comp, np.int64)
+        p_hat, values = _DD(np.array(nums.T, dtype=float)) / den[:, 0].astype(float), {}
+    else:
         fields, values = {}, dict(zip(("p_hat", "p_min", "p_max"),
                                       _certified_collapse(prior.alpha, phi, obs, comp)))
         p_hat = values["p_hat"]
-    else:
-        # the int64 collapse is exact and cheap; its ratios are exact floats
-        nums, den, fields = _exact_collapse(prior.alpha, phi, obs, comp, dtype)
-        p_hat, values = _DD(np.array(nums.T, dtype=float)) / den[:, 0].astype(float), {}
     values["alpha_hat"] = alpha_hat
     values["dirichlet"] = p_hat * alpha_hat
     unsettled = np.zeros(len(obs), dtype=bool)
@@ -568,20 +572,17 @@ def _certified(tables, prior: PriorSpec, phi, columns, counts, bounds, dtype) ->
         floats, certain = _settled(value)
         fields[name] = np.ascontiguousarray(floats.T)
         unsettled |= ~certain if certain.ndim == 1 else ~certain.all(axis=0)
-    rows = np.flatnonzero(unsettled)
-    if rows.size:
-        bounds = np.asarray(bounds)
-        kept = np.unique(np.searchsorted(bounds, rows, side="right") - 1)
+    if unsettled.any():
+        kept = np.unique(np.searchsorted(bounds, np.flatnonzero(unsettled), side="right") - 1)
         members = np.concatenate([np.arange(bounds[f], bounds[f + 1]) for f in kept])
         exact = _exact(
             [tables[f] for f in kept], prior, phi,
             tuple(column[members] for column in columns),
             None if counts is None else counts[members],
             [0, *itertools.accumulate(np.diff(bounds)[kept].tolist())],
-            object, np.searchsorted(members, rows),
         )
         for name, value in exact.items():
-            fields[name][rows] = value
+            fields[name][members] = value
     return fields
 
 
@@ -603,7 +604,7 @@ def bc_estimate(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
     # family f's rows run from bounds[f] to bounds[f + 1]
     bounds = [0, *itertools.accumulate(sizes)]
     groups = counts = None
-    if not user_phi and _groups(tables):
+    if not user_phi and _groups(sizes, tables[0].n_total):
         # the family leads the key, so two families' rows never merge and
         # each family's distinct rows stay together, in table order
         family = np.repeat(np.arange(len(tables)), sizes)
@@ -612,17 +613,10 @@ def bc_estimate(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
         index, inverse, counts = groups
         columns = tuple(column[index] for column in columns)
         bounds = np.searchsorted(family[index], np.arange(len(tables) + 1)).tolist()
-    obs, comp, n_obs, n_comp = columns
-    c = tables[0].context.child_cardinality
-    w, scale = prior.alpha.as_integer_ratio()
-    # every denominator b + nstar_l is at most this, and so is the grid's
-    # scale, which multiplies the counts even when they are all zero
-    bound = max(c * w + scale * (int(obs.sum(axis=1).max()) + int(comp.max())), scale)
-    dtype = object if user_phi or not _fits_int64(c, bound) else np.int64
     path = _exact
-    if not user_phi and obs.size >= CERTIFIED_MIN_CELLS and _certifiable(prior):
+    if not user_phi and columns[0].size >= CERTIFIED_MIN_CELLS and _certifiable(prior):
         path = _certified
-    fields = path(tables, prior, phi, columns, counts, bounds, dtype)
+    fields = path(tables, prior, phi, columns, counts, bounds)
     if groups is not None:
         fields = {name: np.take(value, inverse, axis=0) for name, value in fields.items()}
         fields["inverse"] = inverse

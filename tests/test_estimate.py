@@ -536,34 +536,40 @@ def count_rows(tables, distinct):
 
 class TestPaths:
     """``bc_estimate`` estimates each distinct count row once when the table
-    has at least as many configurations as cases, and runs the collapse in
-    int64 when ``_fits_int64`` bounds every value below 2**53.  Each of the
-    four paths gives every field's exact rational rounded once."""
+    has at least as many configurations as cases.  The exact path collapses
+    on Python ints; the certified path collapses in int64 when
+    ``_fits_int64`` bounds every value below 2**53, and in double-double
+    otherwise.  Each of the six paths gives every field's exact rational
+    rounded once."""
 
     FIELDS = ("p_hat", "p_min", "p_max", "alpha_hat", "dirichlet")
 
     @staticmethod
     def spy(monkeypatch):
-        """Record (dtype, rows) of the collapse of the rows estimated, one
-        call per estimate."""
+        """Record (arithmetic, rows) of each collapse of the rows estimated:
+        "int64" or "object" for the integer collapse, "double-double" for
+        the certified one."""
         calls = []
-        real = estimate._collapse
+        real, certified = estimate._collapse, estimate._certified_collapse
 
         def collapse(a, *args):
-            calls.append((a.dtype, len(a)))
+            calls.append((str(a.dtype), len(a)))
             return real(a, *args)
 
+        def certified_collapse(alpha, phi, obs, comp):
+            calls.append(("double-double", len(obs)))
+            return certified(alpha, phi, obs, comp)
+
         monkeypatch.setattr(estimate, "_collapse", collapse)
+        monkeypatch.setattr(estimate, "_certified_collapse", certified_collapse)
         return calls
 
     @staticmethod
-    def force(monkeypatch, grouped, wide):
-        """The exact path, grouping rows or not; int64 where the bound allows
-        it, or never."""
-        monkeypatch.setattr(estimate, "CERTIFIED_MIN_CELLS", math.inf)
-        monkeypatch.setattr(estimate, "_groups", lambda tables: grouped)
-        if not wide:
-            monkeypatch.setattr(estimate, "_fits_int64", lambda c, bound: False)
+    def force(monkeypatch, grouped, certified=False):
+        """Every stack on the exact path, or every one the prior and phi
+        allow on the certified path; grouping rows or not."""
+        monkeypatch.setattr(estimate, "CERTIFIED_MIN_CELLS", 0 if certified else math.inf)
+        monkeypatch.setattr(estimate, "_groups", lambda sizes, cases: grouped)
 
     def families(self):
         rng = np.random.default_rng(41)
@@ -583,14 +589,14 @@ class TestPaths:
         return rng, families
 
     @pytest.mark.parametrize("grouped", [False, True])
-    @pytest.mark.parametrize("wide", [False, True])
-    def test_every_path_matches_the_exact_reference(self, monkeypatch, grouped, wide):
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_every_path_matches_the_exact_reference(self, monkeypatch, grouped, certified):
         """``bc_estimate`` of each family alone, then of the families of one
         child cardinality as one stack, whose rows are each family's in
         turn."""
         rng, families = self.families()
         calls = self.spy(monkeypatch)
-        self.force(monkeypatch, grouped, wide)
+        self.force(monkeypatch, grouped, certified)
         by_states = {}
         for ctx, table in families:
             by_states.setdefault(ctx.child_cardinality, []).append((ctx, table))
@@ -613,11 +619,12 @@ class TestPaths:
                             np.testing.assert_array_equal(
                                 getattr(est, name)[rows], reference[name]
                             )
-                    dtype, rows = calls[0]
-                    # alpha 0.1 sits on a 2**55 grid; a user phi's integers are
-                    # not bounded
-                    int64 = wide and not user and alpha != 0.1
-                    assert dtype == (np.int64 if int64 else object)
+                    collapse, rows = calls[0]
+                    if certified and not user:
+                        # alpha 0.1 sits on a 2**55 grid
+                        assert collapse == ("double-double" if alpha == 0.1 else "int64")
+                    else:
+                        assert collapse == "object"
                     # grouped, no row is shared between two families
                     assert rows == count_rows(tables, grouped and not user)
 
@@ -626,15 +633,15 @@ class TestPaths:
                                    ((3,), 0, False), ((3, 3), 0, True)):
             db = make_dataset(cards, np.zeros((n, len(cards)), dtype=int))
             _, table, _ = family(db, 0, tuple(range(1, len(cards))))
-            assert estimate._groups([table]) is expected
+            assert estimate._groups([table.context.n_configs], table.n_total) is expected
 
     def test_a_user_phi_is_never_grouped(self, monkeypatch):
         rng, families = self.families()
         calls = self.spy(monkeypatch)
         ctx, table = families[-1]
-        assert estimate._groups([table])
+        assert estimate._groups([ctx.n_configs], table.n_total)
         bc_estimate([table], PriorSpec(), non_dyadic_phi(rng, ctx))
-        assert calls[0] == (object, ctx.n_configs)
+        assert calls[0] == ("object", ctx.n_configs)
 
     def test_rows_whose_key_passes_2_to_the_62_are_not_grouped(self):
         column = np.array([3, 0, 3])
@@ -646,9 +653,10 @@ class TestPaths:
 
     @pytest.mark.parametrize("c", [2, 3])
     def test_int64_up_to_the_bound_and_object_past_it(self, monkeypatch, c):
-        """A table whose denominators reach the largest D with
-        c * D**(c+1) < 2**53 collapses in int64; one at D + 1 on object
-        dtype.  Both give the exact reference."""
+        """On the certified path, a table whose denominators reach the
+        largest D with c * D**(c+1) < 2**53 collapses in int64; one at D + 1
+        in double-double, as every table too wide for int64 does.  Both give
+        the exact reference."""
         edge = round((2**53 / c) ** (1 / (c + 1)))
         while c * edge ** (c + 1) >= 2**53:
             edge -= 1
@@ -658,8 +666,9 @@ class TestPaths:
         # child-missing case in configuration 2: every denominator b + nstar_l
         # is at most c * w + s, reached in configuration 1
         w = (edge - 3) // c
+        TestCertified.everywhere(monkeypatch)
         calls = self.spy(monkeypatch)
-        for bound, expected in ((edge, np.int64), (edge + 1, object)):
+        for bound, expected in ((edge, "int64"), (edge + 1, "double-double")):
             s = bound - c * w
             rows = [[k % c, 0] for k in range(s - 1)] + [[MISSING, 1]]
             _, table, _ = family(make_dataset((c, 2), rows), 0, (1,))
@@ -673,28 +682,65 @@ class TestPaths:
                     np.testing.assert_array_equal(getattr(est, name), reference[name])
 
     def test_a_fine_grid_without_counts_stays_on_object(self, monkeypatch):
-        """alpha = 2**-1074 with no cases: every denominator is 3 * 1, but
-        the grid's scale 2**1074 does not fit int64."""
+        """No cases, alpha = 2**-1074 on the exact path and 2**-200, the
+        smallest it certifies, on the certified path: every denominator is
+        3 * 1, but the grid's scale 2**1074 or 2**200 does not fit int64, so
+        the collapse runs on Python ints and in double-double."""
         calls = self.spy(monkeypatch)
         db = make_dataset((3, 3), np.zeros((0, 2), dtype=int))
         _, table, _ = family(db, 0, (1,))
         est = bc_estimate([table], PriorSpec(5e-324, 1.0))
-        assert calls[0][0] == object
+        assert calls == [("object", 1)]  # grouped: the three rows are equal
         np.testing.assert_array_equal(est.p_hat, np.full((3, 3), 1 / 3))
+        TestCertified.everywhere(monkeypatch)
+        calls.clear()
+        prior = PriorSpec(2.0**-200, 1.0)
+        est = bc_estimate([table], prior)
+        assert calls[0] == ("double-double", 1)
+        np.testing.assert_array_equal(est.p_hat, np.full((3, 3), 1 / 3))
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(
+                getattr(est, name), reference_estimate(table, prior, "mar")[name])
+
+    def test_below_the_floor_a_stack_that_fits_int64_collapses_on_python_ints(
+            self, monkeypatch):
+        """A q = 27 family of 81 cells, below ``CERTIFIED_MIN_CELLS``, whose
+        collapse fits int64, as its certified collapse shows: on the exact
+        path no int64 array reaches the collapse."""
+        rng = np.random.default_rng(37)
+        db = make_dataset((3,) * 4, rng.integers(0, 3, size=(200, 4)))
+        db = punch_holes(rng, db, db.codes.size // 5)
+        _, table, prior = family(db, 0, (1, 2, 3))
+        calls = self.spy(monkeypatch)
+        assert 3 * table.context.n_configs < estimate.CERTIFIED_MIN_CELLS
+        for phi in ("mar", "uniform"):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                TestCertified.everywhere(patch)
+                bc_estimate([table], prior, phi)
+            assert calls == [("int64", 27)]
+            calls.clear()
+            est = bc_estimate([table], prior, phi)
+            assert calls == [("object", 27)]
+            reference = reference_estimate(table, prior, phi)
+            for name in self.FIELDS:
+                np.testing.assert_array_equal(getattr(est, name), reference[name])
 
     def test_ten_ternary_parents_grouped_int64_equals_per_row_object(self, monkeypatch):
-        """The q = 59049 family at n = 1000: the grouped int64 estimate has
-        the per-row object estimate's bits."""
+        """The q = 59049 family at n = 1000: the grouped estimate on the
+        certified path, with the int64 collapse, has the bits of the per-row
+        estimate on the exact path, on Python ints."""
         rng = np.random.default_rng(29)
         db = make_dataset((3,) * 11, rng.integers(0, 3, size=(1000, 11)))
         db = punch_holes(rng, db, db.codes.size // 5)
         _, table, prior = family(db, 0, tuple(range(1, 11)))
         calls = self.spy(monkeypatch)
+        TestCertified.everywhere(monkeypatch)
         fast = bc_estimate([table], prior)
-        assert calls[0][0] == np.int64 and calls[0][1] < table.context.n_configs // 10
-        self.force(monkeypatch, grouped=False, wide=False)
+        assert calls[0][0] == "int64" and calls[0][1] < table.context.n_configs // 10
+        self.force(monkeypatch, grouped=False)
         slow = bc_estimate([table], prior)
-        assert calls[1] == (object, table.context.n_configs)
+        assert calls[1] == ("object", table.context.n_configs)
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
 
@@ -703,11 +749,12 @@ class TestPaths:
         """The benchmark shapes, on a noisy chain of ternary variables.  A
         search over 16 of them with up to 3 parents at n = 100000 with 30 %
         deleted (learn_wide) estimates every stack on the certified path,
-        collapses none on integers and groups no row.  The dense model over
-        9 of them at n = 2000 with 20 % deleted (score_dense) collapses
-        every family on int64, groups only its q = 6561 family's rows, and
-        estimates its q = 729 and q = 6561 families on the certified path,
-        the others on the exact path; no row falls back."""
+        collapses every one in double-double and groups no row.  The dense
+        model over 9 of them at n = 2000 with 20 % deleted (score_dense)
+        estimates its q = 1, 9 and 81 families on the exact path, on Python
+        ints, and its q = 729 and 6561 families on the certified path with
+        the int64 collapse; it groups only its q = 6561 family's rows, and no
+        row falls back."""
         n_variables, n, deleted = {
             "learn_wide": (16, 100_000, 0.3), "score_dense": (9, 2_000, 0.2)
         }[workload]
@@ -731,7 +778,7 @@ class TestPaths:
         if workload == "learn_wide":
             k2_bc(db, OrderConstraint(tuple(range(n_variables)), max_parents=3))
             assert len(stacks) > 1
-            assert calls == []
+            assert calls == [("double-double", sum(q)) for q in stacks]
             assert paths == [("certified", sum(q)) for q in stacks]
             return
         dense = {8: range(8), 7: range(1, 7), 6: range(2, 6), 5: range(3, 5)}
@@ -739,7 +786,7 @@ class TestPaths:
             [tuple(dense.get(v, ())) for v in range(n_variables)]
         )
         assert stacks == [[1]] * 5 + [[9], [81], [729], [6561]]
-        assert [dtype for dtype, _ in calls] == [np.int64] * 9
+        assert [collapse for collapse, _ in calls] == ["object"] * 7 + ["int64"] * 2
         assert [rows for _, rows in calls[:-1]] == [1] * 5 + [9, 81, 729]
         assert calls[-1][1] < 6561
         assert [name for name, _ in paths] == ["exact"] * 7 + ["certified"] * 2
@@ -795,7 +842,7 @@ class TestCertified:
     def test_seeded_stacks_match_the_reference(self, monkeypatch, grouped, alpha, beta):
         self.everywhere(monkeypatch)
         calls = self.paths(monkeypatch)
-        monkeypatch.setattr(estimate, "_groups", lambda tables: grouped)
+        monkeypatch.setattr(estimate, "_groups", lambda sizes, cases: grouped)
         _, families = TestPaths().families()
         prior = PriorSpec(alpha, beta)
         for tables in self.stacks(families):
@@ -873,24 +920,28 @@ class TestCertified:
         for tables, prior, phi, est in stacks:
             self.assert_reference(tables, prior, phi, est)
 
-    def test_only_a_tie_takes_the_exact_path(self, monkeypatch):
+    def test_only_the_ties_family_takes_the_exact_path(self, monkeypatch):
         """Complete data at alpha 0.1: an empty configuration's alpha_hat is
-        exactly 3 * 0.1, halfway between two floats.  Only that row's
-        collapse runs exactly, and the tie rounds to even as the reference
-        does."""
+        exactly 3 * 0.1, halfway between two floats.  In a stack of the
+        tie's family and one with no empty configuration, only the tie's
+        family is estimated again on the exact path, whole, and the tie
+        rounds to even as the reference does."""
         self.everywhere(monkeypatch)
         collapses = TestPaths.spy(monkeypatch)
+        paths = self.paths(monkeypatch)
         rng = np.random.default_rng(73)
         rows = rng.integers(0, 3, size=(60, 3))
         rows = rows[(rows[:, 1] != 2) | (rows[:, 2] != 2)]  # configuration 8 is empty
-        _, table, _ = family(make_dataset((3, 3, 3), rows), 0, (1, 2))
+        db = make_dataset((3, 3, 3), rows)
+        tables = [family(db, 0, (1, 2))[1], family(db, 0, (1,))[1]]
         prior = PriorSpec(0.1, 1.0)
-        est = bc_estimate([table], prior)
+        est = bc_estimate(tables, prior)
         assert Fraction(3) * Fraction(0.1) == (
             Fraction(0.3) + Fraction(math.nextafter(0.3, 1))) / 2
         assert est.alpha_hat[8] == 0.30000000000000004
-        assert collapses == [(object, 1)]
-        self.assert_reference([table], prior, "mar", est)
+        assert paths == [("certified", 12), ("exact", 9)]
+        assert collapses == [("double-double", 12), ("object", 9)]
+        self.assert_reference(tables, prior, "mar", est)
 
     @staticmethod
     def random_dd(rng, size):
@@ -965,7 +1016,8 @@ class TestGroupedScore:
         """Each of ``TestPaths``' grouped families alone, then those of one
         child cardinality as one stack."""
         _, families = TestPaths().families()
-        tables = [table for _, table in families if estimate._groups([table])]
+        tables = [table for ctx, table in families
+                  if estimate._groups([ctx.n_configs], table.n_total)]
         by_states = {}
         for table in tables:
             by_states.setdefault(table.context.child_cardinality, []).append(table)
@@ -976,7 +1028,7 @@ class TestGroupedScore:
     @staticmethod
     def ungrouped(monkeypatch, tables, prior, phi):
         with monkeypatch.context() as patch:
-            patch.setattr(estimate, "_groups", lambda tables: False)
+            patch.setattr(estimate, "_groups", lambda sizes, cases: False)
             return bc_estimate(tables, prior, phi)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.1])
@@ -1016,7 +1068,8 @@ class TestGroupedScore:
         for ctx, table in families:
             for phi in ("mar", non_dyadic_phi(rng, ctx)):
                 est = bc_estimate([table], PriorSpec(), phi)
-                if isinstance(phi, CompletionDistribution) or not estimate._groups([table]):
+                if (isinstance(phi, CompletionDistribution)
+                        or not estimate._groups([ctx.n_configs], table.n_total)):
                     assert est.inverse is None
                     continue
                 assert est.inverse.shape == (ctx.n_configs,)
