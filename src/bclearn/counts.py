@@ -17,17 +17,19 @@ exact, so every joint gives the same counts.
 ``joints`` is the one counting rule; a scorer reaches ``tally`` one way,
 ``score.FamilyScorer._add``, which hands each new family's key (its
 ``ParentContext.of`` arguments) with its joint from ``joints`` and keeps
-the last pack joint it is handed.  A family whose variables all lie in
-that joint takes it and counts no case.  The other families go greedily,
-in order and whatever their child, into packs whose joint over the union
-of their variables has at most ``GROUP_PATTERNS`` slots; one
-``np.bincount`` of each case's pattern code, built from the dataset's
-contiguous int16 columns in int16 or int32, counts a whole pack (Moore &
-Lee's cached sufficient statistics, JAIR 8, 1998).  A family left alone in
-its pack is handed ``None`` and counted, and freed, by ``tally`` from its
-own table.  When the first level of a greedy search fits one pack, that
-pack covers every later family, and the search makes one pass over the
-cases.
+the joints its last call counted or reused, to a bound in bytes.  A family
+whose variables all lie in a kept joint takes the first such joint, found
+through an index of the kept joints by variable, and counts no case.  The
+other families go greedily, in order and whatever their child, into packs
+whose joint over the union of their variables has at most
+``GROUP_PATTERNS`` slots; one ``np.bincount`` of each case's pattern code,
+built from the dataset's contiguous int16 columns in int16 or int32,
+counts a whole pack (Moore & Lee's cached sufficient statistics, JAIR 8,
+1998).  A family left alone in its pack is handed ``None`` and counted,
+and freed, by ``tally`` from its own table.  So a search level counts no
+family that a joint kept from the level before it covers, and when the
+first level fits one pack, that pack covers every later family and the
+search makes one pass over the cases.
 
 In the marginal, slicing slot 0 off every parent axis leaves the cases
 observed on all parents.  Adding each parent axis's slot 0 into every
@@ -236,10 +238,12 @@ def _refuse_wide(dataset: Dataset, child: int, size: int) -> None:
         )
 
 
-def joints(dataset: Dataset, families, last=None):
+def joints(dataset: Dataset, families, kept=()):
     """An iterator of the joint ``tally`` takes for each ``(child, sorted
-    parents)`` key of ``families``, in order: ``last``, a ``(table, axes)``
-    joint counted before, for every family it covers.
+    parents)`` key of ``families``, in order: the first joint of ``kept``,
+    ``(table, axes)`` joints counted before, that covers the family.  An
+    index by variable finds it: only the kept joints that hold the family's
+    child are looked at.
 
     Every other family is checked against ``MAX_PATTERNS`` by the call
     itself, before any is counted, and goes greedily into packs whose joint
@@ -250,13 +254,21 @@ def joints(dataset: Dataset, families, last=None):
     counts, and frees, its own table.
     """
     slots = [card + 1 for card in dataset.cardinalities]
-    covered = set(last[1]) if last else set()
+    holding: dict[int, list] = {}  # variable -> (axes, joint) of kept joints
+    for joint in kept:
+        axes = set(joint[1])
+        for axis in axes:
+            holding.setdefault(axis, []).append((axes, joint))
     pack = None  # [variables, joint slots, number of families]
-    plan = []  # each family's pack, or None when ``last`` covers it
+    plan = []  # per family: (the kept joint covering it, or None; its pack)
     for child, parents in families:
         members = {*parents, child}
-        if members <= covered:
-            plan.append(None)
+        cover = next(
+            (joint for axes, joint in holding.get(child, ()) if members <= axes),
+            None,
+        )
+        if cover:
+            plan.append((cover, None))
             continue
         grown = pack and pack[1] * math.prod(slots[v] for v in members - pack[0])
         if pack and grown <= GROUP_PATTERNS:
@@ -266,13 +278,13 @@ def joints(dataset: Dataset, families, last=None):
             size = math.prod(slots[v] for v in members)
             _refuse_wide(dataset, child, size)
             pack = [members, size, 1]
-        plan.append(pack)
+        plan.append((None, pack))
 
     def given():
         counted = None, None  # the pack counted last and its joint
-        for pack in plan:
-            if pack is None or pack[2] == 1:
-                yield last if pack is None else None
+        for cover, pack in plan:
+            if cover or pack[2] == 1:
+                yield cover
                 continue
             if counted[0] is not pack:
                 axes = tuple(sorted(pack[0]))

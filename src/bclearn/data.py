@@ -77,7 +77,8 @@ class Dataset:
 
     ``codes`` is a read-only int16 copy in column-major (Fortran) order.
     Nothing is cached on a dataset: counts drawn from it are kept by their
-    user, such as ``score.FamilyScorer``'s last pack joint.
+    user, such as the pack joints ``score.FamilyScorer`` keeps between
+    search levels.
     """
 
     variables: tuple[Variable, ...]
@@ -175,10 +176,12 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     keys that sort within a column as the labels do, and a key-to-label
     map, to the one step below, which fixes the states and codes and words
     every error about states, so both paths give the same ``Dataset`` or
-    the same error.  That step labels a column of 1- or 2-byte keys through
-    one ``np.bincount`` (the distinct keys are the table's nonzero slots)
-    and a column of wider keys through ``np.unique``; the width follows
-    from the file alone: its longest cell, or its count of distinct labels.
+    the same error.  That step labels a column of 1- or 2-byte keys with
+    one ``np.bincount``, whose nonzero slots are the distinct keys, and one
+    gather: ``np.take`` of an int16 table of codes indexed by key, straight
+    into the column's codes.  A column of wider keys is labelled through
+    ``np.unique``'s inverse.  The width follows from the file alone: its
+    longest cell, or its count of distinct labels.
     """
     try:
         # a line end for a file without a final one, then 7 zero bytes that
@@ -205,7 +208,15 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
     codes = np.empty(keys.shape, dtype=np.int16, order="F")
     first_bad = None  # (row, column, label) of the first out-of-schema cell
     for i, name in enumerate(header):
-        distinct, inverse = _distinct(keys[:, i])
+        column = keys[:, i]
+        narrow = column.itemsize <= 2
+        if narrow:
+            # the nonzero slots of a count table with one slot per possible
+            # key are the distinct keys
+            seen = np.bincount(column)
+            distinct = np.flatnonzero(seen)
+        else:
+            distinct, index = np.unique(column, return_inverse=True)
         labels = [label_of(key) for key in distinct.tolist()]
         if schema is not None and name in schema:
             states = [str(s) for s in schema[name]]
@@ -227,31 +238,24 @@ def load_csv(path, missing_token: str = "?", schema: dict | None = None) -> Data
             ],
             dtype=np.int16,
         )
-        codes[:, i] = lookup[inverse]
+        if narrow:
+            # the keys themselves index a table of one code per possible key
+            by_key = np.zeros(len(seen), dtype=np.int16)
+            by_key[distinct] = lookup
+            lookup, index = by_key, column
+        # every index is in range: "wrap" skips the bounds check's buffer
+        np.take(lookup, index, out=codes[:, i], mode="wrap")
         if (lookup == unknown).any():
             r = int(np.argmax(codes[:, i] == unknown))
             if first_bad is None or r < first_bad[0]:
-                first_bad = (r, i, labels[inverse[r]])
+                first_bad = (r, i, label_of(column[r].item()))
     if first_bad is not None:
         _, i, label = first_bad
         raise DataError(f"{label!r} is not a state of {header[i]!r}")
     # the Dataset copies the codes: dropping the keys and the last column's
-    # inverse first keeps them out of the load's peak memory
-    keys = inverse = None
+    # index first keeps them out of the load's peak memory
+    keys = column = index = None
     return Dataset(tuple(variables), codes)
-
-
-def _distinct(column: np.ndarray):
-    """The column's distinct keys, sorted, and each cell's index among them,
-    as ``np.unique(column, return_inverse=True)`` gives them."""
-    if column.itemsize > 2:
-        return np.unique(column, return_inverse=True)
-    # narrow keys: a count table with one slot per possible key, whose
-    # nonzero slots are the distinct keys, becomes their ranks
-    table = np.bincount(column)
-    distinct = np.flatnonzero(table)
-    table[distinct] = np.arange(len(distinct))
-    return distinct, table[column]
 
 
 _BLOCK_ROWS = 4096

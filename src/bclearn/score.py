@@ -19,7 +19,7 @@ from math import lgamma
 
 import numpy as np
 
-from .counts import ParentContext, joints, tally
+from .counts import GROUP_PATTERNS, ParentContext, joints, tally
 from .data import Dataset
 from .estimate import PHI_POLICIES, BcCellEstimate, PriorSpec, bc_estimate
 
@@ -102,7 +102,14 @@ class FamilyScorer:
     ``tally`` from the joint ``counts.joints`` hands it, then estimated and
     scored by one ``bc_estimate`` and one ``log_g_bc`` call per child
     cardinality over the stack of new tables.  A family gets the same bits
-    in any stack."""
+    in any stack, and the same counts from any joint that covers it.
+
+    Between calls the scorer keeps the joints counted or reused by the last
+    ``_add`` call that used any, in order of first use, as long as their
+    bytes stay within the dataset's codes' or one full pack's, whichever is
+    more; the next call takes its covered families' counts from them.  A
+    search whose joint fits one pack thus makes one pass over the cases,
+    and a wider one keeps no more bytes of counts than its codes take."""
 
     def __init__(
         self,
@@ -117,24 +124,35 @@ class FamilyScorer:
         self.dataset = dataset
         self.prior = PriorSpec(alpha, beta)
         self.phi_policy = phi_policy
-        self._joint = None  # the last pack joint ``_add`` was handed
+        self._kept: list = []  # the joints the class docstring describes
         self._cache: dict[
             tuple[int, tuple[int, ...]], tuple[FamilyScore, np.ndarray]
         ] = {}
 
     def _add(self, keys) -> None:
         """Tally each uncached ``(child, sorted parents)`` key from its
-        ``counts.joints`` joint, estimate and score the new tables as one
-        stack per child cardinality, in order of first appearance, and cache
-        each family's score and CPT point estimate."""
+        ``counts.joints`` joint, given the kept joints, estimate and score
+        the new tables as one stack per child cardinality, in order of first
+        appearance, and cache each family's score and CPT point estimate.
+        The joints this call counted or reused then replace the kept ones,
+        in order of first use, each that fits the room left; a call that used
+        none leaves them."""
         new = [key for key in keys if key not in self._cache]
+        if not new:  # a cache hit builds no index of the kept joints
+            return
         stacks: dict[int, list] = {}
-        for key, joint in zip(new, joints(self.dataset, new, self._joint)):
+        kept = {}  # id -> joint; holding the joint keeps its id unique
+        # the codes' bytes, or a full pack's int64 slots
+        room = max(self.dataset.codes.nbytes, 8 * GROUP_PATTERNS)
+        for key, joint in zip(new, joints(self.dataset, new, self._kept)):
             ctx = ParentContext.of(self.dataset.variables, *key)
             stacks.setdefault(ctx.child_cardinality, []).append(
                 tally(self.dataset, ctx, joint)
             )
-            self._joint = joint or self._joint
+            if joint and id(joint) not in kept and joint[0].nbytes <= room:
+                kept[id(joint)] = joint
+                room -= joint[0].nbytes
+        self._kept = list(kept.values()) or self._kept
         for tables in stacks.values():
             est = bc_estimate(tables, self.prior, self.phi_policy)
             splits = np.cumsum([t.context.n_configs for t in tables[:-1]])

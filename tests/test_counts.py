@@ -339,10 +339,10 @@ class TestJoints:
     family counted alone."""
 
     @staticmethod
-    def assert_joints_match(d, families, last=None):
+    def assert_joints_match(d, families, kept=()):
         """Each family's joint is ``None`` or covers the family, and its
         tally equals the plain tally."""
-        given = list(joints(d, families, last))
+        given = list(joints(d, families, kept))
         assert len(given) == len(families)
         for (child, parents), joint in zip(families, given):
             ctx = ParentContext.of(d.variables, child, parents)
@@ -366,7 +366,7 @@ class TestJoints:
             return real(codes, minlength=minlength)
 
         monkeypatch.setattr(np, "bincount", counted)
-        given = joints(d, families, None)
+        given = joints(d, families)
         assert sizes == []
         for (child, parents), joint in zip(families, given):
             tally(d, ParentContext.of(d.variables, child, parents), joint)
@@ -456,10 +456,11 @@ class TestJoints:
 
     def test_a_later_level_takes_the_scorers_joint(self, monkeypatch):
         """The first level of a search over 3 * 4 * 3 * 5 * 3 = 540 slots is
-        one pack of every variable, kept by the scorer.  A later level's
-        families, each round's own and each candidate's, are handed that
-        very joint and count no case; each is scored once, not through
-        ``score``, and equals its count case by case."""
+        one pack of every variable, the one joint the scorer keeps.  A later
+        level's families, each round's own and each candidate's, are handed
+        that very joint and count no case, and the scorer keeps it alone;
+        each is scored once, not through ``score``, and equals its count
+        case by case."""
         d = TestTableSources.random_holey(
             np.random.default_rng(45), (2, 3, 2, 4, 2), 2000
         )
@@ -474,7 +475,7 @@ class TestJoints:
         monkeypatch.setattr(np, "bincount", counted)
         scorer.scores([(v, (), range(v)) for v in range(5)])
         assert sizes == [540]
-        joint = scorer._joint
+        [joint] = scorer._kept
         assert joint[1] == (0, 1, 2, 3, 4)
         tallies = []
 
@@ -489,7 +490,8 @@ class TestJoints:
         monkeypatch.setattr(FamilyScorer, "score", unreachable)
         level = scorer.scores([(2, (4, 0), (1, 3)), (4, (3,), (0, 1, 2))])
         monkeypatch.undo()
-        assert sizes == [540] and len(tallies) == 6 and scorer._joint is joint
+        assert sizes == [540] and len(tallies) == 6
+        assert len(scorer._kept) == 1 and scorer._kept[0] is joint
         for given, counts in tallies:
             assert given is joint
             assert_same_counts(counts, tally(d, counts.context))
@@ -502,7 +504,51 @@ class TestJoints:
             4, (3,), (0, 1, 2)
         )
         assert all(
-            handed is joint for handed in self.assert_joints_match(d, families, joint)
+            handed is joint
+            for handed in self.assert_joints_match(d, families, [joint])
+        )
+
+    def test_a_later_level_takes_a_kept_joint_before_the_last(self, monkeypatch):
+        """Ternary variables: a level counts a pack of X1 to X6, 4**6 slots,
+        then one of X7 and X8, and the scorer keeps both, their bytes below
+        the codes' (3000 * 8 * 2).  A later level's
+        families of X1 lie only in the first: they are handed that very
+        joint and count no case, each ``CountTable`` equals the family's
+        own-table tally, and the scorer keeps that joint alone."""
+        d = TestTableSources.random_holey(np.random.default_rng(52), (3,) * 8, 3000)
+        scorer = FamilyScorer(d)
+        sizes, tallies = [], []
+        real_tally, real_bincount = bclearn.score.tally, np.bincount
+
+        def counted(codes, minlength=0):
+            sizes.append(minlength)
+            return real_bincount(codes, minlength=minlength)
+
+        def recorded(dataset, ctx, joint=None):
+            tallies.append((joint, real_tally(dataset, ctx, joint)))
+            return tallies[-1][1]
+
+        monkeypatch.setattr(np, "bincount", counted)
+        scorer.scores([(0, (1,), (2, 3, 4, 5)), (6, (), (7,))])
+        assert sizes == [4**6, 4**2]
+        first, last = scorer._kept
+        assert first[1] == (0, 1, 2, 3, 4, 5) and last[1] == (6, 7)
+        monkeypatch.setattr(bclearn.score, "tally", recorded)
+        level = scorer.scores([(0, (1, 2), (3, 4, 5))])
+        monkeypatch.undo()
+        assert sizes == [4**6, 4**2] and len(tallies) == 3
+        assert len(scorer._kept) == 1 and scorer._kept[0] is first
+        for given, counts in tallies:
+            assert given is first
+            assert_same_counts(counts, tally(d, counts.context))
+        assert level == [[
+            case_by_case_score(d, 0, parents)
+            for parents in [(1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5)]
+        ]]
+        families = round_families(0, (1, 2), (3, 4, 5))
+        assert all(
+            handed is first
+            for handed in self.assert_joints_match(d, families, [first, last])
         )
 
     def test_a_covered_family_after_a_new_pack_gets_the_joint_before_the_call(
@@ -511,11 +557,11 @@ class TestJoints:
         """The scorer keeps the pack of X1 and X2.  A level that counts a new
         pack of X3, X4 and X5 first and then reaches X1's and X2's family
         hands that family the joint from before the call, as the very
-        object."""
+        object, and then keeps both joints in the order it used them."""
         d = TestTableSources.random_holey(np.random.default_rng(49), (2,) * 5, 300)
         scorer = FamilyScorer(d)
         scorer.scores([(1, (), (0,))])
-        before = scorer._joint
+        [before] = scorer._kept
         assert before[1] == (0, 1)
         tallies = []
         real_tally = bclearn.score.tally
@@ -529,9 +575,11 @@ class TestJoints:
         monkeypatch.undo()
         (_, pack), *_, (child, last) = tallies
         assert pack[1] == (2, 3, 4) and child == 0 and last is before
+        assert len(scorer._kept) == 2
+        assert scorer._kept[0] is pack and scorer._kept[1] is before
         assert scores[1] == [case_by_case_score(d, 0, (1,))]
         families = round_families(3, (), (2, 4)) + [(0, (1,))]
-        *packed, covered = self.assert_joints_match(d, families, before)
+        *packed, covered = self.assert_joints_match(d, families, [before])
         assert packed[0][1] == (2, 3, 4) and covered is before
 
     def test_seven_ternary_variables_count_no_table_above_a_pack(self, monkeypatch):
@@ -600,7 +648,7 @@ class TestJoints:
 
         monkeypatch.setattr(np, "bincount", unreachable)
         with pytest.raises(ValueError, match=f"family of X1 has {size} entry patterns"):
-            joints(d, round_families(0, range(3, 17), (1, 2)), None)
+            joints(d, round_families(0, range(3, 17), (1, 2)))
 
     def test_a_scores_level_checks_every_key_before_counting(self, monkeypatch):
         """A level of two rounds whose last family, the second round's, is

@@ -392,6 +392,40 @@ class TestKeysWidenAcrossBlocks:
         assert {"aa", "9" * 9} <= states
 
 
+class TestOutOfSchemaCellOnNarrowKeys:
+    """The byte path labels 1- and 2-byte keys through a table indexed by
+    key, and still names the first out-of-schema cell in row-major order,
+    as csv.reader's path, on the quoted copy, names it."""
+
+    ROWS = 3 * data._BLOCK_ROWS + 5
+
+    @pytest.mark.parametrize(
+        "labels, key_bytes", [(["a", "b", "?"], 1), (["aa", "b", "?"], 2)],
+        ids=["1-byte", "2-byte"],
+    )
+    @pytest.mark.parametrize(
+        "row", [1, 3 * data._BLOCK_ROWS + 1], ids=["first_block", "late_block"]
+    )
+    def test_the_first_bad_cell_is_named(
+        self, tmp_path, monkeypatch, labels, key_bytes, row
+    ):
+        rng = np.random.default_rng(row + key_bytes)
+        cells = rng.choice(labels, size=(self.ROWS, 3)).astype(object)
+        # column by column X0's bad cell comes first, in row-major order X1's
+        cells[row, 2], cells[row, 1], cells[row + 1, 0] = "y", "x", "z"
+        text = "X0,X1,X2\n" + "".join(",".join(r) + "\n" for r in cells)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text(text, encoding="utf-8")
+        quoted.write_text('"X0"' + text[2:], encoding="utf-8")
+        schema = {f"X{i}": [s for s in labels if s != "?"] for i in range(3)}
+        expected = load_or_error(quoted, schema=schema)
+        assert expected == ("DataError", "'x' is not a state of 'X1'")
+        monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+        dtypes = spy_keys(monkeypatch, "_split_bytes")
+        assert load_or_error(plain, schema=schema) == expected
+        assert dtypes == [np.dtype(f"u{key_bytes}")]
+
+
 class TestCsvReaderKeyWidth:
     """csv.reader's keys are label ranks: uint16, labelled by counting, up
     to 2**16 distinct labels in the file, and intp, labelled by sorting,

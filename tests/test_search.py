@@ -386,6 +386,94 @@ class TestLockstep:
         assert deepest >= 2
 
 
+def ternary_sample(seed, n_variables, n, deleted):
+    """``n`` cases of a random ternary network with up to 3 parents a
+    variable, a ``deleted`` fraction of the entries missing."""
+    variables = [Variable(f"X{i}", ("0", "1", "2")) for i in range(n_variables)]
+    network = random_network(np.random.default_rng(seed), variables)
+    return delete_entries(
+        sample(GenerativeSpec(network, n, seed=seed)), DeletionPlan(deleted, seed=seed)
+    )
+
+
+class TestKeptJoints:
+    """The scorer keeps the joints each level counted or reused, to at most
+    the bytes of the dataset's codes or of one full pack, whichever is
+    more, and the next level counts no family that one of them covers."""
+
+    @staticmethod
+    def assert_same_model(model, reference):
+        assert model.parent_sets == reference.parent_sets
+        assert [cpt.tobytes() for cpt in model.cpts] == [
+            cpt.tobytes() for cpt in reference.cpts
+        ]
+        assert model.score == reference.score
+
+    def test_kept_joints_stay_within_the_bound(self, monkeypatch):
+        """48 ternary columns and 8 cases: the codes take 768 bytes, so the
+        scorer keeps at most one full pack's bytes of joints at every level,
+        though a level hands out many times more.  The search learns the
+        model ``helpers.sequential_k2`` learns."""
+        db = ternary_sample(0, 48, 8, 0.2)
+        order = OrderConstraint(tuple(range(48)), max_parents=3)
+        bound = max(db.codes.nbytes, 8 * GROUP_PATTERNS)
+        assert bound == 8 * GROUP_PATTERNS
+        real_scores, real_tally = FamilyScorer.scores, bclearn.score.tally
+        kept, handed = [], []
+
+        def scores(self, rounds):
+            joints = {}
+
+            def recorded(dataset, ctx, joint=None):
+                if joint is not None:
+                    joints[id(joint)] = joint
+                return real_tally(dataset, ctx, joint)
+
+            monkeypatch.setattr(bclearn.score, "tally", recorded)
+            result = real_scores(self, rounds)
+            kept.append(sum(joint[0].nbytes for joint in self._kept))
+            handed.append(sum(joint[0].nbytes for joint in joints.values()))
+            return result
+
+        monkeypatch.setattr(FamilyScorer, "scores", scores)
+        model = k2_bc(db, order)
+        monkeypatch.undo()
+        assert len(kept) == 3 and all(0 < size <= bound for size in kept)
+        assert max(handed) > 10 * bound
+        self.assert_same_model(model, sequential_k2(db, order))
+
+    def test_kept_joints_save_passes_over_the_cases(self, monkeypatch):
+        """One search over 16 ternary variables makes fewer passes over the
+        cases than the same search with the kept joints emptied before
+        each level, and learns the same model."""
+        db = ternary_sample(1, 16, 2000, 0.2)
+        order = OrderConstraint(tuple(range(16)), max_parents=3)
+        real_cases, real_scores = bclearn.counts._cases_table, FamilyScorer.scores
+
+        def passes(forget):
+            counted = []
+
+            def cases_table(*args):
+                counted.append(None)
+                return real_cases(*args)
+
+            def scores(self, rounds):
+                self._kept = []
+                return real_scores(self, rounds)
+
+            monkeypatch.setattr(bclearn.counts, "_cases_table", cases_table)
+            if forget:
+                monkeypatch.setattr(FamilyScorer, "scores", scores)
+            model = k2_bc(db, order)
+            monkeypatch.undo()
+            return len(counted), model
+
+        kept, model = passes(forget=False)
+        forgotten, reference = passes(forget=True)
+        assert kept < forgotten
+        self.assert_same_model(model, reference)
+
+
 class TestEnumerateModels:
     def test_three_variables_give_eight_models(self, worked_db):
         results = enumerate_models(worked_db, order_for(worked_db))
