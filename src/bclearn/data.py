@@ -75,7 +75,9 @@ class Variable:
 class Dataset:
     """Immutable n-by-I table of state indices, MISSING marking holes.
 
-    ``codes`` is a read-only int16 copy in column-major (Fortran) order.
+    ``codes`` is a read-only int16 copy in column-major (Fortran) order; an
+    entry that the cast to int16 would change is refused, not wrapped or
+    truncated.
     Nothing is cached on a dataset: counts drawn from it are kept by their
     user, such as the pack joints ``score.FamilyScorer`` keeps between
     search levels.
@@ -89,7 +91,12 @@ class Dataset:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise DataError("duplicate variable names")
-        codes = np.array(self.codes, dtype=np.int16, order="F")
+        raw = np.asarray(self.codes)
+        with np.errstate(invalid="ignore"):  # NaN casts to any code: refused below
+            codes = np.array(raw, dtype=np.int16, order="F")
+        if raw.dtype != np.int16 and (codes != raw).any():
+            entry = raw[codes != raw][0].item()
+            raise DataError(f"case array entry {entry!r} is not an int16 state code")
         if codes.ndim != 2 or codes.shape[1] != len(self.variables):
             raise DataError(
                 f"case array must be n x {len(self.variables)}, got {codes.shape}"

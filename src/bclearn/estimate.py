@@ -127,7 +127,8 @@ class CompletionDistribution:
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim != 2:
             raise EstimateError("phi must be a (q, c) matrix")
-        if (phi < 0).any() or (phi > 1).any():
+        if not ((phi >= 0) & (phi <= 1)).all():
+            # written so that NaN, which compares false, fails it too
             raise EstimateError("phi entries must lie in [0, 1]")
         sums = phi.sum(axis=1)
         if np.abs(sums - 1.0).max() > ROW_SUM_TOLERANCE:
@@ -167,10 +168,7 @@ def _normalized_int_row(row) -> tuple[list[int], int]:
     fractions = [Fraction(float(v)) for v in row]
     lcm = math.lcm(*(f.denominator for f in fractions))
     nums = [f.numerator * (lcm // f.denominator) for f in fractions]
-    total = sum(nums)
-    if total <= 0 or any(n < 0 for n in nums):
-        raise EstimateError("cannot normalize row to a probability vector")
-    return nums, total
+    return nums, sum(nums)
 
 
 def _on_grid(weight: float, obs: np.ndarray, comp: np.ndarray, dtype=object):
@@ -219,10 +217,9 @@ def _phi_ints(policy, a, b):
                 np.array([[den] for _, den in rows], dtype=object))
     if policy == "mar":
         return a, b
-    if policy == "uniform":
-        c = a.shape[1]
-        return np.ones(a.shape, dtype=a.dtype), np.full(b.shape, c, dtype=a.dtype)
-    raise EstimateError(f"unknown phi policy {policy!r}")
+    # "uniform": bc_estimate refuses every other name on entry
+    c = a.shape[1]
+    return np.ones(a.shape, dtype=a.dtype), np.full(b.shape, c, dtype=a.dtype)
 
 
 def phi_from_rows(ctx: ParentContext, rows: dict[str, list[float]],
@@ -595,6 +592,8 @@ def bc_estimate(tables, prior: PriorSpec, phi="mar") -> BcCellEstimate:
     of the stack.  Every per-row step runs once over the whole stack; each
     family keeps its own precision row."""
     user_phi = isinstance(phi, CompletionDistribution)
+    if not (user_phi or (isinstance(phi, str) and phi in PHI_POLICIES)):
+        raise EstimateError(f"unknown phi policy {phi!r}")
     sizes = [table.context.n_configs for table in tables]
     columns = tuple(np.concatenate(column) for column in zip(*(
         (table.obs_matrix(), table.comp_matrix(),

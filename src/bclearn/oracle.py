@@ -1,75 +1,33 @@
-"""Brute-force references: every completion, every structure, every state.
+"""Brute-force references for ``score --oracle`` and ``estimate --oracle``.
 
 These routines are desk-scale ground truth: they expand every assignment
 of the missing entries, compute the exact complete-data quantities per
 completion with naive per-case loops (independent of the aggregated
 tally path used by the estimators), and average the results over the
 completions, each equally likely.  Costs are exponential in the number of
-missing entries, so enumeration is refused beyond a cap.  The per-case
-``enumerate_completions`` is the reference the aggregated tally is
-checked against, and ``log_g_exact``, the closed-form score of a complete
-family, the reference for the estimated score.
-
-Two more references are exponential in the number of variables:
-``enumerate_models`` scores every structure an order allows, the reference
-for the greedy search, and ``joint_distribution`` multiplies out the full
-joint table, the reference for ``search.marginals``.
+missing entries, so enumeration is refused beyond a cap.
+``exact_expectation`` is the reference for a family's estimated posterior
+means, and ``exact_marginal`` for a model's score.  Neither runs the
+scorer or the search it checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .counts import CountTable, ParentContext
+from .counts import ParentContext
 from .data import MISSING, Dataset
 from .estimate import PriorSpec
-from .score import FamilyScorer
-from .search import Model, OrderConstraint
 
 DEFAULT_CAP = 4096
 
 
 class OracleError(ValueError):
     """Raised when enumeration would exceed the cap or inputs are invalid."""
-
-
-@dataclass(frozen=True)
-class EnumeratedModel:
-    model: Model
-    log_marginal: float
-    posterior: float
-
-
-def _consistent_configs(ctx: ParentContext, parent_entries) -> list[int]:
-    """All configuration indices the (possibly missing) parent entries allow,
-    the last parent varying fastest."""
-    choices = [
-        range(card) if entry == MISSING else (int(entry),)
-        for entry, card in zip(parent_entries, ctx.parent_cardinalities)
-    ]
-    return [ctx.config_index(states) for states in itertools.product(*choices)]
-
-
-def enumerate_completions(case, ctx: ParentContext) -> list[tuple[int, int]]:
-    """The (configuration, child state) cells a single case is consistent with.
-
-    ``case`` is a full row of entries; only the family columns are read.
-    A fully observed case yields its single cell.  This is the per-case
-    reference for the aggregated ``counts.tally``.
-    """
-    child_entry = case[ctx.child]
-    parent_entries = [case[p] for p in ctx.parents]
-    ks = (
-        range(ctx.child_cardinality)
-        if child_entry == MISSING
-        else (int(child_entry),)
-    )
-    return [(j, k) for j in _consistent_configs(ctx, parent_entries) for k in ks]
 
 
 def _completions(dataset: Dataset, cap=DEFAULT_CAP, columns=None):
@@ -145,22 +103,6 @@ def exact_expectation(
     return out
 
 
-def log_g_exact(table: CountTable, prior: PriorSpec) -> float:
-    """Closed-form log score of a family with complete data, the value
-    ``score.log_g_bc`` must reproduce there; every lgamma argument is an
-    exact rational rounded once."""
-    if not table.is_complete:
-        raise OracleError("exact score requires complete family data")
-    alpha = Fraction(prior.alpha)
-    alpha_sum = table.context.child_cardinality * alpha
-    total = 0.0
-    for row in table.obs_matrix().tolist():
-        total += math.lgamma(alpha_sum) - math.lgamma(alpha_sum + sum(row))
-        for n in row:
-            total += math.lgamma(alpha + n) - math.lgamma(alpha)
-    return total
-
-
 def _rising(a: int, b: int, n: int) -> int:
     """b**n Gamma(x + n) / Gamma(x) for x = a/b and a natural n:
     a (a + b) ... (a + (n - 1) b)."""
@@ -203,73 +145,3 @@ def exact_marginal(
         total += _marginal_complete(codes, model, a, b)
         n_completions += 1
     return float(total / n_completions)
-
-
-def enumerate_models(
-    dataset: Dataset,
-    order: OrderConstraint,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    phi: str = "mar",
-    cap: int = 1024,
-) -> list[EnumeratedModel]:
-    """Score every model consistent with the order, best first, with
-    posterior probabilities under a uniform prior over the enumerated set."""
-    order.validate(dataset.n_variables)
-    n_models = 1
-    for position in range(len(order.order)):
-        n_models *= 2 ** position
-        if n_models > cap:
-            raise OracleError(
-                f"{n_models}+ models consistent with the order exceeds cap {cap}"
-            )
-    scorer = FamilyScorer(dataset, alpha=alpha, beta=beta, phi_policy=phi)
-
-    choices_per_child: dict[int, list[tuple[int, ...]]] = {}
-    for position, child in enumerate(order.order):
-        predecessors = order.order[:position]
-        subsets = []
-        for r in range(len(predecessors) + 1):
-            subsets.extend(
-                tuple(sorted(combo))
-                for combo in itertools.combinations(predecessors, r)
-            )
-        choices_per_child[child] = subsets
-
-    children = sorted(choices_per_child)
-    scored = []
-    for combo in itertools.product(*(choices_per_child[c] for c in children)):
-        parent_sets = [()] * dataset.n_variables
-        for child, parents in zip(children, combo):
-            parent_sets[child] = parents
-        score = scorer.model_score(parent_sets)
-        model = Model(dataset.variables, tuple(parent_sets), score=score)
-        scored.append((score.total, model))
-
-    best = max(total for total, _ in scored)
-    weights = [math.exp(total - best) for total, _ in scored]
-    normalizer = sum(weights)
-    results = [
-        EnumeratedModel(model, total, weight / normalizer)
-        for (total, model), weight in zip(scored, weights)
-    ]
-    results.sort(key=lambda em: (-em.log_marginal, em.model.arcs))
-    return results
-
-
-def joint_distribution(model: Model) -> np.ndarray:
-    """Exact joint probability table of a fully parameterized model: one
-    product of CPT entries per joint state, in variable order."""
-    if model.cpts is None:
-        raise OracleError("model has no CPTs")
-    cards = tuple(v.cardinality for v in model.variables)
-    contexts = [ParentContext.of(model.variables, child, parents)
-                for child, parents in enumerate(model.parent_sets)]
-    joint = np.zeros(cards)
-    for states in itertools.product(*(range(c) for c in cards)):
-        p = 1.0
-        for ctx, cpt in zip(contexts, model.cpts):
-            j = ctx.config_index([states[parent] for parent in ctx.parents])
-            p *= cpt[j][states[ctx.child]]
-        joint[states] = p
-    return joint

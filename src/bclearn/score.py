@@ -6,7 +6,7 @@ Dirichlet normalizers, under one uniform prior shared by every family
 The posterior is the moment-matched Dirichlet built from the
 bound-and-collapse estimates, whose hyperparameters for a complete family
 reduce to the exact posterior counts, so the score is then the closed
-form (``oracle.log_g_exact`` is that closed form, kept as the reference).
+form.
 
 Scores are computed and kept in natural-log space throughout: the raw
 products underflow by a thousand cases.

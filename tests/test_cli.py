@@ -18,9 +18,9 @@ from bclearn import (
 )
 from bclearn.cli import main
 from bclearn.counts import MAX_PATTERNS
-from bclearn.oracle import joint_distribution
 from bclearn.search import _finalize
 from helpers import FIVE_CASE_CSV, ancestral_submodel, random_network
+from oracle_refs import joint_distribution
 import schemas
 
 

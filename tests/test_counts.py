@@ -18,8 +18,8 @@ from bclearn.counts import (
 )
 from bclearn.estimate import bc_estimate
 from bclearn.score import log_g_bc
-from bclearn.oracle import enumerate_completions
 from helpers import make_dataset, punch_holes, random_complete
+from oracle_refs import enumerate_completions
 
 
 def worked_context(db):
@@ -686,6 +686,31 @@ class TestParentContext:
     def test_child_in_parents_rejected(self):
         with pytest.raises(ValueError):
             ParentContext(0, (0,), 2, (2,))
+
+    @pytest.mark.parametrize("parents, cards, match", [
+        ((1, 1), (2, 2), "duplicate parent indices"),
+        ((1, 2), (2,), "one cardinality per parent"),
+        ((1,), (2, 3), "one cardinality per parent"),
+    ])
+    def test_malformed_context_rejected(self, parents, cards, match):
+        with pytest.raises(ValueError, match=match):
+            ParentContext(0, parents, 2, cards)
+
+    @pytest.mark.parametrize("states, message", [
+        ((2, 0, 0), r"parent state 2 out of range \[0, 2\)"),
+        ((0, 3, 0), r"parent state 3 out of range \[0, 3\)"),
+        ((0, 0, -1), r"parent state -1 out of range \[0, 2\)"),
+    ])
+    def test_parent_state_out_of_range_rejected(self, states, message):
+        ctx = ParentContext(0, (1, 2, 3), 2, (2, 3, 2))
+        with pytest.raises(ValueError, match=message):
+            ctx.config_index(states)
+
+    @pytest.mark.parametrize("j", [-1, 12])
+    def test_configuration_index_out_of_range_rejected(self, j):
+        ctx = ParentContext(0, (1, 2, 3), 2, (2, 3, 2))
+        with pytest.raises(ValueError, match=f"configuration index {j} out of range"):
+            ctx.config_states(j)
 
     def test_labels_use_state_names(self, worked_db):
         ctx = worked_context(worked_db)

@@ -507,6 +507,19 @@ class TestFilesTheBytePathDeclines:
         with pytest.raises(DataError, match="duplicate header names$"):
             load_csv(path)
 
+    def test_header_longer_than_the_field_size_limit(self, tmp_path):
+        """csv.reader refuses a cell longer than its field size limit, so a
+        header past it is csv.reader's to judge: it keeps names within the
+        limit and refuses one past it."""
+        limit = csv.field_size_limit()
+        names = ["A" * (limit // 2 + 1), "B" * (limit // 2 + 1)]
+        d = load_csv(self.write(tmp_path, f"{','.join(names)}\n1,2\n2,1\n".encode()))
+        assert [v.name for v in d.variables] == names
+        assert d.codes.tolist() == [[0, 1], [1, 0]]
+        path = self.write(tmp_path, b"A" * (limit + 1) + b"\n1\n2\n")
+        with pytest.raises(DataError, match="line 1: field larger than field limit"):
+            load_csv(path)
+
     def test_invalid_utf8(self, tmp_path):
         path = self.write(tmp_path, b"A,B\n1,\xff\n2,1\n")
         with pytest.raises(
@@ -607,6 +620,11 @@ class TestSummarizeMissingness:
         d = random_complete(rng)
         assert summarize_missingness(d).fraction_missing == 0.0
 
+    def test_no_entries(self):
+        d = Dataset((Variable("A", ("x", "y")),), np.empty((0, 1), dtype=np.int16))
+        s = summarize_missingness(d)
+        assert (s.total_entries, s.fraction_missing) == (0, 0.0)
+
     def test_fully_missing_column_with_schema(self):
         d = Dataset(
             (Variable("A", ("x", "y")),),
@@ -642,6 +660,39 @@ class TestInvariants:
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(DataError):
             Dataset((Variable("A", ("x", "y")),), np.array([[2]], dtype=np.int16))
+
+    @pytest.mark.parametrize(
+        "codes", [[[-65537, 0]], [[65536, 1]], [[1.7, 0]], [[np.nan, 0]]]
+    )
+    def test_entry_the_int16_cast_changes_rejected(self, codes):
+        """Cast to int16, -65537 wraps to MISSING, 65536 to state 0, 1.7
+        truncates to state 1 and NaN becomes some code: each is refused, not
+        stored."""
+        variables = (Variable("A", ("x", "y")), Variable("B", ("x", "y")))
+        with pytest.raises(DataError, match="is not an int16 state code"):
+            Dataset(variables, np.array(codes))
+
+    @pytest.mark.parametrize("names, codes, match", [
+        (("A", "A"), np.zeros((1, 2), dtype=np.int16), "duplicate variable names"),
+        (("A", "B"), np.zeros((1, 3), dtype=np.int16), r"must be n x 2, got \(1, 3\)"),
+        (("A", "B"), np.zeros(2, dtype=np.int16), r"must be n x 2, got \(2,\)"),
+    ])
+    def test_malformed_dataset_rejected(self, names, codes, match):
+        with pytest.raises(DataError, match=match):
+            Dataset(tuple(Variable(name, ("x", "y")) for name in names), codes)
+
+    def test_equality_and_hash_follow_the_contents(self, worked_db):
+        copy = Dataset(worked_db.variables, worked_db.codes.copy())
+        assert copy == worked_db and hash(copy) == hash(worked_db)
+        assert Dataset(worked_db.variables, worked_db.codes[::-1]) != worked_db
+        assert worked_db != "worked" and worked_db.__eq__(None) is NotImplemented
+
+    def test_schema_must_be_a_json_object(self, tmp_path):
+        path = tmp_path / "schema.json"
+        for text in ('["x", "y"]', '{"A": "x,y"}'):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match="schema must be a JSON object"):
+                load_schema(path)
 
     def test_dataset_is_immutable(self, worked_db):
         with pytest.raises(ValueError):

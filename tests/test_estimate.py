@@ -66,6 +66,10 @@ class TestPhi:
             CompletionDistribution(np.array([[0.7, 0.2]]))
         with pytest.raises(EstimateError):
             CompletionDistribution(np.array([[1.2, -0.2]]))
+        with pytest.raises(EstimateError, match=r"must lie in \[0, 1\]"):
+            CompletionDistribution(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+        with pytest.raises(EstimateError, match=r"must be a \(q, c\) matrix"):
+            CompletionDistribution(np.array([0.5, 0.5]))
 
     def test_user_table_must_match_the_family_shape(self, worked_db):
         _, table, prior = family(worked_db, 2, (0, 1))
@@ -995,6 +999,24 @@ class TestCertified:
                                  (math.nextafter(half_gap, 0), 0.0, True)):
             value, settled = estimate._settled(estimate._DD(one, np.array([lo]), err))
             assert value.tolist() == [1.0] and settled.tolist() == [certain]
+
+    @pytest.mark.parametrize("phi", ["MAR", "bogus"])
+    def test_an_unknown_phi_name_is_refused(self, monkeypatch, phi):
+        """A stack of 729 cells at alpha 0.1, whose grid of 2**55 does not
+        fit int64, so that its collapse runs in double-double: a name other
+        than "mar" or "uniform" is refused there too, not taken as uniform."""
+        collapses = TestPaths.spy(monkeypatch)
+        rng = np.random.default_rng(89)
+        db = make_dataset((3,) * 6, rng.integers(0, 3, size=(2000, 6)))
+        db = punch_holes(rng, db, 2000)
+        tables = [family(db, 0, parents)[1]
+                  for parents in ((1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5))]
+        prior = PriorSpec(0.1, 1.0)
+        assert 3 * sum(t.context.n_configs for t in tables) >= estimate.CERTIFIED_MIN_CELLS
+        bc_estimate(tables, prior, "uniform")
+        assert collapses == [("double-double", 3 * 81)]
+        with pytest.raises(EstimateError, match=f"unknown phi policy '{phi}'"):
+            bc_estimate(tables, prior, phi)
 
     def test_a_user_phi_or_an_extreme_prior_stays_exact(self, monkeypatch):
         self.everywhere(monkeypatch)

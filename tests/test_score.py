@@ -16,9 +16,10 @@ from bclearn import (
     model_from_arcs,
     tally,
 )
-from bclearn.oracle import OracleError, log_g_exact
+from bclearn.oracle import OracleError
 from bclearn.search import Model
 from helpers import PRIORS, make_dataset, punch_holes, random_complete
+from oracle_refs import log_g_exact
 
 
 def family(db, child, parents, alpha=1.0, beta=1.0):

@@ -34,7 +34,7 @@ from bclearn import (
     tally,
 )
 from bclearn.counts import GROUP_PATTERNS
-from bclearn.oracle import OracleError, enumerate_models, joint_distribution
+from bclearn.oracle import OracleError
 from helpers import (
     make_dataset,
     punch_holes,
@@ -42,6 +42,7 @@ from helpers import (
     random_network,
     sequential_k2,
 )
+from oracle_refs import enumerate_models, joint_distribution
 
 
 def spy_counting(monkeypatch):
@@ -545,6 +546,18 @@ class TestModelPlumbing:
                 [("X1", "X2"), ("X2", "X3"), ("X3", "X1")],
             )
 
+    @pytest.mark.parametrize("parent_sets, match", [
+        (((),), "one parent set per variable"),
+        (((), (), ()), "one parent set per variable"),
+        (((), (1,)), "cannot be its own parent"),
+        (((), (2,)), "parent index out of range"),
+        (((-1,), ()), "parent index out of range"),
+    ])
+    def test_malformed_model_rejected(self, parent_sets, match):
+        variables = make_dataset((2, 2), [[0, 0]]).variables
+        with pytest.raises(SearchError, match=match):
+            Model(variables, parent_sets)
+
     def test_joint_distribution_and_marginals(self):
         variables = make_dataset((2, 2), [[0, 0]]).variables
         cpts = (
@@ -588,6 +601,11 @@ class TestMarginals:
             variables = make_dataset(cards, []).variables
             network = random_network(rng, variables, max_parents=4)
             self.assert_matches_oracle_joint(network)
+
+    def test_a_model_without_cpts_has_no_marginals(self):
+        variables = make_dataset((2, 2), [[0, 0]]).variables
+        with pytest.raises(SearchError, match="model has no CPTs"):
+            marginals(Model(variables, ((), (0,))))
 
     def test_einsum_label_limit(self, monkeypatch):
         def model(n, chain=False):

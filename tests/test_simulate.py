@@ -84,6 +84,16 @@ class TestSample:
         with pytest.raises(SimulateError, match="sum to 1"):
             GenerativeSpec(model=bad, n=5)
 
+    @pytest.mark.parametrize("cpts, n, match", [
+        (None, 5, "needs CPTs for every variable"),
+        ((np.array([[0.5, 0.5]]),), -1, "sample size must be nonnegative"),
+        ((np.array([[1.5, -0.5]]),), 5, "negative CPT entry for variable 0"),
+    ])
+    def test_invalid_spec_rejected(self, cpts, n, match):
+        variables = make_dataset((2,), [[0]]).variables
+        with pytest.raises(SimulateError, match=match):
+            GenerativeSpec(model=Model(variables, ((),), cpts=cpts), n=n)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_non_finite_cpt_entry_rejected(self, entry):
         variables = make_dataset((2,), [[0]]).variables
