@@ -45,13 +45,17 @@ t(60 %) / t(0 %) ratios, taken and flagged as the first slice's: the
 search's normalized time, and ``bc_estimate``'s normalized time per row
 (the estimator alone).
 
-A third slice walks the n axis of ``data.load_csv``: files of LOAD_COLUMNS
+A third slice walks the n axis of CSV input and output: LOAD_COLUMNS
 ternary columns with LOAD_MISSING of the cells ``?``, at each n in
-LOAD_CASES and each state label length in LOAD_LABEL_BYTES, written to a
-temporary directory.  Each file is loaded by REPEATS fresh child processes,
-one load each: a point records the best of their load times in seconds and
-the largest of their peak resident set sizes (Linux's ``VmHWM``), next to
-the file's size, the codes' size and a child's peak after the import alone.
+LOAD_CASES and each state label length in LOAD_LABEL_BYTES.  REPEATS fresh
+child processes each build the cells as a ``Dataset`` and write them once
+with ``data.save_csv`` to a file in a temporary directory; then REPEATS
+other fresh children each load that file once with ``data.load_csv``.  A
+point records the best of the write times and of the load times in seconds
+and the largest of each kind's peak resident set sizes (Linux's
+``VmHWM``), with the writers' peak before the write (the built dataset),
+next to the file's size, the codes' size and a child's peak after the
+import alone.
 """
 
 from __future__ import annotations
@@ -110,6 +114,27 @@ seconds = time.perf_counter() - start
 with open("/proc/self/status") as fh:
     kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 print(json.dumps({"s": seconds, "peak_rss_mb": kib / 1024}))
+"""
+# a child's write: it builds a dataset of the codes in the .npy file
+# argv[2] and the labels argv[3], then times one save_csv of it to argv[4];
+# it reports its peak before the write and after it
+SAVE_CHILD = """
+import json, sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from bclearn.data import Dataset, Variable, save_csv
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+codes = np.load(sys.argv[2])
+states = tuple(json.loads(sys.argv[3]))
+dataset = Dataset(tuple(Variable(f"X{i}", states) for i in range(codes.shape[1])), codes)
+del codes
+before = peak_mb()
+start = time.perf_counter()
+save_csv(dataset, sys.argv[4])
+seconds = time.perf_counter() - start
+print(json.dumps({"s": seconds, "dataset_peak_rss_mb": before, "peak_rss_mb": peak_mb()}))
 """
 
 
@@ -244,62 +269,60 @@ def _k2_rows() -> tuple[list[dict], list[dict]]:
     return rows, ratios
 
 
-def _write_csv(path: Path, n_cases: int, label_bytes: int) -> None:
-    """LOAD_COLUMNS ternary columns of ``label_bytes``-byte labels, each cell
-    ``?`` with probability LOAD_MISSING, written a block of rows at a time."""
+def _load_codes(n_cases: int) -> np.ndarray:
+    """LOAD_COLUMNS ternary columns as int16 state codes, each cell MISSING
+    (-1) with probability LOAD_MISSING, drawn a block of rows at a time."""
     rng = np.random.default_rng(LOAD_SEED)
-    states = [("s" * (label_bytes - 1) + str(k)).encode() for k in range(3)]
-    # every token padded to one width, its separator included; ``keep``
-    # drops the padding of the short missing token
-    tokens = np.zeros((4, label_bytes + 1), dtype=np.uint8)
-    keep = np.zeros(tokens.shape, dtype=bool)
-    for t, token in enumerate(states + [b"?"]):
-        tokens[t, : len(token) + 1] = list(token + b",")
-        keep[t, : len(token) + 1] = True
-    with open(path, "wb") as fh:
-        fh.write(",".join(f"X{i}" for i in range(LOAD_COLUMNS)).encode() + b"\n")
-        for r0 in range(0, n_cases, 100_000):
-            rows = min(100_000, n_cases - r0)
-            cells = rng.integers(0, 3, size=(rows, LOAD_COLUMNS))
-            cells[rng.random(cells.shape) < LOAD_MISSING] = 3
-            block = tokens[cells]
-            last = block[:, -1]
-            last[last == ord(",")] = ord("\n")
-            fh.write(block[keep[cells]].tobytes())
+    codes = np.empty((n_cases, LOAD_COLUMNS), dtype=np.int16)
+    for r0 in range(0, n_cases, 100_000):
+        cells = rng.integers(0, 3, size=(min(100_000, n_cases - r0), LOAD_COLUMNS))
+        cells[rng.random(cells.shape) < LOAD_MISSING] = -1
+        codes[r0 : r0 + len(cells)] = cells
+    return codes
 
 
-def _child_load(src: Path, path: Path | None = None) -> dict:
-    args = [sys.executable, "-c", LOAD_CHILD, str(src)]
-    if path is not None:
-        args.append(str(path))
-    done = subprocess.run(args, check=True, capture_output=True, text=True)
+def _child(code: str, *args) -> dict:
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
 def _load_rows(src: Path = ROOT / "src") -> tuple[float, list[dict]]:
-    """The ``load_csv`` slice, loading with the package at ``src``: a
+    """The CSV slice, loading and writing with the package at ``src``: a
     child's peak after the import alone, and one row per n and label
     length."""
-    import_mb = max(_child_load(src)["peak_rss_mb"] for _ in range(REPEATS))
+    import_mb = max(_child(LOAD_CHILD, src)["peak_rss_mb"] for _ in range(REPEATS))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for n_cases in LOAD_CASES:
+            codes_path = Path(tmp) / f"codes-{n_cases}.npy"
+            np.save(codes_path, _load_codes(n_cases))
             for label_bytes in LOAD_LABEL_BYTES:
                 path = Path(tmp) / f"load-{n_cases}-{label_bytes}.csv"
-                _write_csv(path, n_cases, label_bytes)
-                loads = [_child_load(src, path) for _ in range(REPEATS)]
+                states = json.dumps(["s" * (label_bytes - 1) + str(k) for k in range(3)])
+                saves = [_child(SAVE_CHILD, src, codes_path, states, path)
+                         for _ in range(REPEATS)]
+                loads = [_child(LOAD_CHILD, src, path) for _ in range(REPEATS)]
                 rows.append({
                     "cases": n_cases, "label_bytes": label_bytes,
                     "file_mb": path.stat().st_size / 2**20,
                     "codes_mb": n_cases * LOAD_COLUMNS * 2 / 2**20,
                     "load_csv_s": min(load["s"] for load in loads),
                     "peak_rss_mb": max(load["peak_rss_mb"] for load in loads),
+                    "save_csv_s": min(save["s"] for save in saves),
+                    "save_csv_peak_rss_mb": max(save["peak_rss_mb"] for save in saves),
+                    "save_csv_dataset_peak_rss_mb": max(
+                        save["dataset_peak_rss_mb"] for save in saves
+                    ),
                 })
                 path.unlink()
-                print(f"load_csv n={n_cases:>7} labels of {label_bytes} bytes: "
-                      f"{rows[-1]['load_csv_s'] * 1e3:7.1f} ms  peak "
-                      f"{rows[-1]['peak_rss_mb']:6.1f} MB  (file "
-                      f"{rows[-1]['file_mb']:5.1f} MB)")
+                r = rows[-1]
+                print(f"n={n_cases:>7} labels of {label_bytes} bytes: load_csv "
+                      f"{r['load_csv_s'] * 1e3:7.1f} ms  peak {r['peak_rss_mb']:6.1f} MB; "
+                      f"save_csv {r['save_csv_s'] * 1e3:7.1f} ms  peak "
+                      f"{r['save_csv_peak_rss_mb']:6.1f} MB ("
+                      f"{r['save_csv_dataset_peak_rss_mb']:6.1f} MB before)  "
+                      f"(file {r['file_mb']:5.1f} MB)")
     return import_mb, rows
 
 
@@ -404,11 +427,13 @@ def main() -> None:
             "flagged": [r for r in k2_ratios if r["flagged"]],
         },
         "load_csv": {
-            "what": "data.load_csv of files of "
+            "what": "data.save_csv, then data.load_csv, of files of "
                     f"{LOAD_COLUMNS} ternary columns, {LOAD_MISSING:.0%} of "
                     f"cells '?'; best of {REPEATS} fresh child processes' "
-                    "load times in seconds, the largest of their peak RSS in "
-                    "MB, and the peak of a child that only imports",
+                    "write times and of as many others' load times in "
+                    "seconds, the largest of each kind's peak RSS in MB (a "
+                    "writer's also before the write, once its dataset is "
+                    "built), and the peak of a child that only imports",
             "import_peak_rss_mb": import_mb,
             "rows": load_rows,
         },

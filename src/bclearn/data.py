@@ -23,6 +23,13 @@ is parsed by ``csv.reader``, which also words every error about the layout,
 into 2-byte keys unless it has more than 2**16 distinct labels.  A column
 of keys of at most 2 bytes is labelled by counting them into a table with
 one slot per possible key; wider keys are sorted.
+
+``save_csv`` writes the bytes ``csv.writer`` would, row by row, in its excel
+dialect (minimal quoting, CRLF line ends, UTF-8 without a byte-order mark),
+but asks ``csv.writer`` only for each label's quoted form, once.  numpy
+then builds each block of rows from the codes: one gather of every cell's
+bytes, padded to a common width, and, when the widths differ, one pass that
+drops the padding.
 """
 
 from __future__ import annotations
@@ -419,22 +426,78 @@ def _split_rows(raw, path, skipped: int):
 def save_csv(dataset: Dataset, path, missing_token: str = "?") -> None:
     """Write a dataset back to CSV using the variables' state labels.
 
-    A ``missing_token`` equal to one of a variable's state labels is
-    refused before the file is opened: it would read back as missing."""
+    The bytes are those of ``csv.writer`` writing the header and then each
+    row: the excel dialect (minimal RFC 4180 quoting, CRLF line ends),
+    UTF-8 without a byte-order mark.  ``csv.writer`` quotes each state label
+    and ``missing_token`` once, in a row of one field if the dataset has one
+    variable (so an empty label is written ``""``) and among others if not;
+    numpy then builds each block of rows from those cells.  A
+    ``missing_token`` equal to one of a variable's state labels is refused
+    before the file is opened: it would read back as missing."""
     for v in dataset.variables:
         if missing_token in v.states:
             raise DataError(
                 f"missing token {missing_token!r} is a state of {v.name!r}"
             )
-    # MISSING (-1) picks the token appended after each variable's states.
-    columns = [
-        np.array(v.states + (missing_token,), dtype=object)[dataset.codes[:, i]]
-        for i, v in enumerate(dataset.variables)
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([v.name for v in dataset.variables])
-        writer.writerows(zip(*columns))
+    width = dataset.n_variables
+    # a cell is its label as csv.writer writes it, then the comma after it
+    # or, in the last column, the line end's CR.  csv.writer quotes a label
+    # in a row of its own (where an empty one is "") if the dataset has one
+    # variable, else ahead of an empty field; the row's ",\r\n" or "\r\n"
+    # is cut off.  Variable i's cells are items starts[i] - 1, starts[i], ...
+    # of the table: the token, then its states, so MISSING (-1) picks the
+    # token.
+    alone = [] if width == 1 else [""]
+    cells, starts = [], []
+    for i, v in enumerate(dataset.variables):
+        starts.append(len(cells) + 1)
+        sep = b"\r" if i == width - 1 else b","
+        cells += [
+            _csv_line([label] + alone)[: -2 - len(alone)] + sep
+            for label in (missing_token,) + v.states
+        ]
+    lengths = {len(cell) for cell in cells} or {1}
+    slot = max(lengths)
+    padded = len(lengths) > 1
+    if padded:  # numpy gathers items of 1, 2, 4, 8, ... bytes fastest
+        slot = 1 << (slot - 1).bit_length()
+    # each cell, and a mask of its bytes, as one item of ``slot`` bytes, so
+    # that a gather moves whole cells
+    table, used = (
+        np.frombuffer(b"".join(b.ljust(slot, b"\0") for b in items), dtype=f"V{slot}")
+        for items in (cells, [b"\1" * len(cell) for cell in cells])
+    )
+    starts = np.array(starts, dtype=np.intp)
+    line_end = np.frombuffer(b"\n" if width else b"\r\n", dtype=np.uint8)
+    row_bytes = width * slot + len(line_end)
+    # _BLOCK_ROWS rows a block, fewer should very long labels pad a block
+    # past _BLOCK_ROWS * 256 bytes
+    step = max(1, min(_BLOCK_ROWS, (_BLOCK_ROWS << 8) // row_bytes))
+    with open(path, "wb") as fh:
+        fh.write(_csv_line([v.name for v in dataset.variables]))
+        for r0 in range(0, dataset.n_cases, step):
+            index = dataset.codes[r0 : r0 + step] + starts
+            block = np.empty((len(index), row_bytes), dtype=np.uint8)
+            block[:, width * slot :] = line_end
+            # every index is in range: "wrap" skips the bounds check's buffer
+            np.take(table, index, out=_slots(block, width, slot), mode="wrap")
+            if padded:
+                keep = np.ones(block.shape, dtype=bool)
+                np.take(used, index, out=_slots(keep, width, slot), mode="wrap")
+                block = np.compress(keep.reshape(-1), block.reshape(-1))
+            fh.write(block)
+
+
+def _slots(block: np.ndarray, width: int, slot: int) -> np.ndarray:
+    """A view of each row's first ``width`` runs of ``slot`` bytes as items."""
+    return block[:, : width * slot].view(f"V{slot}")
+
+
+def _csv_line(fields) -> bytes:
+    """One row as ``csv.writer`` writes it, line end included, in UTF-8."""
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue().encode("utf-8")
 
 
 def save_schema(dataset: Dataset, path) -> None:

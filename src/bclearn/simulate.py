@@ -111,7 +111,8 @@ def sample(spec: GenerativeSpec) -> Dataset:
 
 
 def delete_entries(dataset: Dataset, plan: DeletionPlan) -> Dataset:
-    """Return a copy with round(fraction * entries) positions masked."""
+    """Return a copy with round(fraction * entries) positions masked, or
+    ``dataset`` itself if that is none."""
     return delete_ladder(dataset, [plan.fraction], plan.seed)[0]
 
 
@@ -126,11 +127,13 @@ def delete_ladder(dataset: Dataset, fractions, seed=None) -> list[Dataset]:
     rungs = []
     for fraction in fractions:
         n_delete = int(round(fraction * total))
+        if not n_delete:
+            rungs.append(dataset)  # immutable, so a rung may share it
+            continue
+        if positions is None:
+            positions = np.random.default_rng(seed).permutation(total)
         codes = dataset.codes.copy()
-        if n_delete:
-            if positions is None:
-                positions = np.random.default_rng(seed).permutation(total)
-            codes.reshape(-1)[positions[:n_delete]] = MISSING
+        codes.reshape(-1)[positions[:n_delete]] = MISSING
         rungs.append(Dataset(dataset.variables, codes))
     return rungs
 

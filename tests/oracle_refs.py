@@ -1,6 +1,7 @@
 """Brute-force references that only the tests use.
 
-Each one enumerates, so its cost is exponential in the size of its input:
+Each one but the last enumerates, so its cost is exponential in the size of
+its input:
 
 - ``enumerate_completions`` lists the cells one case is consistent with,
   with a naive per-case loop; it is the reference for ``counts.tally``.
@@ -10,6 +11,9 @@ Each one enumerates, so its cost is exponential in the size of its input:
   reference for the greedy search.
 - ``joint_distribution`` multiplies out the full joint table; it is the
   reference for ``search.marginals``.
+- ``csv_writer_bytes`` writes a dataset a row at a time with
+  ``csv.writer``, one call per row; it is the reference for
+  ``data.save_csv``'s bytes.
 
 The package's own oracle, ``bclearn.oracle``, keeps only what
 ``score --oracle`` and ``estimate --oracle`` run.
@@ -17,6 +21,8 @@ The package's own oracle, ``bclearn.oracle``, keeps only what
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -150,3 +156,17 @@ def joint_distribution(model: Model) -> np.ndarray:
             p *= cpt[j][states[ctx.child]]
         joint[states] = p
     return joint
+
+
+def csv_writer_bytes(dataset: Dataset, missing_token: str = "?") -> bytes:
+    """The header and then each case written by ``csv.writer`` one row at a
+    time, MISSING as ``missing_token``, in UTF-8."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([v.name for v in dataset.variables])
+    for row in dataset.codes.tolist():
+        writer.writerow(
+            [missing_token if s == MISSING else v.states[s]
+             for v, s in zip(dataset.variables, row)]
+        )
+    return out.getvalue().encode("utf-8")

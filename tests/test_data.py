@@ -1,6 +1,5 @@
 import codecs
 import csv
-import io
 import json
 import os
 import sys
@@ -22,6 +21,7 @@ from bclearn import (
 )
 from bclearn import data
 from helpers import punch_holes, random_complete
+from oracle_refs import csv_writer_bytes
 
 
 class TestLoadCsv:
@@ -570,30 +570,52 @@ class TestRoundTrip:
             save_csv(original, path)
             assert load_csv(path) == original
 
+    # labels csv.writer must quote, keep or write as '""', 2-, 3- and 4-byte
+    # UTF-8, and one long enough that save_csv writes fewer rows a block
+    LABELS = (",", '"', "\r", "\n", "\r\n", " lead", "trail ", "", "x,y",
+              'q"uote', "line\nbreak", "plain", "é", "€", "😀", "ab€😀", "long" * 100)
+    NAMES = ("A,1", 'B"', " C", "é€😀")
 
     def test_labels_that_need_quoting_round_trip_byte_for_byte(self, tmp_path):
-        original = Dataset(
-            (
-                Variable("A,1", ("x,y", 'q"uote', "line\nbreak")),
-                Variable("B", (" lead", "trail ", "")),
-            ),
-            np.array([[0, 2], [1, MISSING], [2, 0], [MISSING, 1]], dtype=np.int16),
-        )
-        csv_path = tmp_path / "quoting.csv"
-        schema_path = tmp_path / "quoting.schema.json"
-        save_csv(original, csv_path)
-        save_schema(original, schema_path)
-        assert load_csv(csv_path, schema=load_schema(schema_path)) == original
-        # the same bytes as writing the rows one by one
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow([v.name for v in original.variables])
-        for row in original.codes.tolist():
-            writer.writerow(
-                ["?" if s == MISSING else v.states[s]
-                 for v, s in zip(original.variables, row)]
-            )
-        assert csv_path.read_bytes() == expected.getvalue().encode("utf-8")
+        """Seeded datasets of 0, 1 and 3 variables over every label above,
+        on either side of a block boundary, under four missing tokens: the
+        bytes equal ``csv.writer``'s row by row and load back, with their
+        schema, to the same dataset."""
+        rng = np.random.default_rng(574)
+        block = data._BLOCK_ROWS
+        for token in ("?", '""', "NA", ","):
+            labels = [label for label in self.LABELS if label != token]
+            for width in (0, 1, 3):
+                # every label is a state of one of the variables
+                shuffled = rng.permutation(np.array(labels, dtype=object))
+                parts = np.array_split(shuffled, width) if width else []
+                variables = tuple(
+                    Variable(name, tuple(part)) for name, part in zip(self.NAMES, parts)
+                )
+                cards = np.array([v.cardinality for v in variables], dtype=int)
+                for n in (0, block - 1, block, block + 1):
+                    original = Dataset(
+                        variables, rng.integers(MISSING, cards, size=(n, width))
+                    )
+                    csv_path = tmp_path / "quoting.csv"
+                    schema_path = tmp_path / "quoting.schema.json"
+                    save_csv(original, csv_path, missing_token=token)
+                    save_schema(original, schema_path)
+                    assert csv_path.read_bytes() == csv_writer_bytes(original, token), (
+                        token, width, n)
+                    reloaded = load_csv(
+                        csv_path, missing_token=token, schema=load_schema(schema_path)
+                    )
+                    assert reloaded == original, (token, width, n)
+
+    def test_dataset_without_variables_keeps_its_cases(self, tmp_path):
+        """csv.writer writes a case of no fields as an empty line, which
+        reads back as a case."""
+        original = Dataset((), np.zeros((3, 0), dtype=np.int16))
+        path = tmp_path / "no-variables.csv"
+        save_csv(original, path)
+        assert path.read_bytes() == b"\r\n" * 4
+        assert load_csv(path).n_cases == 3
 
     def test_missing_token_equal_to_a_state_label_is_refused(self, tmp_path):
         d = Dataset(
